@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands:
-  run       integrate one or more scenario files, writing trajectory tables
-            and summaries (PARAMECH_THREADS caps scenario-level parallelism)
+  run       integrate one or more scenario files in order, writing
+            trajectory tables and summaries
   verify    run the exact identity audit and print/write the report
   audit-el  compare derived- and printed-convention Euler-Lagrange residuals
             along the derived flow of one Lagrangian scenario

@@ -179,18 +179,25 @@ class ScalarField:
     def hessian(self, x) -> np.ndarray:
         return self.evaluate(x).hessian
 
+    def constant_hessian(self) -> np.ndarray | None:
+        """The Hessian where the field knows it to be constant, else None."""
+        return None
+
 
 def eval_field(field: ScalarField, x) -> EvalResult:
     return field.evaluate(x)
 
 
 class _StackedPolys:
-    """Several polynomials flattened into one term table for numpy evaluation."""
+    """Several polynomials flattened into one term table for numpy evaluation.
 
-    __slots__ = ("count", "coeffs", "exponents", "owner")
+    The terms are summed per polynomial by one matmul with a dense
+    owner-incidence matrix, weighted by the coefficients and built here once.
+    """
+
+    __slots__ = ("exponents", "weights")
 
     def __init__(self, polys):
-        self.count = len(polys)
         coeffs = []
         exponents = []
         owner = []
@@ -199,27 +206,26 @@ class _StackedPolys:
                 coeffs.append(float(coeff))
                 exponents.append(exps)
                 owner.append(k)
-        self.coeffs = np.asarray(coeffs)
         self.exponents = np.asarray(exponents, dtype=np.int64).reshape(
             len(coeffs), polys[0].dim if polys else 0
         )
-        self.owner = np.asarray(owner, dtype=np.intp)
+        incidence = np.zeros((len(polys), len(coeffs)))
+        incidence[owner, np.arange(len(coeffs))] = 1.0
+        self.weights = incidence * np.asarray(coeffs)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.count)
-        if len(self.coeffs):
-            # Overflow propagates as inf; the steppers detect non-finite states.
-            with np.errstate(over="ignore", invalid="ignore"):
-                monomials = np.prod(np.power(x[None, :], self.exponents), axis=1)
-                np.add.at(out, self.owner, self.coeffs * monomials)
-        return out
+        # Overflow propagates as inf; the steppers detect non-finite states.
+        with np.errstate(over="ignore", invalid="ignore"):
+            monomials = np.multiply.reduce(np.power(x[None, :], self.exponents), axis=1)
+            return self.weights @ monomials
 
 
 class PolynomialField(ScalarField):
     """Field backed by an exact PolyScalar; derivatives taken analytically.
 
-    Numeric evaluation runs over a flattened float term table; a polynomial of
-    degree at most two gets its constant Hessian precomputed.
+    Numeric evaluation runs over flattened float term tables.  A polynomial of
+    degree at most two has a constant Hessian Q and the closed-form gradient
+    b + Q x, with b the gradient at the origin; both are precomputed.
     """
 
     def __init__(self, poly: PolyScalar):
@@ -229,24 +235,34 @@ class PolynomialField(ScalarField):
         self._hess = poly_hessian(poly)
         dim = poly.dim
         self._value_rep = _StackedPolys([poly])
-        self._grad_rep = _StackedPolys(self._grad)
-        self._value_grad_rep = _StackedPolys([poly, *self._grad])
         self._hess_const = None
-        self._hess_rep = None
         if poly.total_degree() <= 2:
             origin = [Fraction(0)] * dim
+            self._grad_origin = np.array([float(p.evaluate(origin)) for p in self._grad])
             self._hess_const = np.array(
                 [[float(p.evaluate(origin)) for p in row] for row in self._hess]
             )
         else:
+            self._grad_rep = _StackedPolys(self._grad)
+            self._value_grad_rep = _StackedPolys([poly, *self._grad])
             self._upper = [(a, b) for a in range(dim) for b in range(a, dim)]
             self._hess_rep = _StackedPolys([self._hess[a][b] for a, b in self._upper])
 
     def _apply(self, xs):
         return self.poly.evaluate(xs)
 
+    def constant_hessian(self) -> np.ndarray | None:
+        return self._hess_const
+
     def value(self, x) -> float:
         return float(self._value_rep.evaluate(np.asarray(x, dtype=float))[0])
+
+    def gradient(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if self._hess_const is None:
+            return self._grad_rep.evaluate(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._grad_origin + self._hess_const @ x
 
     def _hessian_at(self, x: np.ndarray) -> np.ndarray:
         if self._hess_const is not None:
@@ -262,14 +278,13 @@ class PolynomialField(ScalarField):
         if len(x) != self.dim:
             raise ValueError("point dimension mismatch")
         x = np.asarray(x, dtype=float)
-        return EvalResult(
-            float(self._value_rep.evaluate(x)[0]),
-            self._grad_rep.evaluate(x),
-            self._hessian_at(x),
-        )
+        return EvalResult(self.value(x), self.gradient(x), self._hessian_at(x))
 
     def value_and_gradient(self, x):
-        stacked = self._value_grad_rep.evaluate(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        if self._hess_const is not None:
+            return self.value(x), self.gradient(x)
+        stacked = self._value_grad_rep.evaluate(x)
         return float(stacked[0]), stacked[1:]
 
     def exact_evaluate(self, point):

@@ -36,6 +36,7 @@ __all__ = [
     "canonical_two_form",
     "hamiltonian_vector_field",
     "generic_field_from_form",
+    "signed_permutation",
     "integrate_hamiltonian",
     "hamilton_residuals",
     "position_mask",
@@ -145,6 +146,17 @@ def generic_field_from_form(kind: StructureKind, H: ScalarField, x) -> np.ndarra
     return np.linalg.solve(form.matrix.T.astype(float), grad)
 
 
+def signed_permutation(form: CanonicalSymplecticForm) -> tuple[np.ndarray, np.ndarray]:
+    """(index, sign) with X_a = sign_a * dH[index_a], i.e. X = M grad H.
+
+    M is antisymmetric and orthogonal, so the solution of (i_X M)_b = dH_b is
+    X = M^{-T} grad H = M grad H; each row of M has a single entry +-1.
+    """
+    index = np.argmax(form.matrix != 0, axis=1)
+    sign = form.matrix[np.arange(form.dim), index].astype(float)
+    return index, sign
+
+
 def position_mask(form: CanonicalSymplecticForm) -> np.ndarray:
     """Coordinates acting as positions: the columns carrying the +1 entries."""
     return np.any(form.matrix == 1, axis=0)
@@ -157,17 +169,22 @@ def integrate_hamiltonian(
     dt: float,
     method: str = "implicit_midpoint",
 ) -> Trajectory:
-    """Integrate xdot = X(x), recording the Hamiltonian value per sample."""
+    """Integrate xdot = S grad H, recording the Hamiltonian value per sample.
+
+    S is the kind's two-form matrix, a constant signed permutation; it is
+    read off once per trajectory and applied as a gather and a sign flip,
+    which reproduces ``hamiltonian_vector_field`` bit for bit.
+    """
     if method not in HAMILTONIAN_METHODS:
         raise ValueError(f"method must be one of {HAMILTONIAN_METHODS}")
-    kind, H = system.kind, system.hamiltonian
+    H = system.hamiltonian
+    form = canonical_two_form(system.kind, system.n)
+    index, sign = signed_permutation(form)
 
     def field(x):
-        return hamiltonian_vector_field(kind, H, x)
+        return sign * H.gradient(x)[index]
 
-    mask = None
-    if method == "symplectic_euler":
-        mask = position_mask(canonical_two_form(kind, system.n))
+    mask = position_mask(form) if method == "symplectic_euler" else None
     cfg = StepperConfig(method=method, dt=dt, position_mask=mask)
     return integrate_field(field, x0, t_end, cfg, {"energy": H.value})
 

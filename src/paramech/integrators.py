@@ -1,12 +1,22 @@
 """Fixed-step ODE stepping for explicit fields and linearly-implicit systems.
 
-Explicit form: xdot = f(x).  Mass form: M(x) xdot = b(x), advanced without
-forming the inverse (one linear solve per field evaluation).  Steppers are
-pure functions of their inputs; trajectories are bitwise reproducible.
+Explicit form: xdot = f(x).  Mass form: M(x) xdot = b(x), advanced with one
+guarded linear solve per field evaluation; a caller whose M is constant
+solves for M^{-1} once and hands the stepper an explicit field.  Each solve
+reuses one inverse for both the solution and the 1-norm condition number
+that guards against near-singular systems.
+
+``integrate_field`` samples the times t_k = k*dt, the last one exactly t_end
+(a shortened final step lands there).  The derivative it records at the end
+of a step is the first field evaluation of the next step (rk4's k1, the
+start of each implicit stage), so a step costs one evaluation fewer.
+Steppers are pure functions of their inputs; trajectories are bitwise
+reproducible.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
@@ -32,15 +42,21 @@ _CONDITION_LIMIT = 1e12
 
 
 def solve_linear(matrix: np.ndarray, rhs: np.ndarray, error: str = "linear system") -> np.ndarray:
-    """Dense solve with a condition estimate guarding against near-singularity."""
+    """Dense solve of matrix @ X = rhs (a vector or a matrix of columns).
+
+    One inverse gives both the solution and the 1-norm condition number,
+    which must not exceed 1e12.
+    """
     matrix = np.asarray(matrix, dtype=float)
     try:
-        condition = np.linalg.cond(matrix, 1)
+        inverse = np.linalg.inv(matrix)
     except np.linalg.LinAlgError:
         condition = np.inf
+    else:
+        condition = np.abs(matrix).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max()
     if not np.isfinite(condition) or condition > _CONDITION_LIMIT:
         raise SingularSystemError(f"{error}: condition estimate {condition:.3g} exceeds 1e12")
-    return np.linalg.solve(matrix, np.asarray(rhs, dtype=float))
+    return inverse @ np.asarray(rhs, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -106,6 +122,11 @@ class ResidualSeries:
         return float(np.max(np.abs(self.residuals)))
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm, computed as np.linalg.norm does but without its overhead."""
+    return math.sqrt(v.dot(v))
+
+
 def _step_rk4(f, x, dt):
     k1 = f(x)
     k2 = f(x + 0.5 * dt * k1)
@@ -115,17 +136,17 @@ def _step_rk4(f, x, dt):
 
 
 def _step_implicit_midpoint(f, x, dt, tol, max_iters):
-    scale = tol * (1.0 + float(np.linalg.norm(x)))
+    scale = tol * (1.0 + _norm(x))
     y = x + dt * f(x)
     for iteration in range(1, max_iters + 1):
         y_next = x + dt * f(0.5 * (x + y))
-        if not np.all(np.isfinite(y_next)):
+        if not np.isfinite(y_next).all():
             raise ConvergenceError(
                 f"implicit midpoint stage diverged to a non-finite state "
                 f"at iteration {iteration}",
                 iteration,
             )
-        if np.linalg.norm(y_next - y) <= scale:
+        if _norm(y_next - y) <= scale:
             return y_next
         y = y_next
     raise ConvergenceError(
@@ -139,29 +160,30 @@ def _step_symplectic_euler(f, x, dt, mask, tol, max_iters):
         raise ValueError("symplectic_euler requires a position mask")
     mask = np.asarray(mask, dtype=bool)
     momentum = ~mask
-    scale = tol * (1.0 + float(np.linalg.norm(x)))
+    scale = tol * (1.0 + _norm(x))
     # Momentum half implicit, position half explicit in the updated momenta.
     z = x.copy()
     p = x[momentum]
+    fz = f(x)  # z equals x until the first momentum update
     for iteration in range(1, max_iters + 1):
-        z[momentum] = p
-        p_next = x[momentum] + dt * f(z)[momentum]
-        if not np.all(np.isfinite(p_next)):
+        p_next = x[momentum] + dt * fz[momentum]
+        if not np.isfinite(p_next).all():
             raise ConvergenceError(
                 f"symplectic Euler stage diverged to a non-finite state "
                 f"at iteration {iteration}",
                 iteration,
             )
-        if np.linalg.norm(p_next - p) <= scale:
-            p = p_next
-            break
+        converged = _norm(p_next - p) <= scale
         p = p_next
+        z[momentum] = p
+        if converged:
+            break
+        fz = f(z)
     else:
         raise ConvergenceError(
             f"symplectic Euler stage did not converge after {max_iters} iterations",
             max_iters,
         )
-    z[momentum] = p
     z[mask] = x[mask] + dt * f(z)[mask]
     return z
 
@@ -192,17 +214,17 @@ def step_implicit_mass(
     return step_explicit(f, x, cfg)
 
 
-def _plan_steps(t_end: float, dt: float) -> list[float]:
-    if t_end < 0:
-        raise ValueError("t_end must be nonnegative")
+def _plan_steps(t_end: float, dt: float) -> tuple[int, float]:
+    """Number of full steps, then the length of a shortened last step (0: none)."""
+    if not np.isfinite(t_end) or t_end < 0:
+        raise ValueError("t_end must be finite and nonnegative")
     if t_end == 0:
-        return []
+        return 0, 0.0
     full = int(np.floor(t_end / dt + 1e-6))
-    steps = [dt] * full
     remainder = t_end - full * dt
-    if remainder > 1e-12 * max(1.0, t_end):
-        steps.append(remainder)
-    return steps
+    if remainder <= 1e-12 * max(1.0, t_end):
+        remainder = 0.0
+    return full, remainder
 
 
 def integrate_field(
@@ -212,28 +234,35 @@ def integrate_field(
     cfg: StepperConfig,
     invariant_fns: Mapping[str, Callable[[np.ndarray], float]] | None = None,
 ) -> Trajectory:
-    """Integrate xdot = f(x); the final step is shortened to land on t_end."""
+    """Integrate xdot = f(x) on the grid t_k = k*dt; the last sample is t_end."""
     invariant_fns = dict(invariant_fns or {})
+    full, remainder = _plan_steps(t_end, cfg.dt)
+    steps = full + (remainder > 0)
     x = np.asarray(x0, dtype=float).copy()
+    fx = np.asarray(f(x), dtype=float)
     times = [0.0]
     states = [x.copy()]
-    derivatives = [np.asarray(f(x), dtype=float)]
+    derivatives = [fx]
     invariants = {name: [fn(x)] for name, fn in invariant_fns.items()}
-    t = 0.0
-    for dt in _plan_steps(t_end, cfg.dt):
-        step_cfg = cfg if dt == cfg.dt else replace(cfg, dt=dt)
+    for k in range(1, steps + 1):
+        step_cfg = cfg if k <= full else replace(cfg, dt=remainder)
+
+        # The steppers evaluate the start point x itself first.
+        def first_same_as_last(y, start=x, known=fx):
+            return known if y is start else f(y)
+
         try:
-            x = step_explicit(f, x, step_cfg)
+            x = step_explicit(first_same_as_last, x, step_cfg)
         except SingularSystemError as exc:
-            raise type(exc)(f"{exc} (while stepping from t = {t:.9g})") from exc
+            raise type(exc)(f"{exc} (while stepping from t = {times[-1]:.9g})") from exc
         except ConvergenceError as exc:
             raise ConvergenceError(
-                f"{exc} (while stepping from t = {t:.9g})", exc.iterations
+                f"{exc} (while stepping from t = {times[-1]:.9g})", exc.iterations
             ) from exc
-        t += dt
-        times.append(t)
+        fx = np.asarray(f(x), dtype=float)
+        times.append(t_end if k == steps else k * cfg.dt)
         states.append(x.copy())
-        derivatives.append(np.asarray(f(x), dtype=float))
+        derivatives.append(fx)
         for name, fn in invariant_fns.items():
             invariants[name].append(fn(x))
     return Trajectory(

@@ -139,21 +139,30 @@ def integrate_lagrangian(
 ) -> Trajectory:
     """Integrate Hess . xdot = A . grad L, recording the energy per sample.
 
-    The mass matrix is the Hessian at the evaluation point; every field
-    evaluation performs one fresh factorisation (the Hessian moves with x).
-    The energy series is filled in afterwards from the sampled states and
-    their recorded semisprays.
+    A constant Hessian (quadratic L) is solved against A once per
+    trajectory, under the same conditioning guard, so each field evaluation
+    is one matvec with Hess^{-1} A.  Otherwise every evaluation is ``canonical_rhs``: one
+    guarded solve with the Hessian at that point.  The energy series is
+    filled in afterwards from the sampled states and their recorded
+    semisprays.
     """
     if method not in LAGRANGIAN_METHODS:
         raise ValueError(f"method must be one of {LAGRANGIAN_METHODS}")
     op, L = system.operator, system.lagrangian
-
-    def field(x):
-        result = L.evaluate(x)
-        return solve_linear(result.hessian, op.matrix @ result.gradient, error="Hessian")
-
     cfg = StepperConfig(method=method, dt=dt)
+    hessian = L.constant_hessian()
     try:
+        if hessian is None:
+
+            def field(x):
+                return canonical_rhs(op, L, x)
+
+        else:
+            flow = solve_linear(hessian, op.matrix, error="Hessian")
+
+            def field(x):
+                return flow @ L.gradient(x)
+
         bare = integrate_field(field, x0, t_end, cfg)
     except SingularSystemError as exc:
         raise SingularHessianError(str(exc)) from exc

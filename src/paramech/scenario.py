@@ -23,9 +23,9 @@ are printed with 17 significant digits.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -147,9 +147,12 @@ def _parse_int(value: str, lineno: int, field: str) -> int:
 
 def _parse_float(value: str, lineno: int, field: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ScenarioError(f"expected a number, got {value!r}", lineno, field) from None
+    if not math.isfinite(number):
+        raise ScenarioError(f"expected a finite number, got {value!r}", lineno, field)
+    return number
 
 
 def _parse_floats(value: str, lineno: int, field: str) -> tuple[float, ...]:
@@ -494,18 +497,8 @@ def render_summary(result: RunResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_scenario_files(
-    paths, out_dir: str | Path | None = None, max_workers: int | None = None
-) -> list[RunResult]:
-    """Run several scenario files, possibly in parallel worker threads."""
+def run_scenario_files(paths, out_dir: str | Path | None = None) -> list[RunResult]:
+    """Parse every scenario file first, then run them in order."""
     paths = [Path(p) for p in paths]
     scenarios = [(p.stem, load_scenario(p)) for p in paths]
-    if max_workers is None:
-        env = os.environ.get("PARAMECH_THREADS")
-        max_workers = int(env) if env else (os.cpu_count() or 1)
-    max_workers = max(1, min(max_workers, len(scenarios)))
-    if max_workers == 1:
-        return [run_scenario(s, name, out_dir) for name, s in scenarios]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = [pool.submit(run_scenario, s, name, out_dir) for name, s in scenarios]
-        return [f.result() for f in futures]
+    return [run_scenario(s, name, out_dir) for name, s in scenarios]

@@ -1,3 +1,5 @@
+import pytest
+
 from paramech.cli import main
 
 HARMONIC = """n = 1
@@ -75,9 +77,50 @@ def test_run_parse_error_exit_code(tmp_path, capsys):
     assert "x0" in capsys.readouterr().err
 
 
+KINETIC_MINUS_POTENTIAL = """n = 1
+formalism = lagrangian
+structure = G
+function = kinetic_minus_potential
+masses = 1.0
+g_const = 0.5
+x0 = 3 4 0 0
+t_end = 1.0
+dt = 0.01
+method = rk4
+"""
+
+
+@pytest.mark.parametrize(
+    "line,bad",
+    [
+        ("x0 = 3 4 0 0", "x0 = 3 nan 0 0"),
+        ("t_end = 1.0", "t_end = inf"),
+        ("dt = 0.01", "dt = nan"),
+        ("masses = 1.0", "masses = -inf"),
+        ("g_const = 0.5", "g_const = nan"),
+    ],
+    ids=["x0", "t_end", "dt", "masses", "g_const"],
+)
+def test_run_rejects_non_finite_numbers(tmp_path, capsys, line, bad):
+    scenario = write(tmp_path, "bad.scn", KINETIC_MINUS_POTENTIAL.replace(line, bad))
+    assert main(["run", scenario, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "finite" in err
+    assert f"[{line.split()[0]}]" in err
+    assert not (tmp_path / "bad_trajectory.csv").exists()
+
+
 def test_run_singular_exit_code(tmp_path, capsys):
     scenario = write(tmp_path, "degenerate.scn", LINEAR_DEGENERATE)
     assert main(["run", scenario, "--out", str(tmp_path)]) == 3
+
+
+def test_run_constant_singular_hessian_exit_code(tmp_path, capsys):
+    # Degree two with Hessian diag(2, 0, 0, 0): refused before the first step.
+    text = LINEAR_DEGENERATE.replace("term = 1 : 1 0 0 0", "term = 1 : 2 0 0 0")
+    scenario = write(tmp_path, "degenerate.scn", text)
+    assert main(["run", scenario, "--out", str(tmp_path)]) == 3
+    assert "Hessian" in capsys.readouterr().err
 
 
 def test_run_nonconvergence_exit_code(tmp_path, capsys):

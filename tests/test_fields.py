@@ -177,3 +177,43 @@ def test_kinetic_minus_potential_composite():
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         harmonic_field(1).evaluate([1.0, 2.0])
+
+
+def test_quadratic_gradient_matches_exact_and_jets():
+    # Degree <= 2 polynomials take the closed-form gradient b + Q x; constant
+    # and linear terms exercise b.
+    rng = random.Random(25)
+    np_rng = np.random.default_rng(25)
+    for dim in (4, 8):
+        for _ in range(6):
+            field = random_poly_field(rng, dim=dim, max_degree=2, n_terms=10)
+            assert field.constant_hessian() is not None
+            for _ in range(3):
+                point = [Fraction(int(v), 8) for v in np_rng.integers(-16, 17, size=dim)]
+                x = [float(v) for v in point]
+                _, exact_gradient, exact_hessian = field.exact_evaluate(point)
+                result = field.evaluate(x)
+                jets = field.evaluate_via_jets(x)
+                assert np.allclose(result.gradient, [float(g) for g in exact_gradient], atol=1e-12)
+                assert np.allclose(result.gradient, jets.gradient, atol=1e-12)
+                assert np.array_equal(field.gradient(x), result.gradient)
+                assert np.array_equal(field.value_and_gradient(x)[1], result.gradient)
+                assert np.array_equal(
+                    result.hessian, [[float(h) for h in row] for row in exact_hessian]
+                )
+
+
+def test_constant_hessian_only_for_constant_cases():
+    rng = random.Random(26)
+    assert random_poly_field(rng, max_degree=2).constant_hessian() is not None
+    cubic = PolynomialField(PolyScalar.monomial(DIM, Fraction(1), (3, 0, 0, 0)))
+    assert cubic.constant_hessian() is None
+    assert kinetic_minus_potential_field([1.0], 9.81).constant_hessian() is None
+
+
+def test_quadratic_gradient_overflow_is_inf():
+    with np.errstate(over="raise"):
+        gradient = harmonic_field(1).gradient([1e308, 0.0, 0.0, 0.0])
+        assert gradient[0] == 1e308
+        doubled = PolynomialField(PolyScalar.monomial(DIM, Fraction(2), (2, 0, 0, 0)))
+        assert np.isinf(doubled.gradient([1e308, 0.0, 0.0, 0.0])[0])

@@ -14,6 +14,7 @@ from paramech.hamiltonian import (
     integrate_hamiltonian,
     liouville_one_form,
     position_mask,
+    signed_permutation,
 )
 from paramech.integrators import StepperConfig, step_explicit
 from paramech.structures import DUAL_KINDS, F, F_STAR, G_STAR, H_STAR
@@ -289,3 +290,25 @@ def test_system_validation():
         integrate_hamiltonian(
             HamiltonianSystem(F_STAR, harmonic_field(1)), [1, 0, 0, 0], 1.0, 0.1, "verlet"
         )
+
+
+@pytest.mark.parametrize("kind", DUAL_KINDS, ids=lambda k: k.name)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_signed_permutation_reproduces_closed_form(kind, n):
+    index, sign = signed_permutation(canonical_two_form(kind, n))
+    rng = np.random.default_rng(31 + n)
+    quartic = PolynomialField(
+        harmonic_field(n).poly + PolyScalar.monomial(4 * n, Fraction(1, 4), (4,) + (0,) * (4 * n - 1))
+    )
+    for H in (harmonic_field(n), quartic):
+        for _ in range(5):
+            x = rng.normal(size=4 * n)
+            assert np.array_equal(sign * H.gradient(x)[index], hamiltonian_vector_field(kind, H, x))
+
+
+def test_integrated_derivatives_are_the_closed_form_field():
+    H = harmonic_field(2)
+    for kind in DUAL_KINDS:
+        traj = integrate_hamiltonian(HamiltonianSystem(kind, H), np.arange(8.0) / 8, 0.05, 0.01)
+        for x, xdot in zip(traj.states, traj.derivatives):
+            assert np.array_equal(xdot, hamiltonian_vector_field(kind, H, x))

@@ -7,6 +7,7 @@ from paramech.integrators import (
     Trajectory,
     integrate_field,
     integrate_mass_system,
+    solve_linear,
     step_explicit,
     step_implicit_mass,
 )
@@ -184,3 +185,56 @@ def test_trajectory_validation():
         Trajectory(np.array([0.0, 1.0]), np.zeros((1, 4)), np.zeros((2, 4)), {})
     with pytest.raises(ValueError):
         Trajectory(np.array([0.0, 0.0]), np.zeros((2, 4)), np.zeros((2, 4)), {})
+
+
+def pendulum_field(x):
+    return np.array([x[1], -np.sin(x[0]), x[3], -x[2] ** 3])
+
+
+PENDULUM_MASK = np.array([True, False, True, False])
+
+
+@pytest.mark.parametrize("method", ["rk4", "implicit_midpoint", "symplectic_euler"])
+def test_derivative_reuse_is_bitwise_neutral(method):
+    # Reference: plain steps, each re-evaluating f at its start point.
+    cfg = StepperConfig(method=method, dt=0.01, position_mask=PENDULUM_MASK)
+    x0 = np.array([1.2, 0.0, 0.5, -0.3])
+    calls = []
+
+    def counted(y):
+        calls.append(1)
+        return pendulum_field(y)
+
+    traj = integrate_field(counted, x0, 0.5, cfg)
+    states = [x0]
+    for _ in range(50):
+        states.append(step_explicit(pendulum_field, states[-1], cfg))
+    assert np.array_equal(traj.states, np.asarray(states))
+    assert np.array_equal(traj.derivatives, [pendulum_field(x) for x in states])
+    if method == "rk4":
+        assert len(calls) == 1 + 4 * 50
+
+
+def test_time_grid_is_k_dt_and_ends_on_t_end():
+    for t_end, dt, count in ((2 * np.pi, 1e-3, 6285), (0.3, 0.1, 4), (1.0, 0.001, 1001)):
+        cfg = StepperConfig(method="rk4", dt=dt)
+        traj = integrate_field(rotation_field, [1.0, 0.0, 0.0, 0.0], t_end, cfg)
+        assert len(traj) == count
+        assert all(traj.times[k] == k * dt for k in range(count - 1))
+        assert traj.times[-1] == t_end
+
+
+def test_non_finite_t_end_rejected():
+    cfg = StepperConfig(method="rk4", dt=0.1)
+    for t_end in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            integrate_field(rotation_field, [1.0, 0.0, 0.0, 0.0], t_end, cfg)
+
+
+def test_solve_linear_guard():
+    matrix = np.array([[4.0, 1.0], [2.0, 3.0]])
+    assert np.allclose(matrix @ solve_linear(matrix, [1.0, 2.0]), [1.0, 2.0], atol=1e-15)
+    assert np.allclose(matrix @ solve_linear(matrix, np.eye(2)), np.eye(2), atol=1e-15)
+    for singular in (np.diag([1.0, 1e-13]), np.zeros((2, 2)), np.full((2, 2), np.nan)):
+        with pytest.raises(SingularSystemError, match="exceeds 1e12"):
+            solve_linear(singular, [1.0, 1.0])

@@ -209,3 +209,25 @@ def test_system_validation():
         LagrangianSystem(op(F), harmonic_field(1), convention="boxed")
     with pytest.raises(ValueError):
         LagrangianSystem(op(F, 2), harmonic_field(1))
+
+
+@pytest.mark.parametrize("kind", PRIMAL_KINDS, ids=lambda k: k.name)
+def test_factored_field_matches_canonical_rhs(kind):
+    # Quadratic Lagrangians invert their constant Hessian once per
+    # trajectory; the recorded semisprays must still solve the system.
+    rng = np.random.default_rng(41)
+    for n in (1, 2):
+        L = random_regular_quadratic(rng, n)
+        system = LagrangianSystem(op(kind, n), L)
+        x0 = rng.normal(size=4 * n)
+        traj = integrate_lagrangian(system, x0, 0.05, 0.01, "rk4")
+        for x, xdot in zip(traj.states, traj.derivatives):
+            assert np.max(np.abs(xdot - canonical_rhs(system.operator, L, x))) <= 1e-12
+
+
+def test_integrate_reports_constant_singular_hessian():
+    # Degree two, but the Hessian diag(2, 0, 0, 0) is singular.
+    degenerate = PolynomialField(PolyScalar.monomial(4, Fraction(1), (2, 0, 0, 0)))
+    system = LagrangianSystem(op(G), degenerate)
+    with pytest.raises(SingularHessianError, match="Hessian"):
+        integrate_lagrangian(system, [1.0, 0, 0, 0], 1.0, 0.1, "rk4")

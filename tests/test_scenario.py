@@ -165,8 +165,7 @@ def test_run_printed_f_warns(tmp_path):
     assert "warning" in result.summary_path.read_text()
 
 
-def test_run_many_with_thread_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("PARAMECH_THREADS", "2")
+def test_run_many(tmp_path):
     paths = []
     for k, structure in enumerate("FGH"):
         text = HARMONIC_HAMILTONIAN.replace("structure = F", f"structure = {structure}").replace(
@@ -187,3 +186,17 @@ def test_custom_output_paths(tmp_path):
     assert result.trajectory_path == tmp_path / "a/b.csv"
     assert result.trajectory_path.exists()
     assert result.summary_path.exists()
+
+
+def test_sample_time_grid_lands_on_t_end(tmp_path):
+    # Sample k sits at exactly k*dt and the last sample at exactly t_end.
+    scenario = parse_scenario(
+        HARMONIC_HAMILTONIAN.replace("t_end = 6.2832", "t_end = 6.283185307179586")
+    )
+    result = run_scenario(scenario, "grid", tmp_path)
+    times = result.trajectory.times
+    assert times[3000] == 3000 * scenario.dt
+    assert all(times[k] == k * scenario.dt for k in range(len(times) - 1))
+    assert times[-1] == scenario.t_end
+    last_row = result.trajectory_path.read_text().splitlines()[-1]
+    assert last_row.split(",")[0] == "6.2831853071795862"
