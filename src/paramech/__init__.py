@@ -37,7 +37,6 @@ from .fields import (
     PotentialField,
     ScalarField,
     SumField,
-    eval_field,
     harmonic_field,
     kinetic_energy,
     kinetic_minus_potential_field,
@@ -59,13 +58,12 @@ from .integrators import (
     StepperConfig,
     Trajectory,
     integrate_field,
-    integrate_mass_system,
     step_explicit,
-    step_implicit_mass,
 )
 from .lagrangian import (
     LagrangianSystem,
     canonical_rhs,
+    convention_residuals,
     el_residuals,
     integrate_lagrangian,
     intrinsic_solve,
@@ -78,6 +76,7 @@ from .scenario import (
     RunResult,
     Scenario,
     build_field,
+    execute_scenario,
     load_scenario,
     parse_scenario,
     run_scenario,

@@ -5,7 +5,8 @@ Subcommands:
             trajectory tables and summaries
   verify    run the exact identity audit and print/write the report
   audit-el  compare derived- and printed-convention Euler-Lagrange residuals
-            along the derived flow of one Lagrangian scenario
+            along the derived flow of one Lagrangian scenario (the maxima
+            that ``run`` writes to its summary)
   plotdata  extract named columns from a trajectory table as plot-ready CSV
 
 Exit codes: 0 success, 2 parse/validation error, 3 singular system,
@@ -26,14 +27,12 @@ from .errors import (
     ScenarioError,
     SingularSystemError,
 )
-from .lagrangian import LagrangianSystem, el_residuals, integrate_lagrangian
 from .scenario import (
-    build_field,
+    execute_scenario,
     format_float,
     load_scenario,
     run_scenario_files,
 )
-from .structures import StructureKind, build_structure
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -114,15 +113,9 @@ def _cmd_audit_el(args) -> int:
         raise ScenarioError(
             "audit-el needs a lagrangian scenario", field="formalism"
         )
-    field = build_field(scenario.function, scenario.n)
-    op = build_structure(StructureKind(scenario.structure), scenario.n)
-    derived_system = LagrangianSystem(op, field, convention="derived")
-    printed_system = LagrangianSystem(op, field, convention="printed")
-    traj = integrate_lagrangian(
-        derived_system, scenario.x0, scenario.t_end, scenario.dt, scenario.method
-    )
-    derived_max = el_residuals(derived_system, traj).max_abs()
-    printed_max = el_residuals(printed_system, traj).max_abs()
+    _, _, maxima = execute_scenario(scenario)
+    derived_max = maxima["derived_residual_max"]
+    printed_max = maxima["printed_residual_max"]
     print(f"euler-lagrange residual audit: {args.scenario}")
     print(
         f"structure = {scenario.structure}, n = {scenario.n}, "

@@ -32,7 +32,6 @@ __all__ = [
     "PotentialField",
     "SumField",
     "harmonic_field",
-    "eval_field",
     "kinetic_energy",
     "potential_energy",
     "lagrangian_from_energies",
@@ -182,10 +181,6 @@ class ScalarField:
     def constant_hessian(self) -> np.ndarray | None:
         """The Hessian where the field knows it to be constant, else None."""
         return None
-
-
-def eval_field(field: ScalarField, x) -> EvalResult:
-    return field.evaluate(x)
 
 
 class _StackedPolys:

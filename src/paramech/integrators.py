@@ -1,15 +1,16 @@
-"""Fixed-step ODE stepping for explicit fields and linearly-implicit systems.
+"""Fixed-step ODE stepping for xdot = f(x), and the guarded linear solve.
 
-Explicit form: xdot = f(x).  Mass form: M(x) xdot = b(x), advanced with one
-guarded linear solve per field evaluation; a caller whose M is constant
-solves for M^{-1} once and hands the stepper an explicit field.  Each solve
-reuses one inverse for both the solution and the 1-norm condition number
-that guards against near-singular systems.
+``integrate_field`` is the one driver.  A linearly-implicit system
+M(x) xdot = b(x) goes through it as the field x -> ``solve_linear(M(x),
+b(x))``; a caller whose M is constant solves for M^{-1} once instead.  Each
+solve reuses one inverse for both the solution and the 1-norm condition
+number that guards against near-singular systems.
 
 ``integrate_field`` samples the times t_k = k*dt, the last one exactly t_end
 (a shortened final step lands there).  The derivative it records at the end
 of a step is the first field evaluation of the next step (rk4's k1, the
-start of each implicit stage), so a step costs one evaluation fewer.
+start of each implicit stage), so a step costs one evaluation fewer.  A
+trajectory that reaches a non-finite state is rejected, whatever the method.
 Steppers are pure functions of their inputs; trajectories are bitwise
 reproducible.
 """
@@ -30,9 +31,7 @@ __all__ = [
     "Trajectory",
     "ResidualSeries",
     "step_explicit",
-    "step_implicit_mass",
     "integrate_field",
-    "integrate_mass_system",
     "solve_linear",
 ]
 
@@ -200,20 +199,6 @@ def step_explicit(f: Callable[[np.ndarray], np.ndarray], x, cfg: StepperConfig) 
     )
 
 
-def step_implicit_mass(
-    mass: Callable[[np.ndarray], np.ndarray],
-    rhs: Callable[[np.ndarray], np.ndarray],
-    x,
-    cfg: StepperConfig,
-) -> np.ndarray:
-    """One step of M(x) xdot = b(x) via a linear solve per field evaluation."""
-
-    def f(state):
-        return solve_linear(mass(state), rhs(state), error="mass matrix")
-
-    return step_explicit(f, x, cfg)
-
-
 def _plan_steps(t_end: float, dt: float) -> tuple[int, float]:
     """Number of full steps, then the length of a shortened last step (0: none)."""
     if not np.isfinite(t_end) or t_end < 0:
@@ -253,6 +238,8 @@ def integrate_field(
 
         try:
             x = step_explicit(first_same_as_last, x, step_cfg)
+            if not np.isfinite(x).all():
+                raise ConvergenceError(f"{cfg.method} step diverged to a non-finite state", 0)
         except SingularSystemError as exc:
             raise type(exc)(f"{exc} (while stepping from t = {times[-1]:.9g})") from exc
         except ConvergenceError as exc:
@@ -271,19 +258,3 @@ def integrate_field(
         np.asarray(derivatives),
         {name: np.asarray(series) for name, series in invariants.items()},
     )
-
-
-def integrate_mass_system(
-    mass: Callable[[np.ndarray], np.ndarray],
-    rhs: Callable[[np.ndarray], np.ndarray],
-    x0,
-    t_end: float,
-    cfg: StepperConfig,
-    invariant_fns: Mapping[str, Callable[[np.ndarray], float]] | None = None,
-) -> Trajectory:
-    """Integrate M(x) xdot = b(x) through the explicit driver."""
-
-    def f(state):
-        return solve_linear(mass(state), rhs(state), error="mass matrix")
-
-    return integrate_field(f, x0, t_end, cfg, invariant_fns)

@@ -19,11 +19,14 @@ Two residual conventions are supported when auditing trajectories:
     carries the opposite sign on the gradient terms (equivalent to A -> -A),
     so its residuals do not vanish along derived flows.  The audit machinery
     reports this as a documented discrepancy rather than hiding it.
+
+``convention_residuals`` is the one place that takes both along a
+trajectory; where the two systems coincide it computes the series once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,6 +51,7 @@ __all__ = [
     "intrinsic_solve",
     "integrate_lagrangian",
     "el_residuals",
+    "convention_residuals",
     "printed_sign_matrix",
 ]
 
@@ -187,3 +191,21 @@ def el_residuals(system: LagrangianSystem, traj: Trajectory) -> ResidualSeries:
         result = L.evaluate(x)
         rows.append(result.hessian @ xdot - sign @ result.gradient)
     return ResidualSeries(traj.times, np.asarray(rows))
+
+
+def convention_residuals(
+    system: LagrangianSystem, traj: Trajectory
+) -> dict[str, ResidualSeries]:
+    """Residuals of both conventions along a trajectory, keyed by convention.
+
+    The system's own convention is ignored.  Where the printed sign pattern
+    equals A (G and H) the two systems are one, and both keys map to the
+    same series.
+    """
+    derived = el_residuals(replace(system, convention="derived"), traj)
+    op = system.operator
+    if np.array_equal(printed_sign_matrix(op), op.matrix):
+        printed = derived
+    else:
+        printed = el_residuals(replace(system, convention="printed"), traj)
+    return {"derived": derived, "printed": printed}

@@ -50,7 +50,7 @@ from .integrators import ResidualSeries, Trajectory
 from .lagrangian import (
     LAGRANGIAN_METHODS,
     LagrangianSystem,
-    el_residuals,
+    convention_residuals,
     integrate_lagrangian,
 )
 from .structures import StructureKind, build_structure
@@ -63,6 +63,7 @@ __all__ = [
     "serialize_scenario",
     "load_scenario",
     "build_field",
+    "execute_scenario",
     "run_scenario",
     "run_scenario_files",
     "format_float",
@@ -348,10 +349,10 @@ def build_field(spec: FieldSpec, n: int) -> ScalarField:
     if spec.kind == "harmonic":
         return harmonic_field(n)
     if spec.kind == "polynomial":
-        poly = PolyScalar(4 * n)
+        terms: dict[tuple[int, ...], Fraction] = {}
         for coeff, exponents in spec.terms:
-            poly = poly + PolyScalar.monomial(4 * n, coeff, exponents)
-        return PolynomialField(poly)
+            terms[exponents] = terms.get(exponents, Fraction(0)) + coeff
+        return PolynomialField(PolyScalar(4 * n, terms))
     return kinetic_minus_potential_field(spec.masses, spec.g_const, n)
 
 
@@ -363,8 +364,7 @@ class RunResult:
     residuals: ResidualSeries
     energy_drift_max: float
     endpoint_distance: float
-    printed_residual_max: float
-    derived_residual_max: float | None
+    residual_maxima: dict[str, float]
     warnings: tuple[str, ...]
     trajectory_path: Path | None = None
     summary_path: Path | None = None
@@ -403,41 +403,49 @@ def _trajectory_table(traj: Trajectory, residuals: ResidualSeries) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _execute(scenario: Scenario):
+def execute_scenario(
+    scenario: Scenario,
+) -> tuple[Trajectory, ResidualSeries, dict[str, float]]:
+    """Integrate a scenario and take its residuals; nothing is written.
+
+    Returns the trajectory, the residual series its table reports, and the
+    residual maxima keyed as in the summary: ``derived_residual_max`` and
+    ``printed_residual_max`` for Lagrangian runs, ``residual_max`` for
+    Hamiltonian runs.
+    """
     field = build_field(scenario.function, scenario.n)
-    op = build_structure(StructureKind(scenario.structure), scenario.n)
     if scenario.formalism == "lagrangian":
+        op = build_structure(StructureKind(scenario.structure), scenario.n)
         system = LagrangianSystem(op, field, convention=scenario.convention)
         traj = integrate_lagrangian(
             system, scenario.x0, scenario.t_end, scenario.dt, scenario.method
         )
-        derived = el_residuals(
-            LagrangianSystem(op, field, convention="derived"), traj
-        )
-        printed = el_residuals(
-            LagrangianSystem(op, field, convention="printed"), traj
-        )
-        reported = printed if scenario.convention == "printed" else derived
-        return traj, reported, printed.max_abs(), derived.max_abs()
+        series = convention_residuals(system, traj)
+        maxima = {f"{name}_residual_max": s.max_abs() for name, s in series.items()}
+        return traj, series[scenario.convention], maxima
     system = HamiltonianSystem(scenario.kind, field)
     traj = integrate_hamiltonian(
         system, scenario.x0, scenario.t_end, scenario.dt, scenario.method
     )
     residuals = hamilton_residuals(system, traj)
-    return traj, residuals, residuals.max_abs(), None
+    return traj, residuals, {"residual_max": residuals.max_abs()}
 
 
 def run_scenario(
     scenario: Scenario, name: str, out_dir: str | Path | None = None
 ) -> RunResult:
     """Integrate one scenario and write its trajectory table and summary."""
-    traj, residuals, printed_max, derived_max = _execute(scenario)
+    traj, residuals, maxima = execute_scenario(scenario)
     energy = traj.invariants["energy"]
     drift = float(np.max(np.abs(energy - energy[0])))
     endpoint = float(np.linalg.norm(traj.states[-1] - np.asarray(scenario.x0)))
 
     warnings: list[str] = []
-    if scenario.formalism == "lagrangian" and scenario.structure == "F" and printed_max > 1e-6:
+    if (
+        scenario.formalism == "lagrangian"
+        and scenario.structure == "F"
+        and maxima["printed_residual_max"] > 1e-6
+    ):
         warnings.append(
             "boxed first-order system for structure F deviates from the derived "
             "flow (opposite sign on the gradient terms); see 'paramech audit-el'"
@@ -458,8 +466,7 @@ def run_scenario(
         residuals=residuals,
         energy_drift_max=drift,
         endpoint_distance=endpoint,
-        printed_residual_max=printed_max,
-        derived_residual_max=derived_max,
+        residual_maxima=maxima,
         warnings=tuple(warnings),
         trajectory_path=trajectory_path,
         summary_path=summary_path,
@@ -487,11 +494,8 @@ def render_summary(result: RunResult) -> str:
         f"endpoint_distance_from_start = {format_float(result.endpoint_distance)}",
         "final_state = " + " ".join(format_float(v) for v in result.trajectory.states[-1]),
     ]
-    if s.formalism == "lagrangian":
-        lines.append(f"derived_residual_max = {format_float(result.derived_residual_max)}")
-        lines.append(f"printed_residual_max = {format_float(result.printed_residual_max)}")
-    else:
-        lines.append(f"residual_max = {format_float(result.printed_residual_max)}")
+    for key, value in result.residual_maxima.items():
+        lines.append(f"{key} = {format_float(value)}")
     for warning in result.warnings:
         lines.append(f"warning = {warning}")
     return "\n".join(lines) + "\n"

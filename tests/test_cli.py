@@ -129,6 +129,30 @@ def test_run_nonconvergence_exit_code(tmp_path, capsys):
     assert "converge" in capsys.readouterr().err
 
 
+# rk4 overflows within its first step; the implicit stages diverge too.
+BLOW_UP = """n = 1
+formalism = hamiltonian
+structure = H
+function = polynomial
+term = 1 : 6 0 0 0
+term = 1 : 0 0 0 6
+x0 = 30 0 0 30
+t_end = 1
+dt = 0.1
+method = rk4
+"""
+
+
+@pytest.mark.parametrize("method", ["rk4", "implicit_midpoint", "symplectic_euler"])
+def test_run_non_finite_state_exit_code(tmp_path, capsys, method):
+    scenario = write(tmp_path, "blow.scn", BLOW_UP.replace("rk4", method))
+    assert main(["run", scenario, "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "non-finite" in err
+    assert "stepping from t = " in err
+    assert not (tmp_path / "blow_summary.txt").exists()
+
+
 def test_run_missing_file_exit_code(tmp_path):
     assert main(["run", str(tmp_path / "absent.scn")]) == 5
 
@@ -165,6 +189,23 @@ def test_audit_el_matching_structure(tmp_path, capsys):
     scenario = write(tmp_path, "g.scn", PRINTED_F.replace("structure = F", "structure = G"))
     assert main(["audit-el", scenario]) == 0
     assert "matches" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("structure", ["F", "G"])
+def test_audit_el_reports_the_run_summary_maxima(tmp_path, capsys, structure):
+    scenario = write(
+        tmp_path, "el.scn", PRINTED_F.replace("structure = F", f"structure = {structure}")
+    )
+    assert main(["run", scenario, "--out", str(tmp_path)]) == 0
+    summary = dict(
+        line.split(" = ", 1) for line in (tmp_path / "el_summary.txt").read_text().splitlines()
+    )
+    capsys.readouterr()
+    assert main(["audit-el", scenario]) == 0
+    out = capsys.readouterr().out
+    for convention in ("derived", "printed"):
+        maximum = summary[f"{convention}_residual_max"]
+        assert f"{convention} convention: max |residual| = {maximum}\n" in out
 
 
 def test_audit_el_rejects_hamiltonian(tmp_path, capsys):

@@ -12,7 +12,6 @@ from paramech.fields import (
     KineticField,
     PolynomialField,
     PotentialField,
-    eval_field,
     harmonic_field,
     kinetic_energy,
     kinetic_minus_potential_field,
@@ -38,7 +37,7 @@ def random_poly_field(rng, dim=DIM, max_degree=4, n_terms=8):
 
 def test_harmonic_eval():
     field = harmonic_field(1)
-    result = eval_field(field, [1.0, 0.0, 0.0, 0.0])
+    result = field.evaluate([1.0, 0.0, 0.0, 0.0])
     assert result.value == 0.5
     assert np.array_equal(result.gradient, [1.0, 0.0, 0.0, 0.0])
     assert np.array_equal(result.hessian, np.eye(4))

@@ -6,10 +6,8 @@ from paramech.integrators import (
     StepperConfig,
     Trajectory,
     integrate_field,
-    integrate_mass_system,
     solve_linear,
     step_explicit,
-    step_implicit_mass,
 )
 
 
@@ -71,41 +69,6 @@ def test_halving_dt_error_ratios():
         assert errs[0] / errs[1] == pytest.approx(ratio, rel=0.2)
 
 
-def test_identity_mass_matches_explicit():
-    cfg = StepperConfig(method="rk4", dt=0.01)
-    x = np.array([0.3, -0.7, 0.1, 0.9])
-    explicit = step_explicit(rotation_field, x, cfg)
-    with_mass = step_implicit_mass(
-        lambda y: np.eye(4), rotation_field, x, cfg
-    )
-    assert np.allclose(explicit, with_mass, atol=1e-14)
-
-
-def test_scaled_mass_cancels():
-    cfg = StepperConfig(method="implicit_midpoint", dt=0.01)
-    x = np.array([1.0, 0.0, 0.0, 0.0])
-    plain = step_explicit(rotation_field, x, cfg)
-    scaled = step_implicit_mass(
-        lambda y: 2.0 * np.eye(4), lambda y: 2.0 * rotation_field(y), x, cfg
-    )
-    assert np.allclose(plain, scaled, atol=1e-12)
-
-
-def test_mass_system_rotation_period():
-    cfg = StepperConfig(method="implicit_midpoint", dt=1e-3)
-    traj = integrate_mass_system(
-        lambda y: np.eye(4), rotation_field, [1.0, 0.0, 0.0, 0.0], 2 * np.pi, cfg
-    )
-    assert np.linalg.norm(traj.states[-1] - traj.states[0]) <= 1e-6
-
-
-def test_singular_mass_raises():
-    cfg = StepperConfig(method="rk4", dt=0.01)
-    singular = np.diag([1.0, 0.0, 1.0, 1.0])
-    with pytest.raises(SingularSystemError):
-        step_implicit_mass(lambda y: singular, rotation_field, np.ones(4), cfg)
-
-
 def test_mass_singularity_mid_run_reports_time():
     # x_1 grows linearly and the mass matrix degenerates once it passes 1/2.
     def mass(x):
@@ -113,12 +76,23 @@ def test_mass_singularity_mid_run_reports_time():
             return np.diag([0.0, 1.0, 1.0, 1.0])
         return np.eye(4)
 
-    def rhs(x):
-        return np.array([1.0, 0.0, 0.0, 0.0])
+    def field(x):
+        return solve_linear(mass(x), np.array([1.0, 0.0, 0.0, 0.0]), error="mass matrix")
 
     cfg = StepperConfig(method="rk4", dt=0.1)
     with pytest.raises(SingularSystemError, match="stepping from t"):
-        integrate_mass_system(mass, rhs, np.zeros(4), 2.0, cfg)
+        integrate_field(field, np.zeros(4), 2.0, cfg)
+
+
+def test_rk4_non_finite_state_reports_time():
+    # x_1 grows linearly and the field overflows once it reaches 1/2, which
+    # the last rk4 stage of the step from t = 0.4 evaluates.
+    def field(x):
+        return np.array([1.0 if x[0] < 0.5 else np.inf, 0.0, 0.0, 0.0])
+
+    cfg = StepperConfig(method="rk4", dt=0.1)
+    with pytest.raises(ConvergenceError, match="non-finite.*stepping from t = 0.4"):
+        integrate_field(field, np.zeros(4), 2.0, cfg)
 
 
 def test_midpoint_nonconvergence_reports_iterations():

@@ -9,6 +9,7 @@ from paramech.fields import PolynomialField, harmonic_field
 from paramech.lagrangian import (
     LagrangianSystem,
     canonical_rhs,
+    convention_residuals,
     el_residuals,
     integrate_lagrangian,
     intrinsic_solve,
@@ -175,6 +176,20 @@ def test_printed_residuals_f_circle():
         assert series.residuals[k][0] == pytest.approx(-2.0 * x[1], abs=1e-9)
         assert series.residuals[k][1] == pytest.approx(2.0 * x[0], abs=1e-9)
     assert series.max_abs() >= 0.1
+
+
+def test_convention_residuals_share_one_series_for_g_and_h():
+    for kind in PRIMAL_KINDS:
+        system = LagrangianSystem(op(kind), harmonic_field(1), convention="printed")
+        traj = integrate_lagrangian(system, [1.0, 0, 0, 0], 1.0, 1e-2)
+        series = convention_residuals(system, traj)
+        assert set(series) == {"derived", "printed"}
+        for convention in ("derived", "printed"):
+            reference = el_residuals(
+                LagrangianSystem(op(kind), harmonic_field(1), convention=convention), traj
+            )
+            assert np.array_equal(series[convention].residuals, reference.residuals)
+        assert (series["printed"] is series["derived"]) == (kind != F)
 
 
 def test_printed_sign_matrix():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from paramech.errors import ScenarioError
+from paramech.exterior import PolyScalar
 from paramech.scenario import (
     build_field,
     parse_scenario,
@@ -57,6 +58,24 @@ def test_parse_polynomial_terms_exact():
     assert scenario.function.terms[1] == (Fraction(1, 2), (0, 2, 0, 0))
     field = build_field(scenario.function, scenario.n)
     assert field.value([1.0, 0.0, 0.0, 0.0]) == 0.5
+
+
+def test_build_field_sums_repeated_terms():
+    text = POLY_LAGRANGIAN.replace(
+        "term = 1/2 : 0 0 0 2",
+        "term = 1/2 : 0 0 0 2\nterm = 1/3 : 2 0 0 0\nterm = 3 : 1 1 0 0\nterm = -3 : 1 1 0 0",
+    )
+    field = build_field(parse_scenario(text).function, 1)
+    expected = PolyScalar(
+        4,
+        {
+            (2, 0, 0, 0): Fraction(5, 6),
+            (0, 2, 0, 0): Fraction(1, 2),
+            (0, 0, 2, 0): Fraction(1, 2),
+            (0, 0, 0, 2): Fraction(1, 2),
+        },
+    )
+    assert field.poly == expected
 
 
 def test_dimension_error_in_x0():
@@ -160,8 +179,8 @@ def test_run_printed_f_warns(tmp_path):
     )
     result = run_scenario(parse_scenario(text), "audit", tmp_path)
     assert result.warnings
-    assert result.printed_residual_max >= 0.1
-    assert result.derived_residual_max <= 1e-6
+    assert result.residual_maxima["printed_residual_max"] >= 0.1
+    assert result.residual_maxima["derived_residual_max"] <= 1e-6
     assert "warning" in result.summary_path.read_text()
 
 
