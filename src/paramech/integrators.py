@@ -1,6 +1,6 @@
 """Fixed-step ODE stepping for xdot = f(x), and the guarded linear solve.
 
-``integrate_field`` is the one driver.  A linearly-implicit system
+``integrate_field`` is the one integration loop.  A linearly-implicit system
 M(x) xdot = b(x) goes through it as the field x -> ``solve_linear(M(x),
 b(x))``; a caller whose M is constant solves for M^{-1} once instead.  Each
 solve reuses one inverse for both the solution and the 1-norm condition
