@@ -209,10 +209,8 @@ class _StackedPolys:
         self.weights = incidence * np.asarray(coeffs)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        # Overflow propagates as inf; the steppers detect non-finite states.
-        with np.errstate(over="ignore", invalid="ignore"):
-            monomials = np.multiply.reduce(np.power(x[None, :], self.exponents), axis=1)
-            return self.weights @ monomials
+        monomials = np.multiply.reduce(np.power(x[None, :], self.exponents), axis=1)
+        return self.weights @ monomials
 
 
 class PolynomialField(ScalarField):
@@ -256,8 +254,7 @@ class PolynomialField(ScalarField):
         x = np.asarray(x, dtype=float)
         if self._hess_const is None:
             return self._grad_rep.evaluate(x)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._grad_origin + self._hess_const @ x
+        return self._grad_origin + self._hess_const @ x
 
     def _hessian_at(self, x: np.ndarray) -> np.ndarray:
         if self._hess_const is not None:

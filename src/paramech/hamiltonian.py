@@ -184,9 +184,12 @@ def integrate_hamiltonian(
     def field(x):
         return sign * H.gradient(x)[index]
 
+    def energy(x, xdot):
+        return H.value(x)
+
     mask = position_mask(form) if method == "symplectic_euler" else None
     cfg = StepperConfig(method=method, dt=dt, position_mask=mask)
-    return integrate_field(field, x0, t_end, cfg, {"energy": H.value})
+    return integrate_field(field, x0, t_end, cfg, {"energy": energy})
 
 
 def hamilton_residuals(system: HamiltonianSystem, traj: Trajectory) -> ResidualSeries:

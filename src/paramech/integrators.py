@@ -1,18 +1,20 @@
 """Fixed-step ODE stepping for xdot = f(x), and the guarded linear solve.
 
-``integrate_field`` is the one integration loop.  A linearly-implicit system
-M(x) xdot = b(x) goes through it as the field x -> ``solve_linear(M(x),
-b(x))``; a caller whose M is constant solves for M^{-1} once instead.  Each
-solve reuses one inverse for both the solution and the 1-norm condition
-number that guards against near-singular systems.
+``integrate_field`` is the one integration loop and owns the trajectory.  A
+linearly-implicit system M(x) xdot = b(x) goes through it as the field
+x -> ``solve_linear(M(x), b(x))``; a caller whose M is constant solves for
+M^{-1} once instead.  Each solve reuses one inverse for both the solution and
+the 1-norm condition number that guards against near-singular systems.
 
 ``integrate_field`` samples the times t_k = k*dt, the last one exactly t_end
-(a shortened final step lands there).  The derivative it records at the end
-of a step is the first field evaluation of the next step (rk4's k1, the
-start of each implicit stage), so a step costs one evaluation fewer.  A
-trajectory that reaches a non-finite state is rejected, whatever the method.
-Steppers are pure functions of their inputs; trajectories are bitwise
-reproducible.
+(a shortened final step lands there), into arrays allocated before the first
+field evaluation; a plan too large to store is a ValueError.  Invariants are
+recorded as fn(x, xdot) of each sample and its derivative, which is also the
+first field evaluation of the next step (rk4's k1, the start of each implicit
+stage).  The driver owns the overflow policy: inside its loop overflow gives
+inf without a warning, and a non-finite state is rejected whatever the
+method, so fields stay plain numpy.  Steppers are pure functions of their
+inputs; trajectories are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -134,57 +136,43 @@ def _step_rk4(f, x, dt):
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _step_implicit_midpoint(f, x, dt, tol, max_iters):
+def _solve_stage(stage, update, y, x, tol, max_iters):
+    """Iterate y <- update(y) until two iterates are within tol*(1+|x|)."""
     scale = tol * (1.0 + _norm(x))
-    y = x + dt * f(x)
     for iteration in range(1, max_iters + 1):
-        y_next = x + dt * f(0.5 * (x + y))
+        y_next = update(y)
         if not np.isfinite(y_next).all():
             raise ConvergenceError(
-                f"implicit midpoint stage diverged to a non-finite state "
-                f"at iteration {iteration}",
+                f"{stage} stage diverged to a non-finite state at iteration {iteration}",
                 iteration,
             )
         if _norm(y_next - y) <= scale:
             return y_next
         y = y_next
     raise ConvergenceError(
-        f"implicit midpoint stage did not converge after {max_iters} iterations",
-        max_iters,
+        f"{stage} stage did not converge after {max_iters} iterations", max_iters
     )
+
+
+def _step_implicit_midpoint(f, x, dt, tol, max_iters):
+    def update(y):
+        return x + dt * f(0.5 * (x + y))
+
+    return _solve_stage("implicit midpoint", update, x + dt * f(x), x, tol, max_iters)
 
 
 def _step_symplectic_euler(f, x, dt, mask, tol, max_iters):
     if mask is None:
         raise ValueError("symplectic_euler requires a position mask")
     mask = np.asarray(mask, dtype=bool)
-    momentum = ~mask
-    scale = tol * (1.0 + _norm(x))
-    # Momentum half implicit, position half explicit in the updated momenta.
-    z = x.copy()
-    p = x[momentum]
-    fz = f(x)  # z equals x until the first momentum update
-    for iteration in range(1, max_iters + 1):
-        p_next = x[momentum] + dt * fz[momentum]
-        if not np.isfinite(p_next).all():
-            raise ConvergenceError(
-                f"symplectic Euler stage diverged to a non-finite state "
-                f"at iteration {iteration}",
-                iteration,
-            )
-        converged = _norm(p_next - p) <= scale
-        p = p_next
-        z[momentum] = p
-        if converged:
-            break
-        fz = f(z)
-    else:
-        raise ConvergenceError(
-            f"symplectic Euler stage did not converge after {max_iters} iterations",
-            max_iters,
-        )
-    z[mask] = x[mask] + dt * f(z)[mask]
-    return z
+
+    # Momenta implicit, positions explicit in the updated momenta.  The stage
+    # starts from x itself, so its first evaluation is f(x).
+    def update(z):
+        return np.where(mask, x, x + dt * f(z))
+
+    z = _solve_stage("symplectic Euler", update, x, x, tol, max_iters)
+    return np.where(mask, x + dt * f(z), z)
 
 
 def step_explicit(f: Callable[[np.ndarray], np.ndarray], x, cfg: StepperConfig) -> np.ndarray:
@@ -212,49 +200,62 @@ def _plan_steps(t_end: float, dt: float) -> tuple[int, float]:
     return full, remainder
 
 
+def _advance(f, x, fx, cfg: StepperConfig, t: float) -> np.ndarray:
+    """One step from the state x at time t, whose derivative fx is known."""
+
+    # The steppers evaluate the start point x itself first.
+    def first_same_as_last(y):
+        return fx if y is x else f(y)
+
+    try:
+        x = step_explicit(first_same_as_last, x, cfg)
+        if not np.isfinite(x).all():
+            raise ConvergenceError(f"{cfg.method} step diverged to a non-finite state", 0)
+    except SingularSystemError as exc:
+        raise type(exc)(f"{exc} (while stepping from t = {t:.9g})") from exc
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            f"{exc} (while stepping from t = {t:.9g})", exc.iterations
+        ) from exc
+    return x
+
+
 def integrate_field(
     f: Callable[[np.ndarray], np.ndarray],
     x0,
     t_end: float,
     cfg: StepperConfig,
-    invariant_fns: Mapping[str, Callable[[np.ndarray], float]] | None = None,
+    invariant_fns: Mapping[str, Callable[[np.ndarray, np.ndarray], float]] | None = None,
 ) -> Trajectory:
-    """Integrate xdot = f(x) on the grid t_k = k*dt; the last sample is t_end."""
+    """Integrate xdot = f(x) on the grid t_k = k*dt; the last sample is t_end.
+
+    Each invariant function is called as fn(x, xdot) at every sample.
+    """
     invariant_fns = dict(invariant_fns or {})
     full, remainder = _plan_steps(t_end, cfg.dt)
     steps = full + (remainder > 0)
-    x = np.asarray(x0, dtype=float).copy()
-    fx = np.asarray(f(x), dtype=float)
-    times = [0.0]
-    states = [x.copy()]
-    derivatives = [fx]
-    invariants = {name: [fn(x)] for name, fn in invariant_fns.items()}
-    for k in range(1, steps + 1):
-        step_cfg = cfg if k <= full else replace(cfg, dt=remainder)
-
-        # The steppers evaluate the start point x itself first.
-        def first_same_as_last(y, start=x, known=fx):
-            return known if y is start else f(y)
-
-        try:
-            x = step_explicit(first_same_as_last, x, step_cfg)
-            if not np.isfinite(x).all():
-                raise ConvergenceError(f"{cfg.method} step diverged to a non-finite state", 0)
-        except SingularSystemError as exc:
-            raise type(exc)(f"{exc} (while stepping from t = {times[-1]:.9g})") from exc
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"{exc} (while stepping from t = {times[-1]:.9g})", exc.iterations
-            ) from exc
+    x = np.asarray(x0, dtype=float)
+    count, dim = steps + 1, len(x)
+    try:
+        states = np.empty((count, dim))
+        derivatives = np.empty((count, dim))
+        invariants = {name: np.empty(count) for name in invariant_fns}
+        times = np.arange(count) * cfg.dt
+    except (ValueError, MemoryError) as exc:
+        raise ValueError(
+            f"cannot store {count} samples of dimension {dim} (t_end / dt too large): {exc}"
+        ) from exc
+    if steps:
+        times[-1] = t_end
+    with np.errstate(over="ignore", invalid="ignore"):
         fx = np.asarray(f(x), dtype=float)
-        times.append(t_end if k == steps else k * cfg.dt)
-        states.append(x.copy())
-        derivatives.append(fx)
-        for name, fn in invariant_fns.items():
-            invariants[name].append(fn(x))
-    return Trajectory(
-        np.asarray(times),
-        np.asarray(states),
-        np.asarray(derivatives),
-        {name: np.asarray(series) for name, series in invariants.items()},
-    )
+        for k in range(count):
+            if k:
+                step_cfg = cfg if k <= full else replace(cfg, dt=remainder)
+                x = _advance(f, x, fx, step_cfg, times[k - 1])
+                fx = np.asarray(f(x), dtype=float)
+            states[k] = x
+            derivatives[k] = fx
+            for name, fn in invariant_fns.items():
+                invariants[name][k] = fn(x, fx)
+    return Trajectory(times, states, derivatives, invariants)

@@ -145,16 +145,19 @@ def integrate_lagrangian(
 
     A constant Hessian (quadratic L) is solved against A once per
     trajectory, under the same conditioning guard, so each field evaluation
-    is one matvec with Hess^{-1} A.  Otherwise every evaluation is ``canonical_rhs``: one
-    guarded solve with the Hessian at that point.  The energy series is
-    filled in afterwards from the sampled states and their recorded
-    semisprays.
+    is one matvec with Hess^{-1} A.  Otherwise every evaluation is
+    ``canonical_rhs``: one guarded solve with the Hessian at that point.  The
+    energy is ``lagrangian_energy`` of each sample and its recorded semispray.
     """
     if method not in LAGRANGIAN_METHODS:
         raise ValueError(f"method must be one of {LAGRANGIAN_METHODS}")
     op, L = system.operator, system.lagrangian
     cfg = StepperConfig(method=method, dt=dt)
     hessian = L.constant_hessian()
+
+    def energy(x, xdot):
+        return lagrangian_energy(op, L, x, xdot)
+
     try:
         if hessian is None:
 
@@ -167,14 +170,9 @@ def integrate_lagrangian(
             def field(x):
                 return flow @ L.gradient(x)
 
-        bare = integrate_field(field, x0, t_end, cfg)
+        return integrate_field(field, x0, t_end, cfg, {"energy": energy})
     except SingularSystemError as exc:
         raise SingularHessianError(str(exc)) from exc
-    energies = np.empty(len(bare))
-    for k, (x, xdot) in enumerate(zip(bare.states, bare.derivatives)):
-        value, gradient = L.value_and_gradient(x)
-        energies[k] = float((op.matrix @ xdot) @ gradient - value)
-    return Trajectory(bare.times, bare.states, bare.derivatives, {"energy": energies})
 
 
 def el_residuals(system: LagrangianSystem, traj: Trajectory) -> ResidualSeries:

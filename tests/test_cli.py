@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from paramech.cli import main
@@ -151,6 +153,15 @@ def test_run_non_finite_state_exit_code(tmp_path, capsys, method):
     assert "non-finite" in err
     assert "stepping from t = " in err
     assert not (tmp_path / "blow_summary.txt").exists()
+
+
+def test_run_unstorable_sample_plan_exit_code(tmp_path, capsys):
+    # 1e21 samples: the sample arrays cannot be allocated, so nothing is run.
+    scenario = write(tmp_path, "huge.scn", HARMONIC.replace("t_end = 1.0", "t_end = 1e18"))
+    assert main(["run", scenario, "--out", str(tmp_path)]) == 2
+    assert re.search(r"cannot store \d+ samples of dimension 4", capsys.readouterr().err)
+    assert not (tmp_path / "huge_summary.txt").exists()
+    assert not (tmp_path / "huge_trajectory.csv").exists()
 
 
 def test_run_missing_file_exit_code(tmp_path):

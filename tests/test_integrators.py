@@ -95,10 +95,13 @@ def test_rk4_non_finite_state_reports_time():
         integrate_field(field, np.zeros(4), 2.0, cfg)
 
 
-def test_midpoint_nonconvergence_reports_iterations():
+@pytest.mark.parametrize("method", ["implicit_midpoint", "symplectic_euler"])
+def test_midpoint_nonconvergence_reports_iterations(method):
     stiff = lambda y: 1e8 * y
-    cfg = StepperConfig(method="implicit_midpoint", dt=1e-3, newton_max_iters=10)
-    with pytest.raises(ConvergenceError) as excinfo:
+    cfg = StepperConfig(
+        method=method, dt=1e-3, newton_max_iters=10, position_mask=np.array([True, False])
+    )
+    with pytest.raises(ConvergenceError, match="did not converge after 10 iterations") as excinfo:
         step_explicit(stiff, np.ones(2), cfg)
     assert excinfo.value.iterations == 10
 
@@ -128,15 +131,18 @@ def test_deterministic_trajectories():
 
 def test_invariant_series_recorded():
     cfg = StepperConfig(method="rk4", dt=0.01)
-    traj = integrate_field(
-        rotation_field,
-        [1.0, 0.0, 0.0, 0.0],
-        1.0,
-        cfg,
-        {"radius": lambda x: float(np.hypot(x[0], x[1]))},
-    )
+    seen = []
+
+    def radius(x, xdot):
+        seen.append((x.copy(), xdot.copy()))
+        return float(np.hypot(x[0], x[1]))
+
+    traj = integrate_field(rotation_field, [1.0, 0.0, 0.0, 0.0], 1.0, cfg, {"radius": radius})
     assert len(traj.invariants["radius"]) == len(traj)
     assert np.allclose(traj.invariants["radius"], 1.0, atol=1e-9)
+    # The hook receives each sample and its recorded derivative.
+    assert np.array_equal([x for x, _ in seen], traj.states)
+    assert np.array_equal([xdot for _, xdot in seen], traj.derivatives)
 
 
 def test_symplectic_euler_requires_mask():
@@ -203,6 +209,23 @@ def test_non_finite_t_end_rejected():
     for t_end in (np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
             integrate_field(rotation_field, [1.0, 0.0, 0.0, 0.0], t_end, cfg)
+
+
+def test_unstorable_sample_plan_is_a_value_error(monkeypatch):
+    calls = []
+
+    def field(x):
+        calls.append(1)
+        return rotation_field(x)
+
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(np, "empty", refuse)
+    cfg = StepperConfig(method="rk4", dt=1e-3)
+    with pytest.raises(ValueError, match="cannot store 1000001 samples of dimension 4"):
+        integrate_field(field, [1.0, 0.0, 0.0, 0.0], 1e3, cfg)
+    assert not calls  # the samples are allocated before the first evaluation
 
 
 def test_solve_linear_guard():

@@ -5,7 +5,7 @@ import pytest
 
 from paramech.errors import SingularFormError, SingularHessianError
 from paramech.exterior import PolyScalar, form_to_matrix, lagrangian_two_form
-from paramech.fields import PolynomialField, harmonic_field
+from paramech.fields import PolynomialField, harmonic_field, kinetic_minus_potential_field
 from paramech.lagrangian import (
     LagrangianSystem,
     canonical_rhs,
@@ -135,6 +135,23 @@ def test_integrate_circle_and_energy():
     energy = traj.invariants["energy"]
     assert np.max(np.abs(energy - energy[0])) <= 1e-8
     assert energy[0] == pytest.approx(-1.5)
+
+
+@pytest.mark.parametrize(
+    "L, kind, x0",
+    [
+        (harmonic_field(1), F, [1.0, 0.0, 0.5, -0.5]),
+        (kinetic_minus_potential_field([1.0], 0.5), G, [3.0, 4.0, 0.0, 0.0]),
+    ],
+    ids=["quadratic", "kinetic_minus_potential"],
+)
+def test_integrated_energy_is_lagrangian_energy(L, kind, x0):
+    system = LagrangianSystem(op(kind), L)
+    traj = integrate_lagrangian(system, x0, 0.2, 1e-2)
+    energy = traj.invariants["energy"]
+    assert len(energy) == len(traj) == 21
+    for k, (x, xdot) in enumerate(zip(traj.states, traj.derivatives)):
+        assert energy[k] == lagrangian_energy(system.operator, L, x, xdot)
 
 
 def test_integrate_zero_time():
