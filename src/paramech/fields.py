@@ -1,11 +1,12 @@
 """Numerically evaluatable scalar fields on R^{4n}.
 
-Every field reports value, gradient, and Hessian through ``evaluate``.
-Polynomial specs differentiate their exponent maps analytically; the built-in
-fields carry closed-form derivatives.  The uniform fallback shared by all
-fields is ``evaluate_via_jets``: second-order forward propagation with numbers
-carrying a gradient row and a Hessian block, exact to roundoff.  The fallback
-is what ``evaluate`` does unless a field overrides it with something faster.
+A field's numeric primitives are ``value``, ``gradient`` and ``hessian``,
+each implemented once per class and checking the point's dimension;
+``value_and_gradient`` and ``evaluate`` only combine them.  Polynomial specs
+keep one analytically differentiated term table per order; the built-in fields
+carry closed forms.  ``evaluate_via_jets`` (second-order forward propagation,
+numbers carrying a gradient row and a Hessian block, exact to roundoff) is the
+fallback of a field that defines only ``_apply`` and the tests' reference.
 """
 
 from __future__ import annotations
@@ -143,40 +144,44 @@ def _sqrt(z):
 
 
 class ScalarField:
-    """Base class; subclasses define ``_apply`` on plain floats or jets."""
+    """Base class; the primitives default to the jets of ``_apply``."""
 
     def __init__(self, dim: int):
         if dim < 1:
             raise ValueError("dimension must be positive")
         self.dim = dim
 
+    def _point(self, x) -> np.ndarray:
+        """x as a float vector, checked against this field's dimension."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise ValueError("point dimension mismatch")
+        return x
+
     def _apply(self, xs: Sequence):
         raise NotImplementedError
 
-    def value(self, x) -> float:
-        return float(self._apply([float(v) for v in x]))
-
-    def evaluate(self, x) -> EvalResult:
-        return self.evaluate_via_jets(x)
-
     def evaluate_via_jets(self, x) -> EvalResult:
         """Uniform second-order forward-propagation fallback."""
-        if len(x) != self.dim:
-            raise ValueError("point dimension mismatch")
-        out = self._apply(jet_variables(x))
+        out = self._apply(jet_variables(self._point(x)))
         if not isinstance(out, Jet2):
             out = Jet2.constant(self.dim, float(out))
         return EvalResult(out.value, out.grad, 0.5 * (out.hess + out.hess.T))
 
-    def value_and_gradient(self, x) -> tuple[float, np.ndarray]:
-        result = self.evaluate(x)
-        return result.value, result.gradient
+    def value(self, x) -> float:
+        return self.evaluate_via_jets(x).value
 
     def gradient(self, x) -> np.ndarray:
-        return self.value_and_gradient(x)[1]
+        return self.evaluate_via_jets(x).gradient
 
     def hessian(self, x) -> np.ndarray:
-        return self.evaluate(x).hessian
+        return self.evaluate_via_jets(x).hessian
+
+    def value_and_gradient(self, x) -> tuple[float, np.ndarray]:
+        return self.value(x), self.gradient(x)
+
+    def evaluate(self, x) -> EvalResult:
+        return EvalResult(self.value(x), self.gradient(x), self.hessian(x))
 
     def constant_hessian(self) -> np.ndarray | None:
         """The Hessian where the field knows it to be constant, else None."""
@@ -216,9 +221,10 @@ class _StackedPolys:
 class PolynomialField(ScalarField):
     """Field backed by an exact PolyScalar; derivatives taken analytically.
 
-    Numeric evaluation runs over flattened float term tables.  A polynomial of
-    degree at most two has a constant Hessian Q and the closed-form gradient
-    b + Q x, with b the gradient at the origin; both are precomputed.
+    Numeric evaluation runs over flattened float term tables, one per order;
+    the Hessian table holds the upper triangle.  A polynomial of degree at
+    most two has a constant Hessian Q and the closed-form gradient b + Q x,
+    with b the gradient at the origin; both are precomputed.
     """
 
     def __init__(self, poly: PolyScalar):
@@ -226,20 +232,18 @@ class PolynomialField(ScalarField):
         self.poly = poly
         self._grad = poly_gradient(poly)
         self._hess = poly_hessian(poly)
-        dim = poly.dim
         self._value_rep = _StackedPolys([poly])
         self._hess_const = None
         if poly.total_degree() <= 2:
-            origin = [Fraction(0)] * dim
+            origin = [Fraction(0)] * poly.dim
             self._grad_origin = np.array([float(p.evaluate(origin)) for p in self._grad])
             self._hess_const = np.array(
                 [[float(p.evaluate(origin)) for p in row] for row in self._hess]
             )
         else:
             self._grad_rep = _StackedPolys(self._grad)
-            self._value_grad_rep = _StackedPolys([poly, *self._grad])
-            self._upper = [(a, b) for a in range(dim) for b in range(a, dim)]
-            self._hess_rep = _StackedPolys([self._hess[a][b] for a, b in self._upper])
+            self._upper = np.triu_indices(poly.dim)
+            self._hess_rep = _StackedPolys([self._hess[a][b] for a, b in zip(*self._upper)])
 
     def _apply(self, xs):
         return self.poly.evaluate(xs)
@@ -248,36 +252,22 @@ class PolynomialField(ScalarField):
         return self._hess_const
 
     def value(self, x) -> float:
-        return float(self._value_rep.evaluate(np.asarray(x, dtype=float))[0])
+        return float(self._value_rep.evaluate(self._point(x))[0])
 
     def gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = self._point(x)
         if self._hess_const is None:
             return self._grad_rep.evaluate(x)
         return self._grad_origin + self._hess_const @ x
 
-    def _hessian_at(self, x: np.ndarray) -> np.ndarray:
+    def hessian(self, x) -> np.ndarray:
+        x = self._point(x)
         if self._hess_const is not None:
             return self._hess_const.copy()
-        hessian = np.zeros((self.dim, self.dim))
-        entries = self._hess_rep.evaluate(x)
-        for (a, b), entry in zip(self._upper, entries):
-            hessian[a, b] = entry
-            hessian[b, a] = entry
+        rows, cols = self._upper
+        hessian = np.empty((self.dim, self.dim))
+        hessian[rows, cols] = hessian[cols, rows] = self._hess_rep.evaluate(x)
         return hessian
-
-    def evaluate(self, x) -> EvalResult:
-        if len(x) != self.dim:
-            raise ValueError("point dimension mismatch")
-        x = np.asarray(x, dtype=float)
-        return EvalResult(self.value(x), self.gradient(x), self._hessian_at(x))
-
-    def value_and_gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        if self._hess_const is not None:
-            return self.value(x), self.gradient(x)
-        stacked = self._value_grad_rep.evaluate(x)
-        return float(stacked[0]), stacked[1:]
 
     def exact_evaluate(self, point):
         """Exact value/gradient/Hessian at a rational point (Fractions)."""
@@ -307,16 +297,20 @@ class KineticField(ScalarField):
                 total = term if total is None else total + term
         return total
 
-    def evaluate(self, x) -> EvalResult:
-        x = np.asarray(x, dtype=float)
-        if len(x) != self.dim:
-            raise ValueError("point dimension mismatch")
-        value = 0.5 * float(np.dot(self._weights, x * x))
-        return EvalResult(value, self._weights * x, np.diag(self._weights))
+    def value(self, x) -> float:
+        x = self._point(x)
+        return 0.5 * float(np.dot(self._weights, x * x))
+
+    def gradient(self, x) -> np.ndarray:
+        return self._weights * self._point(x)
+
+    def hessian(self, x) -> np.ndarray:
+        self._point(x)
+        return np.diag(self._weights)
 
 
 class DistanceFromOrigin(ScalarField):
-    """Euclidean distance to the origin; singular at 0."""
+    """Euclidean distance to the origin; its derivatives are singular at 0."""
 
     def _apply(self, xs):
         total = None
@@ -325,16 +319,24 @@ class DistanceFromOrigin(ScalarField):
             total = term if total is None else total + term
         return _sqrt(total)
 
-    def evaluate(self, x) -> EvalResult:
-        x = np.asarray(x, dtype=float)
-        if len(x) != self.dim:
-            raise ValueError("point dimension mismatch")
-        r = float(np.linalg.norm(x))
+    def value(self, x) -> float:
+        x = self._point(x)
+        return math.sqrt(x.dot(x))  # np.linalg.norm's formula, without its overhead
+
+    def _unit(self, x) -> tuple[np.ndarray, float]:
+        """The unit vector towards x and the distance r, which must be nonzero."""
+        x = self._point(x)
+        r = self.value(x)
         if r == 0.0:
             raise SingularPointError("distance to the origin is not differentiable at 0")
-        unit = x / r
-        hessian = (np.eye(self.dim) - np.outer(unit, unit)) / r
-        return EvalResult(r, unit, hessian)
+        return x / r, r
+
+    def gradient(self, x) -> np.ndarray:
+        return self._unit(x)[0]
+
+    def hessian(self, x) -> np.ndarray:
+        unit, r = self._unit(x)
+        return (np.eye(self.dim) - np.outer(unit, unit)) / r
 
 
 class PotentialField(ScalarField):
@@ -357,13 +359,14 @@ class PotentialField(ScalarField):
     def _apply(self, xs):
         return self._scale * self.height._apply(xs)
 
-    def evaluate(self, x) -> EvalResult:
-        inner = self.height.evaluate(x)
-        return EvalResult(
-            self._scale * inner.value,
-            self._scale * inner.gradient,
-            self._scale * inner.hessian,
-        )
+    def value(self, x) -> float:
+        return self._scale * self.height.value(x)
+
+    def gradient(self, x) -> np.ndarray:
+        return self._scale * self.height.gradient(x)
+
+    def hessian(self, x) -> np.ndarray:
+        return self._scale * self.height.hessian(x)
 
 
 class SumField(ScalarField):
@@ -385,16 +388,14 @@ class SumField(ScalarField):
             total = term if total is None else total + term
         return total
 
-    def evaluate(self, x) -> EvalResult:
-        value = 0.0
-        gradient = np.zeros(self.dim)
-        hessian = np.zeros((self.dim, self.dim))
-        for c, f in self.parts:
-            inner = f.evaluate(x)
-            value += c * inner.value
-            gradient += c * inner.gradient
-            hessian += c * inner.hessian
-        return EvalResult(value, gradient, hessian)
+    def value(self, x) -> float:
+        return sum(c * f.value(x) for c, f in self.parts)
+
+    def gradient(self, x) -> np.ndarray:
+        return sum(c * f.gradient(x) for c, f in self.parts)
+
+    def hessian(self, x) -> np.ndarray:
+        return sum(c * f.hessian(x) for c, f in self.parts)
 
 
 def harmonic_field(n: int) -> PolynomialField:

@@ -126,7 +126,7 @@ def canonical_two_form(kind: StructureKind, n: int) -> CanonicalSymplecticForm:
 def hamiltonian_vector_field(kind: StructureKind, H: ScalarField, x) -> np.ndarray:
     """Closed-form field, assembled slot by slot per dual kind."""
     _require_dual(kind)
-    _, grad = H.value_and_gradient(x)
+    grad = H.gradient(x)
     n = len(grad) // 4
     g1, g2, g3, g4 = grad[:n], grad[n : 2 * n], grad[2 * n : 3 * n], grad[3 * n :]
     if kind.tag == "F":
@@ -141,7 +141,7 @@ def hamiltonian_vector_field(kind: StructureKind, H: ScalarField, x) -> np.ndarr
 def generic_field_from_form(kind: StructureKind, H: ScalarField, x) -> np.ndarray:
     """Field recovered from sum_a X_a M[a, b] = dH_b with the two-form matrix."""
     _require_dual(kind)
-    _, grad = H.value_and_gradient(x)
+    grad = H.gradient(x)
     form = canonical_two_form(kind, len(grad) // 4)
     return np.linalg.solve(form.matrix.T.astype(float), grad)
 

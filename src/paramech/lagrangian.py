@@ -89,9 +89,8 @@ def lagrangian_energy(op: StructureOperator, L: ScalarField, x, semispray) -> fl
 
 def canonical_rhs(op: StructureOperator, L: ScalarField, x) -> np.ndarray:
     """Semispray solving Hess(L) . xdot = A . grad L at x."""
-    result = L.evaluate(x)
     try:
-        return solve_linear(result.hessian, op.matrix @ result.gradient, error="Hessian")
+        return solve_linear(L.hessian(x), op.matrix @ L.gradient(x), error="Hessian")
     except SingularSystemError as exc:
         raise SingularHessianError(str(exc)) from exc
 
@@ -103,8 +102,7 @@ def intrinsic_solve(op: StructureOperator, L: ScalarField, x) -> np.ndarray:
     energy differential dE = Hess A X - grad L, then collects the X terms of
     (i_X W)_b = dE_b into one linear system.  Nondegeneracy of W is required.
     """
-    result = L.evaluate(x)
-    hess = result.hessian
+    hess = L.hessian(x)
     two_form = op.matrix.T @ hess - hess @ op.matrix
     try:
         condition = np.linalg.cond(two_form)
@@ -118,7 +116,7 @@ def intrinsic_solve(op: StructureOperator, L: ScalarField, x) -> np.ndarray:
     # every X term left gives (W + Hess A) X = grad L.
     system = two_form + hess @ op.matrix
     try:
-        return solve_linear(system, result.gradient, error="collected intrinsic system")
+        return solve_linear(system, L.gradient(x), error="collected intrinsic system")
     except SingularSystemError as exc:
         raise SingularHessianError(str(exc)) from exc
 
@@ -186,8 +184,7 @@ def el_residuals(system: LagrangianSystem, traj: Trajectory) -> ResidualSeries:
     sign = op.matrix if system.convention == "derived" else printed_sign_matrix(op)
     rows = []
     for x, xdot in zip(traj.states, traj.derivatives):
-        result = L.evaluate(x)
-        rows.append(result.hessian @ xdot - sign @ result.gradient)
+        rows.append(L.hessian(x) @ xdot - sign @ L.gradient(x))
     return ResidualSeries(traj.times, np.asarray(rows))
 
 

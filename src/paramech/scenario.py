@@ -392,14 +392,10 @@ def _trajectory_table(traj: Trajectory, residuals: ResidualSeries) -> str:
         + ["energy"]
         + [f"res_{a + 1}" for a in range(dim)]
     )
-    rows = [",".join(header)]
-    energy = traj.invariants["energy"]
-    for k in range(len(traj)):
-        cells = [format_float(traj.times[k])]
-        cells += [format_float(v) for v in traj.states[k]]
-        cells.append(format_float(energy[k]))
-        cells += [format_float(v) for v in residuals.residuals[k]]
-        rows.append(",".join(cells))
+    # '%.17g' % v is format_float(v) for every float, inf and nan included.
+    row = ",".join(["%.17g"] * len(header))
+    columns = (traj.times, traj.states, traj.invariants["energy"], residuals.residuals)
+    rows = [",".join(header)] + [row % tuple(c.tolist()) for c in np.column_stack(columns)]
     return "\n".join(rows) + "\n"
 
 

@@ -73,6 +73,35 @@ def test_run_warns_for_printed_f(tmp_path, capsys):
     assert "warning" in capsys.readouterr().out
 
 
+# The first file of the benchmark sweep of seed 7: a quartic Hamiltonian under F*.
+SWEEP_QUARTIC = """n = 1
+formalism = hamiltonian
+structure = F
+function = polynomial
+term = 3/4 : 2 0 0 0
+term = 1/2 : 0 2 0 0
+term = 3/4 : 0 0 2 0
+term = 1 : 0 0 0 2
+term = 1/16 : 4 0 0 0
+term = 1/16 : 0 4 0 0
+term = 1/16 : 0 0 4 0
+term = 3/16 : 0 0 0 4
+term = 1/32 : 2 2 0 0
+term = 1/32 : 0 2 0 2
+x0 = -0.316823 -0.220332 0.129555 -0.573725
+t_end = 0.1875
+dt = 0.0078125
+method = rk4
+"""
+
+
+def test_run_quartic_hamiltonian_residual_is_zero(tmp_path, capsys):
+    scenario = write(tmp_path, "quartic.scn", SWEEP_QUARTIC)
+    assert main(["run", scenario, "--out", str(tmp_path)]) == 0
+    summary = (tmp_path / "quartic_summary.txt").read_text().splitlines()
+    assert "residual_max = 0" in summary
+
+
 def test_run_parse_error_exit_code(tmp_path, capsys):
     scenario = write(tmp_path, "broken.scn", HARMONIC.replace("x0 = 1 0 0 0", "x0 = 1"))
     assert main(["run", scenario, "--out", str(tmp_path)]) == 2

@@ -12,6 +12,7 @@ from paramech.fields import (
     KineticField,
     PolynomialField,
     PotentialField,
+    ScalarField,
     harmonic_field,
     kinetic_energy,
     kinetic_minus_potential_field,
@@ -217,3 +218,92 @@ def test_quadratic_gradient_overflow_is_inf():
         assert gradient[0] == 1e308
         doubled = PolynomialField(PolyScalar.monomial(DIM, Fraction(2), (2, 0, 0, 0)))
         assert np.isinf(doubled.gradient([1e308, 0.0, 0.0, 0.0])[0])
+
+
+def mixed_quartic_field(n):
+    """Quadratic and quartic diagonals, mixed x_a^2 x_b^2 terms and one cubic."""
+    dim = 4 * n
+    terms = {}
+
+    def add(coeff, powers):
+        exponents = [0] * dim
+        for a, e in powers.items():
+            exponents[a] += e
+        terms[tuple(exponents)] = coeff
+
+    for a in range(dim):
+        add(Fraction(a % 3 + 2, 4), {a: 2})
+        add(Fraction(a % 4 + 1, 16), {a: 4})
+    for a in range(0, dim - 1, 2):
+        add(Fraction(1, 32), {a: 2, a + 1: 2})
+    add(Fraction(-1, 8), {0: 1, 1: 1, dim - 1: 1})
+    return PolynomialField(PolyScalar(dim, terms))
+
+
+class JetsOnlyField(ScalarField):
+    """A field that defines only ``_apply``: every primitive runs on jets."""
+
+    def __init__(self):
+        super().__init__(4)
+
+    def _apply(self, xs):
+        return xs[0] * xs[1] * xs[2] + xs[3] ** 3
+
+
+PRIMITIVE_CASES = [
+    pytest.param(lambda: harmonic_field(1), id="harmonic"),
+    *(pytest.param(lambda n=n: mixed_quartic_field(n), id=f"quartic-n{n}") for n in (1, 2, 3)),
+    *(
+        pytest.param(
+            lambda n=n: kinetic_minus_potential_field([1.0 + 0.25 * i for i in range(n)], 9.81),
+            id=f"kinetic_minus_potential-n{n}",
+        )
+        for n in (1, 2, 3)
+    ),
+    pytest.param(JetsOnlyField, id="jets_only"),
+]
+
+
+@pytest.mark.parametrize("make_field", PRIMITIVE_CASES)
+def test_primitives_are_the_parts_of_every_combination(make_field):
+    # value, gradient and hessian are the one numeric path of each order;
+    # evaluate and value_and_gradient only combine them, bit for bit.
+    field = make_field()
+    rng = np.random.default_rng(31)
+    for _ in range(25):
+        x = rng.uniform(-1.5, 1.5, size=field.dim)
+        result = field.evaluate(x)
+        value, gradient = field.value_and_gradient(x)
+        assert field.value(x) == result.value == value
+        assert np.array_equal(field.gradient(x), result.gradient)
+        assert np.array_equal(field.gradient(x), gradient)
+        assert np.array_equal(field.hessian(x), result.hessian)
+
+
+DIMENSION_CASES = {
+    "quadratic": lambda: harmonic_field(1),
+    "quartic": lambda: mixed_quartic_field(1),
+    "kinetic": lambda: KineticField([1.0]),
+    "distance": lambda: DistanceFromOrigin(DIM),
+    "potential": lambda: PotentialField([1.0], 9.81, n=1),
+    "kinetic_minus_potential": lambda: kinetic_minus_potential_field([1.0], 9.81),
+    "jets_only": JetsOnlyField,
+}
+NUMERIC_METHODS = (
+    "value",
+    "gradient",
+    "hessian",
+    "value_and_gradient",
+    "evaluate",
+    "evaluate_via_jets",
+)
+
+
+@pytest.mark.parametrize("method", NUMERIC_METHODS)
+@pytest.mark.parametrize("kind", sorted(DIMENSION_CASES))
+def test_every_method_checks_point_dimension(kind, method):
+    # A length-1 point must not broadcast over the coordinates.
+    field = DIMENSION_CASES[kind]()
+    for point in ([2.0], [1.0] * (DIM + 1), [[1.0] * DIM]):
+        with pytest.raises(ValueError, match="point dimension mismatch"):
+            getattr(field, method)(point)

@@ -312,3 +312,31 @@ def test_integrated_derivatives_are_the_closed_form_field():
         traj = integrate_hamiltonian(HamiltonianSystem(kind, H), np.arange(8.0) / 8, 0.05, 0.01)
         for x, xdot in zip(traj.states, traj.derivatives):
             assert np.array_equal(xdot, hamiltonian_vector_field(kind, H, x))
+
+
+def sweep_quartic_field():
+    """The quartic Hamiltonian of a seeded benchmark sweep file (n = 1)."""
+    terms = {
+        (2, 0, 0, 0): Fraction(3, 4),
+        (0, 2, 0, 0): Fraction(1, 2),
+        (0, 0, 2, 0): Fraction(3, 4),
+        (0, 0, 0, 2): Fraction(1),
+        (4, 0, 0, 0): Fraction(1, 16),
+        (0, 4, 0, 0): Fraction(1, 16),
+        (0, 0, 4, 0): Fraction(1, 16),
+        (0, 0, 0, 4): Fraction(3, 16),
+        (2, 2, 0, 0): Fraction(1, 32),
+        (0, 2, 0, 2): Fraction(1, 32),
+    }
+    return PolynomialField(PolyScalar(DIM, terms))
+
+
+@pytest.mark.parametrize("method", ["rk4", "symplectic_euler", "implicit_midpoint"])
+@pytest.mark.parametrize("kind", DUAL_KINDS, ids=lambda k: k.name)
+def test_residuals_of_integrated_quartic_are_zero(kind, method):
+    # The integrator's field and the closed-form residual take one gradient,
+    # so the residual of a trajectory against its own kind is exactly 0.
+    system = HamiltonianSystem(kind, sweep_quartic_field())
+    x0 = [-0.316823, -0.220332, 0.129555, -0.573725]
+    traj = integrate_hamiltonian(system, x0, 0.1875, 0.0078125, method)
+    assert hamilton_residuals(system, traj).max_abs() == 0.0

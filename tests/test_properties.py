@@ -1,0 +1,111 @@
+"""Property tests on generated inputs.
+
+Random rational polynomials (n = 1..3, degree <= 4) check the per-order
+primitives of ``PolynomialField`` against each other and against the jets;
+random valid scenarios check that serialization round-trips.  Example
+generation is derandomized, so every run sees the same inputs.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from paramech.exterior import PolyScalar
+from paramech.fields import PolynomialField
+from paramech.hamiltonian import HAMILTONIAN_METHODS
+from paramech.lagrangian import LAGRANGIAN_METHODS
+from paramech.scenario import FieldSpec, Scenario, parse_scenario, serialize_scenario
+
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=8)
+finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def polynomial_fields_and_points(draw):
+    n = draw(st.integers(1, 3))
+    dim = 4 * n
+    terms = {}
+    for coeff, variables in draw(
+        st.lists(
+            st.tuples(coefficients, st.lists(st.integers(0, dim - 1), max_size=4)),
+            min_size=1,
+            max_size=8,
+        )
+    ):
+        exponents = tuple(variables.count(a) for a in range(dim))
+        terms[exponents] = terms.get(exponents, Fraction(0)) + coeff
+    x = draw(st.lists(st.floats(-1.5, 1.5), min_size=dim, max_size=dim))
+    return PolynomialField(PolyScalar(dim, terms)), np.array(x)
+
+
+@PROPERTY_SETTINGS
+@given(polynomial_fields_and_points())
+def test_polynomial_evaluate_agrees_with_jets(case):
+    # The tolerances of tests/test_fields.py::test_jet_fallback_matches_analytic_paths.
+    field, x = case
+    direct = field.evaluate(x)
+    jets = field.evaluate_via_jets(x)
+    assert abs(direct.value - jets.value) < 1e-12 * max(1.0, abs(direct.value))
+    assert np.max(np.abs(direct.gradient - jets.gradient)) < 1e-10
+    assert np.max(np.abs(direct.hessian - jets.hessian)) < 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(polynomial_fields_and_points())
+def test_polynomial_primitives_are_the_parts_of_evaluate(case):
+    field, x = case
+    result = field.evaluate(x)
+    value, gradient = field.value_and_gradient(x)
+    assert field.value(x) == result.value == value
+    assert np.array_equal(field.gradient(x), result.gradient)
+    assert np.array_equal(gradient, result.gradient)
+    assert np.array_equal(field.hessian(x), result.hessian)
+
+
+@st.composite
+def scenarios(draw):
+    n = draw(st.integers(1, 3))
+    dim = 4 * n
+    formalism = draw(st.sampled_from(("lagrangian", "hamiltonian")))
+    kind = draw(st.sampled_from(("harmonic", "polynomial", "kinetic_minus_potential")))
+    if kind == "polynomial":
+        exponents = st.lists(st.integers(0, 4), min_size=dim, max_size=dim).map(tuple)
+        terms = tuple(draw(st.lists(st.tuples(coefficients, exponents), min_size=1, max_size=4)))
+        function = FieldSpec(kind, terms=terms)
+    elif kind == "kinetic_minus_potential":
+        masses = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+        function = FieldSpec(kind, masses=tuple(masses), g_const=draw(finite))
+    else:
+        function = FieldSpec(kind)
+    dt = draw(st.floats(1e-6, 1.0))
+    t_end = draw(st.just(0.0) | st.floats(dt, 1e6, exclude_min=True))
+    if formalism == "lagrangian":
+        method = draw(st.sampled_from(LAGRANGIAN_METHODS))
+        convention = draw(st.sampled_from(("derived", "printed")))
+    else:
+        method = draw(st.sampled_from(HAMILTONIAN_METHODS))
+        convention = None
+    path = st.none() | st.text("abc_/.", min_size=1, max_size=8)
+    return Scenario(
+        n=n,
+        formalism=formalism,
+        structure=draw(st.sampled_from("FGH")),
+        function=function,
+        x0=tuple(draw(st.lists(finite, min_size=dim, max_size=dim))),
+        t_end=t_end,
+        dt=dt,
+        method=method,
+        convention=convention,
+        out_trajectory=draw(path),
+        out_summary=draw(path),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(scenarios())
+def test_serialized_scenario_parses_back(scenario):
+    assert parse_scenario(serialize_scenario(scenario)) == scenario

@@ -1,11 +1,15 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from paramech.errors import ScenarioError
 from paramech.exterior import PolyScalar
+from paramech.integrators import ResidualSeries, Trajectory
 from paramech.scenario import (
+    _trajectory_table,
     build_field,
+    format_float,
     parse_scenario,
     run_scenario,
     run_scenario_files,
@@ -219,3 +223,21 @@ def test_sample_time_grid_lands_on_t_end(tmp_path):
     assert times[-1] == scenario.t_end
     last_row = result.trajectory_path.read_text().splitlines()[-1]
     assert last_row.split(",")[0] == "6.2831853071795862"
+
+
+def test_trajectory_table_cells_are_format_float():
+    # One format string per row writes every cell as format_float would,
+    # special values included.
+    specials = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, np.inf, -np.inf, np.nan, 0.1]
+    rng = np.random.default_rng(41)
+    bits = rng.integers(0, 2**64, size=60, dtype=np.uint64).view(np.float64)
+    cells = np.concatenate([specials * 3, bits])[:72].reshape(8, 9)
+    times = np.arange(8) / 3
+    traj = Trajectory(times, cells[:, :4], np.zeros((8, 4)), {"energy": cells[:, 4]})
+    table = _trajectory_table(traj, ResidualSeries(times, cells[:, 5:]))
+    rows = table.splitlines()
+    assert rows[0] == "t,x_1,x_2,x_3,x_4,energy,res_1,res_2,res_3,res_4"
+    for k, row in enumerate(rows[1:]):
+        expected = [times[k], *cells[k]]
+        assert row == ",".join(format_float(v) for v in expected)
+    assert len(rows) == 9 and table.endswith("\n")
