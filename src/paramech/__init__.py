@@ -69,7 +69,7 @@ from .lagrangian import (
     intrinsic_solve,
     lagrangian_energy,
     liouville_field,
-    printed_sign_matrix,
+    printed_sign,
 )
 from .scenario import (
     FieldSpec,
@@ -101,6 +101,7 @@ from .structures import (
     PRIMAL_KINDS,
     NeutralMetric,
     RelationCheck,
+    SignedPermutation,
     StructureKind,
     StructureOperator,
     build_structure,

@@ -45,6 +45,7 @@ from .lagrangian import LagrangianSystem, convention_residuals, integrate_lagran
 from .structures import (
     DUAL_KINDS,
     PRIMAL_KINDS,
+    StructureOperator,
     build_structure,
     fundamental_form,
     metric_compatibility,
@@ -250,6 +251,13 @@ def _structure_records(n_max: int) -> list[AuditRecord]:
     return records
 
 
+def _hessian_commutator(op: StructureOperator, hess: np.ndarray) -> np.ndarray:
+    """A^T Hess - Hess A for a symmetric Hess, so that A^T Hess = (Hess A)^T."""
+    hess_a = np.empty_like(hess)
+    hess_a[:, op.index] = hess * op.sign  # column index[k] is sign[k] * column k
+    return hess_a.T - hess_a
+
+
 def _exterior_records(rng: random.Random, n_max: int) -> list[AuditRecord]:
     records = []
 
@@ -302,7 +310,7 @@ def _exterior_records(rng: random.Random, n_max: int) -> list[AuditRecord]:
                         [[p.evaluate(point) for p in row] for row in hess_polys],
                         dtype=object,
                     )
-                    expected = op.matrix.T @ hess - hess @ op.matrix
+                    expected = _hessian_commutator(op, hess)
                     ok_matrix = ok_matrix and np.array_equal(measured, expected)
         records.append(
             _exact(
@@ -327,14 +335,12 @@ def _exterior_records(rng: random.Random, n_max: int) -> list[AuditRecord]:
             poly = _random_polynomial(rng, dim, 4, 6)
             semispray = [_random_rational(rng) for _ in range(dim)]
             liouville = [
-                sum(Fraction(int(op.matrix[a, b])) * semispray[b] for b in range(dim))
-                for a in range(dim)
+                sign * semispray[b] for b, sign in zip(op.index.tolist(), op.sign.tolist())
             ]
             grad = poly_gradient(poly)
-            energy = PolyScalar.zero(dim)
+            energy = -poly
             for a in range(dim):
                 energy = energy + grad[a].scale(liouville[a])
-            energy = energy - poly
             differential = ext_d(KForm.from_scalar(energy))
             hess = poly_hessian(poly)
             expected_terms = {}
@@ -342,9 +348,7 @@ def _exterior_records(rng: random.Random, n_max: int) -> list[AuditRecord]:
                 coeff = PolyScalar.zero(dim)
                 for a in range(dim):
                     coeff = coeff + hess[b][a].scale(liouville[a])
-                coeff = coeff - grad[b]
-                if not coeff.is_zero:
-                    expected_terms[(b,)] = coeff
+                expected_terms[(b,)] = coeff - grad[b]  # KForm drops zero terms
             ok = ok and differential == KForm(dim, 1, expected_terms)
     records.append(
         _exact("frozen-velocity energy differential", ok, "energy one-form display")

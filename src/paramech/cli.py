@@ -153,6 +153,9 @@ def _cmd_plotdata(args) -> int:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(wanted)
         for row in reader:
+            if len(row) != len(header):
+                message = f"row has {len(row)} fields, header has {len(header)}"
+                raise ScenarioError(message, reader.line_num, "trajectory")
             writer.writerow([row[k] for k in indices])
     return EXIT_OK
 

@@ -9,7 +9,8 @@ Index conventions:
   * a k-form is stored as a map from a strictly increasing index tuple to its
     polynomial coefficient, so dx_0 ^ dx_1 has key (0, 1);
   * the structure-operator contraction on basis covectors reads
-    i_A(dx_b) = sum_a A[b, a] dx_a, i.e. dx_b evaluated on A-images;
+    i_A(dx_b) = sum_a A[b, a] dx_a, i.e. dx_b evaluated on A-images, which
+    for the signed permutation A is the one term sign[b] dx_{index[b]};
   * the contraction of a two-form with a vector slots the vector into the
     first argument: (i_X w)(Y) = w(X, Y).
 """
@@ -409,12 +410,6 @@ def interior(X: SymVectorField, a: KForm) -> KForm:
     return KForm(a.dim, a.degree - 1, terms)
 
 
-def _contract_basis_covector(op: StructureOperator, index: int) -> list[tuple[int, int]]:
-    # i_A(dx_b) = sum_a A[b, a] dx_a; signed permutation: at most one entry.
-    row = op.matrix[index]
-    return [(a, int(row[a])) for a in np.nonzero(row)[0]]
-
-
 def vertical_derivation(op: StructureOperator, a: KForm) -> KForm:
     """Degree-preserving derivation replacing one argument at a time by its image.
 
@@ -426,38 +421,34 @@ def vertical_derivation(op: StructureOperator, a: KForm) -> KForm:
         raise ValueError("dimension mismatch")
     if a.degree == 0:
         return KForm.zero(a.dim, 0)
+    images, entries = op.index.tolist(), op.sign.tolist()
     terms: dict[tuple[int, ...], PolyScalar] = {}
     for indices, coeff in a.terms.items():
-        for slot, index in enumerate(indices):
-            for replacement, entry in _contract_basis_covector(op, index):
-                candidate = indices[:slot] + (replacement,) + indices[slot + 1 :]
-                merged = _merge_sign(candidate)
-                if merged is None:
-                    continue
-                sign, key = merged
-                contribution = coeff.scale(entry * sign)
-                terms[key] = terms.get(key, PolyScalar.zero(a.dim)) + contribution
+        for slot, b in enumerate(indices):
+            candidate = indices[:slot] + (images[b],) + indices[slot + 1 :]
+            merged = _merge_sign(candidate)
+            if merged is None:
+                continue
+            sign, key = merged
+            contribution = coeff.scale(entries[b] * sign)
+            terms[key] = terms.get(key, PolyScalar.zero(a.dim)) + contribution
     return KForm(a.dim, a.degree, terms)
 
 
 def vertical_differential(op: StructureOperator, f: PolyScalar) -> KForm:
     """Coordinate formula for the vertical differential: (d_A f)(v) = df(A v).
 
-    The coefficient on dx_b is sum_a (d f / d x_a) A[a, b].
+    The coefficient on dx_b is sum_a (d f / d x_a) A[a, b]: row a of the
+    signed permutation A sends the partial in x_a alone to dx_{index[a]}.
     """
     if op.kind.dual:
         raise ValueError("vertical differential uses a tangent-side operator")
     if op.dim != f.dim:
         raise ValueError("dimension mismatch")
-    terms: dict[tuple[int, ...], PolyScalar] = {}
-    for a in range(f.dim):
-        partial = f.partial(a)
-        if partial.is_zero:
-            continue
-        for b in np.nonzero(op.matrix[a])[0]:
-            key = (int(b),)
-            contribution = partial.scale(int(op.matrix[a, b]))
-            terms[key] = terms.get(key, PolyScalar.zero(f.dim)) + contribution
+    terms = {
+        (b,): f.partial(a).scale(sign)
+        for a, (b, sign) in enumerate(zip(op.index.tolist(), op.sign.tolist()))
+    }
     return KForm(f.dim, 1, terms)
 
 

@@ -7,6 +7,9 @@ closed forms are kept independent of the matrix route: the generic solver
 recovers the field from (i_X Phi)_b = dH_b and the two must agree, which pins
 the sign conventions.
 
+The two-form's matrix is a signed permutation, stored as the (index, sign)
+pair of ``paramech.structures``, so the integrated field is one gather.
+
 Base one-forms (coefficients on x_a dx_a, halved):
   F*: all four blocks +;  G* and H*: first two blocks +, last two -.
 """
@@ -26,7 +29,7 @@ from .integrators import (
     Trajectory,
     integrate_field,
 )
-from .structures import StructureKind, build_structure
+from .structures import SignedPermutation, StructureKind, build_structure
 
 __all__ = [
     "HAMILTONIAN_METHODS",
@@ -36,7 +39,6 @@ __all__ = [
     "canonical_two_form",
     "hamiltonian_vector_field",
     "generic_field_from_form",
-    "signed_permutation",
     "integrate_hamiltonian",
     "hamilton_residuals",
     "position_mask",
@@ -51,12 +53,12 @@ _BASE_FORM_BLOCK_SIGNS = {
     "H": (1, 1, -1, -1),
 }
 
-# Positive unit entries of the symplectic matrix: (row block, column block).
-# M[row*n + k, col*n + k] = +1 with the antisymmetric completion.
-_TWO_FORM_PLUS_BLOCKS = {
-    "F": ((1, 0), (3, 2)),
-    "G": ((2, 0), (1, 3)),
-    "H": ((3, 0), (2, 1)),
+# The symplectic matrix M in the (source block, destination block, sign)
+# format of ``structures._BLOCK_ACTION``: M[dst*n + k, src*n + k] = sign.
+_TWO_FORM_BLOCKS = {
+    "F": ((0, 1, 1), (1, 0, -1), (2, 3, 1), (3, 2, -1)),
+    "G": ((0, 2, 1), (2, 0, -1), (3, 1, 1), (1, 3, -1)),
+    "H": ((0, 3, 1), (3, 0, -1), (1, 2, 1), (2, 1, -1)),
 }
 
 
@@ -65,15 +67,8 @@ def _require_dual(kind: StructureKind) -> None:
         raise ValueError(f"{kind.name} is not a dual structure kind")
 
 
-@dataclass(frozen=True, eq=False)
-class CanonicalSymplecticForm:
-    kind: StructureKind
-    n: int
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return 4 * self.n
+class CanonicalSymplecticForm(SignedPermutation):
+    """Constant symplectic matrix of a dual kind, as a signed permutation."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,31 +91,20 @@ def liouville_one_form(kind: StructureKind, n: int) -> KForm:
     _require_dual(kind)
     op = build_structure(kind, n)
     dim = 4 * n
+    block_signs = _BASE_FORM_BLOCK_SIGNS[kind.tag]
     half = Fraction(1, 2)
-    terms: dict[tuple[int, ...], PolyScalar] = {}
-    for block, sign in enumerate(_BASE_FORM_BLOCK_SIGNS[kind.tag]):
-        for k in range(n):
-            b = block * n + k
-            coeff = (sign * half) * PolyScalar.variable(dim, b)
-            # A*(dx_b) has a single signed entry per column.
-            for c in np.nonzero(op.matrix[:, b])[0]:
-                key = (int(c),)
-                piece = coeff.scale(int(op.matrix[c, b]))
-                terms[key] = terms.get(key, PolyScalar.zero(dim)) + piece
+    # Row c of A* moves the x_b dx_b term, b = index[c], of the base form to dx_c.
+    terms = {
+        (c,): PolyScalar.variable(dim, b).scale(sign * block_signs[b // n] * half)
+        for c, (b, sign) in enumerate(zip(op.index.tolist(), op.sign.tolist()))
+    }
     return KForm(dim, 1, terms)
 
 
 def canonical_two_form(kind: StructureKind, n: int) -> CanonicalSymplecticForm:
     """The constant symplectic matrix; equals -d(liouville one-form) exactly."""
     _require_dual(kind)
-    dim = 4 * n
-    matrix = np.zeros((dim, dim), dtype=np.int64)
-    for row_block, col_block in _TWO_FORM_PLUS_BLOCKS[kind.tag]:
-        for k in range(n):
-            matrix[row_block * n + k, col_block * n + k] = 1
-            matrix[col_block * n + k, row_block * n + k] = -1
-    matrix.setflags(write=False)
-    return CanonicalSymplecticForm(kind, n, matrix)
+    return CanonicalSymplecticForm.from_blocks(kind, n, _TWO_FORM_BLOCKS[kind.tag])
 
 
 def hamiltonian_vector_field(kind: StructureKind, H: ScalarField, x) -> np.ndarray:
@@ -146,20 +130,9 @@ def generic_field_from_form(kind: StructureKind, H: ScalarField, x) -> np.ndarra
     return np.linalg.solve(form.matrix.T.astype(float), grad)
 
 
-def signed_permutation(form: CanonicalSymplecticForm) -> tuple[np.ndarray, np.ndarray]:
-    """(index, sign) with X_a = sign_a * dH[index_a], i.e. X = M grad H.
-
-    M is antisymmetric and orthogonal, so the solution of (i_X M)_b = dH_b is
-    X = M^{-T} grad H = M grad H; each row of M has a single entry +-1.
-    """
-    index = np.argmax(form.matrix != 0, axis=1)
-    sign = form.matrix[np.arange(form.dim), index].astype(float)
-    return index, sign
-
-
 def position_mask(form: CanonicalSymplecticForm) -> np.ndarray:
     """Coordinates acting as positions: the columns carrying the +1 entries."""
-    return np.any(form.matrix == 1, axis=0)
+    return np.isin(np.arange(form.dim), form.index[form.sign == 1])
 
 
 def integrate_hamiltonian(
@@ -171,15 +144,15 @@ def integrate_hamiltonian(
 ) -> Trajectory:
     """Integrate xdot = S grad H, recording the Hamiltonian value per sample.
 
-    S is the kind's two-form matrix, a constant signed permutation; it is
-    read off once per trajectory and applied as a gather and a sign flip,
-    which reproduces ``hamiltonian_vector_field`` bit for bit.
+    S is the kind's two-form matrix M, antisymmetric and orthogonal, so the
+    solution X = M^{-T} grad H of (i_X M)_b = dH_b is M grad H: one gather
+    and sign flip, which reproduces ``hamiltonian_vector_field`` bit for bit.
     """
     if method not in HAMILTONIAN_METHODS:
         raise ValueError(f"method must be one of {HAMILTONIAN_METHODS}")
     H = system.hamiltonian
     form = canonical_two_form(system.kind, system.n)
-    index, sign = signed_permutation(form)
+    index, sign = form.index, form.sign
 
     def field(x):
         return sign * H.gradient(x)[index]

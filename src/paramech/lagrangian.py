@@ -52,7 +52,7 @@ __all__ = [
     "integrate_lagrangian",
     "el_residuals",
     "convention_residuals",
-    "printed_sign_matrix",
+    "printed_sign",
 ]
 
 CONVENTIONS = ("derived", "printed")
@@ -78,7 +78,7 @@ def liouville_field(op: StructureOperator, semispray) -> np.ndarray:
     """V_A = A(X): the structure operator applied to the semispray components."""
     if op.kind.dual:
         raise ValueError("Liouville field uses a tangent-side operator")
-    return op.matrix @ np.asarray(semispray, dtype=float)
+    return op.apply(np.asarray(semispray, dtype=float))
 
 
 def lagrangian_energy(op: StructureOperator, L: ScalarField, x, semispray) -> float:
@@ -90,7 +90,7 @@ def lagrangian_energy(op: StructureOperator, L: ScalarField, x, semispray) -> fl
 def canonical_rhs(op: StructureOperator, L: ScalarField, x) -> np.ndarray:
     """Semispray solving Hess(L) . xdot = A . grad L at x."""
     try:
-        return solve_linear(L.hessian(x), op.matrix @ L.gradient(x), error="Hessian")
+        return solve_linear(L.hessian(x), op.apply(L.gradient(x)), error="Hessian")
     except SingularSystemError as exc:
         raise SingularHessianError(str(exc)) from exc
 
@@ -121,15 +121,15 @@ def intrinsic_solve(op: StructureOperator, L: ScalarField, x) -> np.ndarray:
         raise SingularHessianError(str(exc)) from exc
 
 
-def printed_sign_matrix(op: StructureOperator) -> np.ndarray:
-    """Gradient sign pattern of the displayed first-order systems.
+def printed_sign(op: StructureOperator) -> np.ndarray:
+    """Gradient signs of the displayed first-order systems, per row of A.
 
-    Coincides with the operator matrix for G and H; for F the displayed system
-    flips the overall sign of the gradient terms.
+    Coincides with A's signs for G and H; for F the displayed system flips
+    the overall sign of the gradient terms.
     """
     if op.kind.tag == "F":
-        return -op.matrix
-    return op.matrix
+        return -op.sign
+    return op.sign
 
 
 def integrate_lagrangian(
@@ -181,10 +181,10 @@ def el_residuals(system: LagrangianSystem, traj: Trajectory) -> ResidualSeries:
     error is not folded into the residual.
     """
     op, L = system.operator, system.lagrangian
-    sign = op.matrix if system.convention == "derived" else printed_sign_matrix(op)
+    sign = op.sign if system.convention == "derived" else printed_sign(op)
     rows = []
     for x, xdot in zip(traj.states, traj.derivatives):
-        rows.append(L.hessian(x) @ xdot - sign @ L.gradient(x))
+        rows.append(L.hessian(x) @ xdot - sign * L.gradient(x)[op.index])
     return ResidualSeries(traj.times, np.asarray(rows))
 
 
@@ -199,7 +199,7 @@ def convention_residuals(
     """
     derived = el_residuals(replace(system, convention="derived"), traj)
     op = system.operator
-    if np.array_equal(printed_sign_matrix(op), op.matrix):
+    if np.array_equal(printed_sign(op), op.sign):
         printed = derived
     else:
         printed = el_residuals(replace(system, convention="printed"), traj)

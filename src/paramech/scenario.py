@@ -166,16 +166,16 @@ def _parse_term(value: str, lineno: int) -> tuple[Fraction, tuple[int, ...]]:
     coeff_text, exponent_text = (part.strip() for part in value.split(":", 1))
     try:
         coeff = Fraction(coeff_text)
-    except (ValueError, ZeroDivisionError):
-        raise ScenarioError(
-            f"bad coefficient {coeff_text!r}", lineno, "term"
-        ) from None
+        float(coeff)  # fields evaluate in floats
+    except (ValueError, ZeroDivisionError, OverflowError):
+        message = f"coefficient {coeff_text!r} is not a rational number in float range"
+        raise ScenarioError(message, lineno, "term") from None
     try:
         exponents = tuple(int(part) for part in exponent_text.split())
     except ValueError:
         raise ScenarioError("exponents must be integers", lineno, "term") from None
-    if any(e < 0 for e in exponents):
-        raise ScenarioError("exponents must be nonnegative", lineno, "term")
+    if any(not 0 <= e <= np.iinfo(np.int64).max for e in exponents):
+        raise ScenarioError("exponents must be nonnegative int64 values", lineno, "term")
     return coeff, exponents
 
 

@@ -1,10 +1,12 @@
 """Constant structure operators F, G, H and their duals on R^{4n}.
 
 Coordinates are ordered in four blocks of length n: indices 0..n-1 play the
-role of x_i, then x_{n+i}, x_{2n+i}, x_{3n+i}.  Each operator is an exact
-signed-permutation matrix acting on coordinate columns; the tangent and
-cotangent tables have identical entries in this representation, so dual
-operators carry the same matrix and differ only in their kind tag.
+role of x_i, then x_{n+i}, x_{2n+i}, x_{3n+i}.  Each operator is a signed
+permutation, stored as the pair (index, sign) with (A v)[a] = sign[a] *
+v[index[a]] and built once from a block table; the exact integer ``.matrix``
+is a read-only view derived from the pair.  The tangent and cotangent tables
+have identical entries, so dual operators carry the same pair and differ only
+in their kind tag.
 
 Composition convention throughout: (A o B)(x) = A(B(x)), i.e. plain matrix
 products.  Under this convention FG = H and GF = -H hold exactly.
@@ -13,11 +15,13 @@ products.  Under this convention FG = H and GF = -H hold exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "StructureKind",
+    "SignedPermutation",
     "StructureOperator",
     "NeutralMetric",
     "RelationCheck",
@@ -66,8 +70,9 @@ PRIMAL_KINDS = (F, G, H)
 DUAL_KINDS = (F_STAR, G_STAR, H_STAR)
 
 # Block action (source block, destination block, sign): basis column in block
-# `src` maps to +-(basis row in block `dst`).  The cotangent tables produce the
-# same entries, so primal and dual share this data.
+# `src` maps to +-(basis row in block `dst`), i.e. row dst*n + k of the matrix
+# holds `sign` in column src*n + k.  The cotangent tables produce the same
+# entries, so primal and dual share this data.
 _BLOCK_ACTION = {
     "F": ((0, 1, 1), (1, 0, -1), (2, 3, 1), (3, 2, -1)),
     "G": ((0, 2, 1), (1, 3, -1), (2, 0, 1), (3, 1, -1)),
@@ -76,19 +81,46 @@ _BLOCK_ACTION = {
 
 
 @dataclass(frozen=True, eq=False)
-class StructureOperator:
-    """Signed-permutation matrix realising one canonical basis element."""
+class SignedPermutation:
+    """Constant signed permutation of R^{4n}: (A v)[a] = sign[a] * v[index[a]]."""
 
     kind: StructureKind
     n: int
-    matrix: np.ndarray = field(repr=False)
+    index: np.ndarray = field(repr=False)
+    sign: np.ndarray = field(repr=False)
+
+    @classmethod
+    def from_blocks(cls, kind: StructureKind, n: int, blocks):
+        """Pair of a (source block, destination block, sign) table of all 4 blocks."""
+        if n < 1:
+            raise ValueError(f"n must be positive, got {n}")
+        index = np.empty(4 * n, dtype=np.intp)
+        sign = np.empty(4 * n, dtype=np.int64)
+        for src, dst, entry in blocks:
+            index[dst * n : (dst + 1) * n] = np.arange(src * n, (src + 1) * n)
+            sign[dst * n : (dst + 1) * n] = entry
+        index.setflags(write=False)
+        sign.setflags(write=False)
+        return cls(kind, n, index, sign)
 
     @property
     def dim(self) -> int:
         return 4 * self.n
 
     def apply(self, vector) -> np.ndarray:
-        return self.matrix @ np.asarray(vector)
+        return self.sign * np.asarray(vector)[self.index]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Exact integer matrix with entry sign[a] at [a, index[a]] (read-only)."""
+        matrix = np.zeros((self.dim, self.dim), dtype=np.int64)
+        matrix[np.arange(self.dim), self.index] = self.sign
+        matrix.setflags(write=False)
+        return matrix
+
+
+class StructureOperator(SignedPermutation):
+    """Signed permutation realising one canonical basis element."""
 
     def __repr__(self) -> str:
         return f"StructureOperator({self.kind.name}, n={self.n})"
@@ -116,15 +148,8 @@ class RelationCheck:
 
 
 def build_structure(kind: StructureKind, n: int) -> StructureOperator:
-    """Exact 4n x 4n matrix for the requested canonical basis element."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    matrix = np.zeros((4 * n, 4 * n), dtype=np.int64)
-    for src, dst, sign in _BLOCK_ACTION[kind.tag]:
-        for k in range(n):
-            matrix[dst * n + k, src * n + k] = sign
-    matrix.setflags(write=False)
-    return StructureOperator(kind, n, matrix)
+    """The requested canonical basis element as a signed permutation."""
+    return StructureOperator.from_blocks(kind, n, _BLOCK_ACTION[kind.tag])
 
 
 def neutral_metric(n: int) -> NeutralMetric:

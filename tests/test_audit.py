@@ -1,11 +1,17 @@
+import random
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from paramech.audit import (
     STATUS_DISCREPANCY,
     STATUS_FAIL,
     STATUS_PASS,
+    _hessian_commutator,
     verify_all,
 )
+from paramech.structures import PRIMAL_KINDS, build_structure
 
 
 def test_report_covers_the_identity_list():
@@ -44,3 +50,18 @@ def test_exact_records_render_exact():
 def test_n_max_validation():
     with pytest.raises(ValueError):
         verify_all(0)
+
+
+def test_hessian_commutator_is_the_dense_product():
+    rng = random.Random(11)
+    for kind in PRIMAL_KINDS:
+        for n in (1, 2, 3):
+            op = build_structure(kind, n)
+            for _ in range(3):
+                hess = np.empty((op.dim, op.dim), dtype=object)
+                for a in range(op.dim):
+                    for b in range(a, op.dim):
+                        hess[a, b] = hess[b, a] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                gathered = _hessian_commutator(op, hess)
+                assert all(isinstance(entry, Fraction) for entry in gathered.flat)
+                assert np.array_equal(gathered, op.matrix.T @ hess - hess @ op.matrix)

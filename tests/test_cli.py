@@ -141,6 +141,20 @@ def test_run_rejects_non_finite_numbers(tmp_path, capsys, line, bad):
     assert not (tmp_path / "bad_trajectory.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "term",
+    ["term = 1e400 : 2 0 0 0", "term = 1 : 100000000000000000000 0 0 0"],
+    ids=["coefficient", "exponent"],
+)
+def test_run_rejects_unrepresentable_terms(tmp_path, capsys, term):
+    # The valid first file is not run either: every file is parsed first.
+    good = write(tmp_path, "good.scn", HARMONIC)
+    bad = write(tmp_path, "bad.scn", LINEAR_DEGENERATE.replace("term = 1 : 1 0 0 0", term))
+    assert main(["run", good, bad, "--out", str(tmp_path)]) == 2
+    assert "line 5: [term]" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.scn", "good.scn"]
+
+
 def test_run_singular_exit_code(tmp_path, capsys):
     scenario = write(tmp_path, "degenerate.scn", LINEAR_DEGENERATE)
     assert main(["run", scenario, "--out", str(tmp_path)]) == 3
@@ -276,3 +290,10 @@ def test_plotdata_unknown_column(tmp_path, capsys):
 
 def test_plotdata_missing_file(tmp_path):
     assert main(["plotdata", str(tmp_path / "none.csv"), "--cols", "t"]) == 5
+
+
+def test_plotdata_short_row(tmp_path, capsys):
+    table = tmp_path / "short.csv"
+    table.write_text("t,x_1,x_2\n0,1\n")
+    assert main(["plotdata", str(table), "--cols", "t,x_2"]) == 2
+    assert "line 2: [trajectory]" in capsys.readouterr().err

@@ -14,7 +14,6 @@ from paramech.hamiltonian import (
     integrate_hamiltonian,
     liouville_one_form,
     position_mask,
-    signed_permutation,
 )
 from paramech.integrators import StepperConfig, step_explicit
 from paramech.structures import DUAL_KINDS, F, F_STAR, G_STAR, H_STAR
@@ -295,7 +294,8 @@ def test_system_validation():
 @pytest.mark.parametrize("kind", DUAL_KINDS, ids=lambda k: k.name)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_signed_permutation_reproduces_closed_form(kind, n):
-    index, sign = signed_permutation(canonical_two_form(kind, n))
+    form = canonical_two_form(kind, n)
+    index, sign = form.index, form.sign
     rng = np.random.default_rng(31 + n)
     quartic = PolynomialField(
         harmonic_field(n).poly + PolyScalar.monomial(4 * n, Fraction(1, 4), (4,) + (0,) * (4 * n - 1))

@@ -15,7 +15,7 @@ from paramech.lagrangian import (
     intrinsic_solve,
     lagrangian_energy,
     liouville_field,
-    printed_sign_matrix,
+    printed_sign,
 )
 from paramech.structures import F, F_STAR, G, H, PRIMAL_KINDS, build_structure
 
@@ -209,10 +209,10 @@ def test_convention_residuals_share_one_series_for_g_and_h():
         assert (series["printed"] is series["derived"]) == (kind != F)
 
 
-def test_printed_sign_matrix():
-    assert np.array_equal(printed_sign_matrix(op(F)), -op(F).matrix)
-    assert np.array_equal(printed_sign_matrix(op(G)), op(G).matrix)
-    assert np.array_equal(printed_sign_matrix(op(H)), op(H).matrix)
+def test_printed_sign():
+    assert np.array_equal(printed_sign(op(F)), -op(F).sign)
+    assert np.array_equal(printed_sign(op(G)), op(G).sign)
+    assert np.array_equal(printed_sign(op(H)), op(H).sign)
 
 
 def test_residual_quadruples_shape():

@@ -2,7 +2,9 @@
 
 Random rational polynomials (n = 1..3, degree <= 4) check the per-order
 primitives of ``PolynomialField`` against each other and against the jets;
-random valid scenarios check that serialization round-trips.  Example
+random valid scenarios check that serialization round-trips; random rational
+split quaternions check the algebra laws; random finite vectors check that
+each structure operator and two-form applies as its dense matrix.  Example
 generation is derandomized, so every run sees the same inputs.
 """
 
@@ -14,9 +16,11 @@ from hypothesis import strategies as st
 
 from paramech.exterior import PolyScalar
 from paramech.fields import PolynomialField
-from paramech.hamiltonian import HAMILTONIAN_METHODS
+from paramech.hamiltonian import HAMILTONIAN_METHODS, canonical_two_form
 from paramech.lagrangian import LAGRANGIAN_METHODS
 from paramech.scenario import FieldSpec, Scenario, parse_scenario, serialize_scenario
+from paramech.split_quaternions import SplitQuaternion, sq_conj, sq_mul, sq_norm_sq
+from paramech.structures import DUAL_KINDS, PRIMAL_KINDS, build_structure
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -109,3 +113,41 @@ def scenarios(draw):
 @given(scenarios())
 def test_serialized_scenario_parses_back(scenario):
     assert parse_scenario(serialize_scenario(scenario)) == scenario
+
+
+split_quaternions = st.builds(SplitQuaternion, coefficients, coefficients, coefficients, coefficients)
+
+
+@PROPERTY_SETTINGS
+@given(split_quaternions, split_quaternions, split_quaternions)
+def test_split_quaternion_product_is_associative(p, q, r):
+    assert sq_mul(sq_mul(p, q), r) == sq_mul(p, sq_mul(q, r))
+
+
+@PROPERTY_SETTINGS
+@given(split_quaternions, split_quaternions)
+def test_conjugation_reverses_products(p, q):
+    assert sq_conj(sq_mul(p, q)) == sq_mul(sq_conj(q), sq_conj(p))
+
+
+@PROPERTY_SETTINGS
+@given(split_quaternions, split_quaternions)
+def test_split_quaternion_norm_is_multiplicative(p, q):
+    assert sq_norm_sq(sq_mul(p, q)) == sq_norm_sq(p) * sq_norm_sq(q)
+
+
+@st.composite
+def block_sizes_and_vectors(draw):
+    n = draw(st.integers(1, 6))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    return n, np.array(draw(st.lists(values, min_size=4 * n, max_size=4 * n)))
+
+
+@PROPERTY_SETTINGS
+@given(block_sizes_and_vectors())
+def test_operators_apply_as_their_matrix(case):
+    n, v = case
+    operators = [build_structure(kind, n) for kind in PRIMAL_KINDS + DUAL_KINDS]
+    operators += [canonical_two_form(kind, n) for kind in DUAL_KINDS]
+    for op in operators:
+        assert np.array_equal(op.apply(v), op.matrix @ v)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import exact_determinant
+from paramech.hamiltonian import canonical_two_form
 from paramech.structures import (
     DUAL_KINDS,
     F,
@@ -74,6 +75,18 @@ def test_signed_permutation_property():
                 assert abs(row[np.nonzero(row)][0]) == 1
             for col in m.T:
                 assert np.count_nonzero(col) == 1
+
+
+def test_matrix_is_the_dense_view_of_the_pair():
+    for n in range(1, 6):
+        operators = [build_structure(kind, n) for kind in PRIMAL_KINDS + DUAL_KINDS]
+        operators += [canonical_two_form(kind, n) for kind in DUAL_KINDS]
+        for op in operators:
+            rows = np.arange(op.dim)
+            assert sorted(op.index) == list(rows)
+            assert np.array_equal(op.matrix[rows, op.index], op.sign)
+            assert np.count_nonzero(op.matrix) == op.dim
+            assert not op.matrix.flags.writeable
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
