@@ -113,15 +113,12 @@ def _random_rational(rng: random.Random, span: int = 6, den: int = 6) -> Fractio
 def _random_polynomial(
     rng: random.Random, dim: int, max_degree: int, n_terms: int
 ) -> PolyScalar:
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms = []
     for _ in range(n_terms):
         exponents = [0] * dim
         for _ in range(rng.randint(0, max_degree)):
             exponents[rng.randrange(dim)] += 1
-        coeff = _random_rational(rng)
-        if coeff:
-            key = tuple(exponents)
-            terms[key] = terms.get(key, Fraction(0)) + coeff
+        terms.append((exponents, _random_rational(rng)))
     return PolyScalar(dim, terms)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 from pathlib import Path
 
@@ -150,13 +151,16 @@ def _cmd_plotdata(args) -> int:
                 field="cols",
             )
         indices = [header.index(name) for name in wanted]
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+        # Buffered, so a malformed row fails before anything reaches stdout.
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(wanted)
         for row in reader:
             if len(row) != len(header):
                 message = f"row has {len(row)} fields, header has {len(header)}"
                 raise ScenarioError(message, reader.line_num, "trajectory")
             writer.writerow([row[k] for k in indices])
+    sys.stdout.write(buffer.getvalue())
     return EXIT_OK
 
 

@@ -5,6 +5,12 @@ rejected at construction so symbolic identities are checked exactly, never up
 to rounding.  Form degree is capped at 3, which is all the differential of a
 two-form requires.
 
+``PolyScalar(dim, terms)`` and ``KForm(dim, degree, terms)`` take their terms
+as a mapping or as an iterable of (key, coefficient) pairs.  The constructors
+are the one place that sums like terms: coefficients of a repeated key are
+added, and keys whose sum is zero are dropped.  Exponents must be integral
+(``operator.index``); a float exponent is rejected, never truncated.
+
 Index conventions:
   * a k-form is stored as a map from a strictly increasing index tuple to its
     polynomial coefficient, so dx_0 ^ dx_1 has key (0, 1);
@@ -17,10 +23,11 @@ Index conventions:
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -48,6 +55,8 @@ MAX_DEGREE = 3
 
 
 def _as_fraction(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, Rational):
         return Fraction(value)
     raise TypeError(
@@ -60,17 +69,20 @@ class PolyScalar:
 
     __slots__ = ("dim", "terms", "_sorted")
 
-    def __init__(self, dim: int, terms: Mapping[tuple[int, ...], object] | None = None):
+    def __init__(self, dim: int, terms: Mapping | Iterable[tuple] | None = None):
         if dim < 1:
             raise ValueError("dimension must be positive")
         clean: dict[tuple[int, ...], Fraction] = {}
-        for exponents, coeff in (terms or {}).items():
-            exponents = tuple(int(e) for e in exponents)
-            if len(exponents) != dim or any(e < 0 for e in exponents):
+        for exponents, coeff in terms.items() if isinstance(terms, Mapping) else terms or ():
+            try:
+                key = tuple(map(operator.index, exponents))
+            except TypeError:
+                key = None
+            if key is None or len(key) != dim or any(e < 0 for e in key):
                 raise ValueError(f"bad exponent tuple {exponents} for dimension {dim}")
             value = _as_fraction(coeff)
-            if value != 0:
-                clean[exponents] = clean.get(exponents, Fraction(0)) + value
+            previous = clean.get(key)
+            clean[key] = value if previous is None else previous + value
         self.dim = dim
         self.terms = {e: c for e, c in clean.items() if c != 0}
         self._sorted = None
@@ -117,10 +129,7 @@ class PolyScalar:
 
     def __add__(self, other: "PolyScalar") -> "PolyScalar":
         self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return PolyScalar(self.dim, terms)
+        return PolyScalar(self.dim, [*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other: "PolyScalar") -> "PolyScalar":
         return self + (-other)
@@ -131,12 +140,12 @@ class PolyScalar:
     def __mul__(self, other):
         if isinstance(other, PolyScalar):
             self._check(other)
-            terms: dict[tuple[int, ...], Fraction] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-            return PolyScalar(self.dim, terms)
+            products = [
+                (tuple(map(operator.add, e1, e2)), c1 * c2)
+                for e1, c1 in self.terms.items()
+                for e2, c2 in other.terms.items()
+            ]
+            return PolyScalar(self.dim, products)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -147,16 +156,12 @@ class PolyScalar:
         return PolyScalar(self.dim, {e: c * v for e, v in self.terms.items()})
 
     def partial(self, index: int) -> "PolyScalar":
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for exponents, coeff in self.terms.items():
-            power = exponents[index]
-            if power == 0:
-                continue
-            lowered = list(exponents)
-            lowered[index] = power - 1
-            key = tuple(lowered)
-            terms[key] = terms.get(key, Fraction(0)) + coeff * power
-        return PolyScalar(self.dim, terms)
+        lowered = [
+            (e[:index] + (e[index] - 1,) + e[index + 1 :], c * e[index])
+            for e, c in self.terms.items()
+            if e[index]
+        ]
+        return PolyScalar(self.dim, lowered)
 
     def evaluate(self, point):
         """Evaluate at a point; exact when the point is rational."""
@@ -229,12 +234,12 @@ class KForm:
         self,
         dim: int,
         degree: int,
-        terms: Mapping[tuple[int, ...], PolyScalar] | None = None,
+        terms: Mapping | Iterable[tuple] | None = None,
     ):
         if not 0 <= degree <= MAX_DEGREE:
             raise ValueError(f"degree must be within 0..{MAX_DEGREE}, got {degree}")
         clean: dict[tuple[int, ...], PolyScalar] = {}
-        for indices, coeff in (terms or {}).items():
+        for indices, coeff in terms.items() if isinstance(terms, Mapping) else terms or ():
             indices = tuple(indices)
             if len(indices) != degree:
                 raise ValueError(f"index tuple {indices} does not match degree {degree}")
@@ -244,8 +249,8 @@ class KForm:
                 raise ValueError(f"index tuple {indices} must be strictly increasing")
             if coeff.dim != dim:
                 raise ValueError("coefficient dimension mismatch")
-            if not coeff.is_zero:
-                clean[indices] = clean.get(indices, PolyScalar.zero(dim)) + coeff
+            previous = clean.get(indices)
+            clean[indices] = coeff if previous is None else previous + coeff
         self.dim = dim
         self.degree = degree
         self.terms = {k: v for k, v in clean.items() if not v.is_zero}
@@ -285,10 +290,7 @@ class KForm:
 
     def __add__(self, other: "KForm") -> "KForm":
         self._check(other)
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms.get(k, PolyScalar.zero(self.dim)) + v
-        return KForm(self.dim, self.degree, terms)
+        return KForm(self.dim, self.degree, [*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other: "KForm") -> "KForm":
         return self + (-other)
@@ -361,15 +363,13 @@ def wedge(a: KForm, b: KForm) -> KForm:
     degree = a.degree + b.degree
     if degree > MAX_DEGREE:
         raise ValueError(f"wedge degree {degree} exceeds the supported cap {MAX_DEGREE}")
-    terms: dict[tuple[int, ...], PolyScalar] = {}
+    terms = []
     for ia, ca in a.terms.items():
         for ib, cb in b.terms.items():
             merged = _merge_sign(ia + ib)
-            if merged is None:
-                continue
-            sign, key = merged
-            contribution = (ca * cb).scale(sign)
-            terms[key] = terms.get(key, PolyScalar.zero(a.dim)) + contribution
+            if merged is not None:
+                sign, key = merged
+                terms.append((key, (ca * cb).scale(sign)))
     return KForm(a.dim, degree, terms)
 
 
@@ -377,18 +377,16 @@ def ext_d(a: KForm) -> KForm:
     """Exterior derivative; defined for degrees 0..2."""
     if a.degree >= MAX_DEGREE:
         raise ValueError("exterior derivative of a degree-3 form is not supported")
-    terms: dict[tuple[int, ...], PolyScalar] = {}
+    terms = []
     for indices, coeff in a.terms.items():
         for direction in range(a.dim):
             partial = coeff.partial(direction)
             if partial.is_zero:
                 continue
             merged = _merge_sign((direction,) + indices)
-            if merged is None:
-                continue
-            sign, key = merged
-            contribution = partial.scale(sign)
-            terms[key] = terms.get(key, PolyScalar.zero(a.dim)) + contribution
+            if merged is not None:
+                sign, key = merged
+                terms.append((key, partial.scale(sign)))
     return KForm(a.dim, a.degree + 1, terms)
 
 
@@ -398,15 +396,13 @@ def interior(X: SymVectorField, a: KForm) -> KForm:
         raise ValueError("cannot contract a 0-form")
     if X.dim != a.dim:
         raise ValueError("dimension mismatch")
-    terms: dict[tuple[int, ...], PolyScalar] = {}
+    terms = []
     for indices, coeff in a.terms.items():
         for slot, index in enumerate(indices):
             component = X.components[index]
-            if component.is_zero:
-                continue
-            key = indices[:slot] + indices[slot + 1 :]
-            contribution = (coeff * component).scale((-1) ** slot)
-            terms[key] = terms.get(key, PolyScalar.zero(a.dim)) + contribution
+            if not component.is_zero:
+                key = indices[:slot] + indices[slot + 1 :]
+                terms.append((key, (coeff * component).scale((-1) ** slot)))
     return KForm(a.dim, a.degree - 1, terms)
 
 
@@ -422,16 +418,13 @@ def vertical_derivation(op: StructureOperator, a: KForm) -> KForm:
     if a.degree == 0:
         return KForm.zero(a.dim, 0)
     images, entries = op.index.tolist(), op.sign.tolist()
-    terms: dict[tuple[int, ...], PolyScalar] = {}
+    terms = []
     for indices, coeff in a.terms.items():
         for slot, b in enumerate(indices):
-            candidate = indices[:slot] + (images[b],) + indices[slot + 1 :]
-            merged = _merge_sign(candidate)
-            if merged is None:
-                continue
-            sign, key = merged
-            contribution = coeff.scale(entries[b] * sign)
-            terms[key] = terms.get(key, PolyScalar.zero(a.dim)) + contribution
+            merged = _merge_sign(indices[:slot] + (images[b],) + indices[slot + 1 :])
+            if merged is not None:
+                sign, key = merged
+                terms.append((key, coeff.scale(entries[b] * sign)))
     return KForm(a.dim, a.degree, terms)
 
 

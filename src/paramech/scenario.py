@@ -349,10 +349,8 @@ def build_field(spec: FieldSpec, n: int) -> ScalarField:
     if spec.kind == "harmonic":
         return harmonic_field(n)
     if spec.kind == "polynomial":
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for coeff, exponents in spec.terms:
-            terms[exponents] = terms.get(exponents, Fraction(0)) + coeff
-        return PolynomialField(PolyScalar(4 * n, terms))
+        pairs = ((exponents, coeff) for coeff, exponents in spec.terms)
+        return PolynomialField(PolyScalar(4 * n, pairs))
     return kinetic_minus_potential_field(spec.masses, spec.g_const, n)
 
 

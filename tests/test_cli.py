@@ -296,4 +296,6 @@ def test_plotdata_short_row(tmp_path, capsys):
     table = tmp_path / "short.csv"
     table.write_text("t,x_1,x_2\n0,1\n")
     assert main(["plotdata", str(table), "--cols", "t,x_2"]) == 2
-    assert "line 2: [trajectory]" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "line 2: [trajectory]" in captured.err
+    assert captured.out == ""

@@ -67,6 +67,52 @@ def test_polyscalar_rejects_floats():
         PolyScalar.constant(4, 0.5)
 
 
+def test_polyscalar_rejects_non_integral_exponents():
+    for bad in (1.5, np.float64(2.7), 2.0, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            PolyScalar(2, {(bad, 0): 1, (1, 0): 2})
+    assert PolyScalar(2, {(np.int64(1), True): 3}).terms == {(1, 1): Fraction(3)}
+
+
+def test_polyscalar_pairs_sum_like_terms():
+    pairs = [
+        ((1, 0), Fraction(1, 2)),
+        ((0, 2), 3),
+        ((1, 0), Fraction(1, 2)),
+        ((2, 1), 4),
+        ((0, 2), -3),
+        ((2, 1), Fraction(-4)),
+    ]
+    poly = PolyScalar(2, pairs)
+    assert poly.terms == {(1, 0): Fraction(1)}
+    assert poly == PolyScalar(2, {(1, 0): 1})
+    assert PolyScalar(2, iter(pairs)) == poly
+    assert PolyScalar(2, [((0, 1), 1), ((0, 1), -1)]).terms == {}
+
+
+def test_kform_pairs_sum_like_terms():
+    one, two = PolyScalar.constant(DIM, 1), x(2) * x(3)
+    form = KForm(DIM, 2, [((0, 1), one), ((1, 3), two), ((0, 1), two), ((1, 3), -two)])
+    assert form.terms == {(0, 1): one + two}
+    assert form == KForm(DIM, 2, {(0, 1): one + two})
+    assert KForm(DIM, 1, [((2,), two), ((2,), -two)]).terms == {}
+
+
+def test_pairs_are_validated_like_a_mapping():
+    for terms in ({(1,): 1}, {(1, -1): 1}):
+        for given in (terms, list(terms.items())):
+            with pytest.raises(ValueError, match="bad exponent tuple"):
+                PolyScalar(2, given)
+    with pytest.raises(TypeError):
+        PolyScalar(2, [((1, 0), 0.5)])
+    one = PolyScalar.constant(DIM, 1)
+    for indices in ((1, 0), (0, DIM)):
+        with pytest.raises(ValueError, match="index tuple"):
+            KForm(DIM, 2, [(indices, one)])
+        with pytest.raises(ValueError, match="index tuple"):
+            KForm(DIM, 2, {indices: one})
+
+
 def test_polyscalar_arithmetic_and_partial():
     p = x(0) * x(1) + PolyScalar.constant(DIM, Fraction(3, 2))
     assert p.partial(0) == x(1)

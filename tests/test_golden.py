@@ -1,9 +1,10 @@
 """Byte-level pins on the output contract.
 
 ``paramech run scenarios/*.scn`` writes 7 trajectory tables and 7 summaries
-and prints one block per scenario; ``paramech verify --n 3`` prints the audit
-report.  Their sha256 digests are recorded below, with the output directory
-in the run's stdout replaced by ``OUTDIR``.
+and prints one block per scenario; ``paramech verify --n 3`` and
+``paramech verify --n 5`` print the audit report.  Their sha256 digests are
+recorded below, with the output directory in the run's stdout replaced by
+``OUTDIR``.
 
 A change that alters any of these bytes must update the digest here and say
 in CHANGES.md why the bytes changed and how many cells of which tables and
@@ -35,6 +36,7 @@ OUTPUT_DIGESTS = {
 }
 RUN_STDOUT_DIGEST = "f5a622cd3ecce9c45a988bbbaee634733fa216dc828ec5eddef682a9705a25e2"
 VERIFY_3_DIGEST = "c2a0f0af8406177a8e4c2e2c624dfb5f6616b72cc280f7dc481aee46e7302dac"
+VERIFY_5_DIGEST = "5a7b19da737974d63dc399448b318ee53dd1f1f1b805417cac274307c7ae7441"
 
 
 def sha256(data: bytes) -> str:
@@ -53,3 +55,8 @@ def test_sample_outputs_are_byte_identical(tmp_path, capsys):
 def test_verify_report_is_byte_identical(capsys):
     assert main(["verify", "--n", "3"]) == 0
     assert sha256(capsys.readouterr().out.encode()) == VERIFY_3_DIGEST
+
+
+def test_verify_n5_report_is_byte_identical(capsys):
+    assert main(["verify", "--n", "5"]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == VERIFY_5_DIGEST

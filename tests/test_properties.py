@@ -2,10 +2,12 @@
 
 Random rational polynomials (n = 1..3, degree <= 4) check the per-order
 primitives of ``PolynomialField`` against each other and against the jets;
-random valid scenarios check that serialization round-trips; random rational
-split quaternions check the algebra laws; random finite vectors check that
-each structure operator and two-form applies as its dense matrix.  Example
-generation is derandomized, so every run sees the same inputs.
+random (exponents, coefficient) pairs with repeats and cancellations check
+that ``PolyScalar`` sums like terms as ``+`` does; random valid scenarios
+check that serialization round-trips; random rational split quaternions check
+the algebra laws; random finite vectors check that each structure operator and
+two-form applies as its dense matrix.  Example generation is derandomized, so
+every run sees the same inputs.
 """
 
 from fractions import Fraction
@@ -68,6 +70,27 @@ def test_polynomial_primitives_are_the_parts_of_evaluate(case):
     assert np.array_equal(field.gradient(x), result.gradient)
     assert np.array_equal(gradient, result.gradient)
     assert np.array_equal(field.hessian(x), result.hessian)
+
+
+@st.composite
+def monomial_pairs(draw):
+    dim = 4 * draw(st.integers(1, 3))
+    exponents = st.lists(st.integers(0, 3), min_size=dim, max_size=dim).map(tuple)
+    pairs = draw(st.lists(st.tuples(exponents, coefficients), max_size=8))
+    cancelling = draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    return dim, pairs + [(e, -c) for e, c in cancelling] + draw(st.permutations(pairs))
+
+
+@PROPERTY_SETTINGS
+@given(monomial_pairs())
+def test_polyscalar_from_pairs_is_the_sum_of_its_monomials(case):
+    dim, pairs = case
+    total = PolyScalar.zero(dim)
+    for exponents, coeff in pairs:
+        total = total + PolyScalar.monomial(dim, coeff, exponents)
+    poly = PolyScalar(dim, pairs)
+    assert poly == total
+    assert 0 not in poly.terms.values()
 
 
 @st.composite
