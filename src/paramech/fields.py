@@ -2,11 +2,16 @@
 
 A field's numeric primitives are ``value``, ``gradient`` and ``hessian``,
 each implemented once per class and checking the point's dimension;
-``value_and_gradient`` and ``evaluate`` only combine them.  Polynomial specs
-keep one analytically differentiated term table per order; the built-in fields
-carry closed forms.  ``evaluate_via_jets`` (second-order forward propagation,
-numbers carrying a gradient row and a Hessian block, exact to roundoff) is the
-fallback of a field that defines only ``_apply`` and the tests' reference.
+``value_and_gradient`` and ``evaluate`` only combine them.  Every primitive
+takes one point ``(dim,)`` or a stack of points ``(m, dim)``, and each row of
+a stacked result is bitwise the result at that row alone: the one-point call
+is the ``m = 1`` case of the same numpy expression, and matrix-vector products
+go through a batched matmul (``_matvec``), never a 2-D matmul that would
+round differently.  Polynomial specs keep one analytically differentiated
+term table per order; the built-in fields carry closed forms.
+``evaluate_via_jets`` (second-order forward propagation, numbers carrying a
+gradient row and a Hessian block, exact to roundoff) is the fallback of a
+field that defines only ``_apply`` and the tests' reference.
 """
 
 from __future__ import annotations
@@ -143,6 +148,27 @@ def _sqrt(z):
     return z.sqrt() if isinstance(z, Jet2) else math.sqrt(z)
 
 
+def _matvec(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """matrix @ x along the last axis of x, for one point or a stack of points.
+
+    matrix is one matrix or one per row of x.  A batched matmul computes each
+    row as the 1-D product does, bit for bit, whatever the stack height.
+    """
+    return np.matmul(matrix, x[..., None])[..., 0]
+
+
+def _per_point(values: np.ndarray):
+    """A 0-d result as a Python float; a stacked result as it is."""
+    return float(values) if values.ndim == 0 else values
+
+
+def _per_row(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One writable copy of a constant matrix per point of x."""
+    copies = np.empty(x.shape[:-1] + matrix.shape)
+    copies[...] = matrix
+    return copies
+
+
 class ScalarField:
     """Base class; the primitives default to the jets of ``_apply``."""
 
@@ -152,9 +178,9 @@ class ScalarField:
         self.dim = dim
 
     def _point(self, x) -> np.ndarray:
-        """x as a float vector, checked against this field's dimension."""
+        """x as a float point (dim,) or stack (m, dim), checked against this field."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
             raise ValueError("point dimension mismatch")
         return x
 
@@ -162,8 +188,16 @@ class ScalarField:
         raise NotImplementedError
 
     def evaluate_via_jets(self, x) -> EvalResult:
-        """Uniform second-order forward-propagation fallback."""
-        out = self._apply(jet_variables(self._point(x)))
+        """Uniform second-order forward-propagation fallback, point by point."""
+        x = self._point(x)
+        if x.ndim == 2:
+            rows = [self.evaluate_via_jets(row) for row in x]
+            return EvalResult(
+                np.array([r.value for r in rows]),
+                np.array([r.gradient for r in rows]).reshape(x.shape),
+                np.array([r.hessian for r in rows]).reshape(x.shape + (self.dim,)),
+            )
+        out = self._apply(jet_variables(x))
         if not isinstance(out, Jet2):
             out = Jet2.constant(self.dim, float(out))
         return EvalResult(out.value, out.grad, 0.5 * (out.hess + out.hess.T))
@@ -214,8 +248,8 @@ class _StackedPolys:
         self.weights = incidence * np.asarray(coeffs)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        monomials = np.multiply.reduce(np.power(x[None, :], self.exponents), axis=1)
-        return self.weights @ monomials
+        monomials = np.multiply.reduce(np.power(x[..., None, :], self.exponents), axis=-1)
+        return _matvec(self.weights, monomials)
 
 
 class PolynomialField(ScalarField):
@@ -252,21 +286,21 @@ class PolynomialField(ScalarField):
         return self._hess_const
 
     def value(self, x) -> float:
-        return float(self._value_rep.evaluate(self._point(x))[0])
+        return _per_point(self._value_rep.evaluate(self._point(x))[..., 0])
 
     def gradient(self, x) -> np.ndarray:
         x = self._point(x)
         if self._hess_const is None:
             return self._grad_rep.evaluate(x)
-        return self._grad_origin + self._hess_const @ x
+        return self._grad_origin + _matvec(self._hess_const, x)
 
     def hessian(self, x) -> np.ndarray:
         x = self._point(x)
         if self._hess_const is not None:
-            return self._hess_const.copy()
+            return _per_row(self._hess_const, x)
         rows, cols = self._upper
-        hessian = np.empty((self.dim, self.dim))
-        hessian[rows, cols] = hessian[cols, rows] = self._hess_rep.evaluate(x)
+        hessian = np.empty(x.shape + (self.dim,))
+        hessian[..., rows, cols] = hessian[..., cols, rows] = self._hess_rep.evaluate(x)
         return hessian
 
     def exact_evaluate(self, point):
@@ -299,14 +333,13 @@ class KineticField(ScalarField):
 
     def value(self, x) -> float:
         x = self._point(x)
-        return 0.5 * float(np.dot(self._weights, x * x))
+        return _per_point(0.5 * np.vecdot(self._weights, x * x))
 
     def gradient(self, x) -> np.ndarray:
         return self._weights * self._point(x)
 
     def hessian(self, x) -> np.ndarray:
-        self._point(x)
-        return np.diag(self._weights)
+        return _per_row(np.diag(self._weights), self._point(x))
 
 
 class DistanceFromOrigin(ScalarField):
@@ -319,15 +352,18 @@ class DistanceFromOrigin(ScalarField):
             total = term if total is None else total + term
         return _sqrt(total)
 
-    def value(self, x) -> float:
-        x = self._point(x)
-        return math.sqrt(x.dot(x))  # np.linalg.norm's formula, without its overhead
+    @staticmethod
+    def _distance(x: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.vecdot(x, x))  # np.linalg.norm's formula, without its overhead
 
-    def _unit(self, x) -> tuple[np.ndarray, float]:
-        """The unit vector towards x and the distance r, which must be nonzero."""
+    def value(self, x) -> float:
+        return _per_point(self._distance(self._point(x)))
+
+    def _unit(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Unit vectors towards x and the distances r (trailing axis kept), all nonzero."""
         x = self._point(x)
-        r = self.value(x)
-        if r == 0.0:
+        r = self._distance(x)[..., None]
+        if not r.all():
             raise SingularPointError("distance to the origin is not differentiable at 0")
         return x / r, r
 
@@ -336,7 +372,8 @@ class DistanceFromOrigin(ScalarField):
 
     def hessian(self, x) -> np.ndarray:
         unit, r = self._unit(x)
-        return (np.eye(self.dim) - np.outer(unit, unit)) / r
+        outer = unit[..., :, None] * unit[..., None, :]
+        return (np.eye(self.dim) - outer) / r[..., None]
 
 
 class PotentialField(ScalarField):

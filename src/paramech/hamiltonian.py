@@ -8,7 +8,9 @@ recovers the field from (i_X Phi)_b = dH_b and the two must agree, which pins
 the sign conventions.
 
 The two-form's matrix is a signed permutation, stored as the (index, sign)
-pair of ``paramech.structures``, so the integrated field is one gather.
+pair of ``paramech.structures``, so the integrated field is one gather.  The
+energy series and the residuals are computed after the integration loop, as
+stacked calls over the samples (``integrators.map_rows``).
 
 Base one-forms (coefficients on x_a dx_a, halved):
   F*: all four blocks +;  G* and H*: first two blocks +, last two -.
@@ -16,7 +18,7 @@ Base one-forms (coefficients on x_a dx_a, halved):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +30,7 @@ from .integrators import (
     StepperConfig,
     Trajectory,
     integrate_field,
+    map_rows,
 )
 from .structures import SignedPermutation, StructureKind, build_structure
 
@@ -108,18 +111,21 @@ def canonical_two_form(kind: StructureKind, n: int) -> CanonicalSymplecticForm:
 
 
 def hamiltonian_vector_field(kind: StructureKind, H: ScalarField, x) -> np.ndarray:
-    """Closed-form field, assembled slot by slot per dual kind."""
+    """Closed-form field, assembled slot by slot per dual kind.
+
+    x is one point (dim,) or a stack of points (m, dim).
+    """
     _require_dual(kind)
     grad = H.gradient(x)
-    n = len(grad) // 4
-    g1, g2, g3, g4 = grad[:n], grad[n : 2 * n], grad[2 * n : 3 * n], grad[3 * n :]
+    n = grad.shape[-1] // 4
+    g1, g2, g3, g4 = (grad[..., k * n : (k + 1) * n] for k in range(4))
     if kind.tag == "F":
         blocks = (-g2, g1, -g4, g3)
     elif kind.tag == "G":
         blocks = (-g3, g4, g1, -g2)
     else:
         blocks = (-g4, -g3, g2, g1)
-    return np.concatenate(blocks)
+    return np.concatenate(blocks, axis=-1)
 
 
 def generic_field_from_form(kind: StructureKind, H: ScalarField, x) -> np.ndarray:
@@ -142,11 +148,12 @@ def integrate_hamiltonian(
     dt: float,
     method: str = "implicit_midpoint",
 ) -> Trajectory:
-    """Integrate xdot = S grad H, recording the Hamiltonian value per sample.
+    """Integrate xdot = S grad H; the energy series is H at every sample.
 
     S is the kind's two-form matrix M, antisymmetric and orthogonal, so the
     solution X = M^{-T} grad H of (i_X M)_b = dH_b is M grad H: one gather
     and sign flip, which reproduces ``hamiltonian_vector_field`` bit for bit.
+    The energy is evaluated after the loop, stacked over the samples.
     """
     if method not in HAMILTONIAN_METHODS:
         raise ValueError(f"method must be one of {HAMILTONIAN_METHODS}")
@@ -157,12 +164,10 @@ def integrate_hamiltonian(
     def field(x):
         return sign * H.gradient(x)[index]
 
-    def energy(x, xdot):
-        return H.value(x)
-
     mask = position_mask(form) if method == "symplectic_euler" else None
     cfg = StepperConfig(method=method, dt=dt, position_mask=mask)
-    return integrate_field(field, x0, t_end, cfg, {"energy": energy})
+    traj = integrate_field(field, x0, t_end, cfg)
+    return replace(traj, invariants={"energy": map_rows(H.value, traj.states)})
 
 
 def hamilton_residuals(system: HamiltonianSystem, traj: Trajectory) -> ResidualSeries:
@@ -172,7 +177,8 @@ def hamilton_residuals(system: HamiltonianSystem, traj: Trajectory) -> ResidualS
     so checking a trajectory generated by a different kind yields the honest
     mismatch between the two fields.
     """
-    rows = []
-    for x, xdot in zip(traj.states, traj.derivatives):
-        rows.append(xdot - hamiltonian_vector_field(system.kind, system.hamiltonian, x))
-    return ResidualSeries(traj.times, np.asarray(rows))
+
+    def rows(x, xdot):
+        return xdot - hamiltonian_vector_field(system.kind, system.hamiltonian, x)
+
+    return ResidualSeries(traj.times, map_rows(rows, traj.states, traj.derivatives))

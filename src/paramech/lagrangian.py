@@ -21,7 +21,9 @@ Two residual conventions are supported when auditing trajectories:
     reports this as a documented discrepancy rather than hiding it.
 
 ``convention_residuals`` is the one place that takes both along a
-trajectory; where the two systems coincide it computes the series once.
+trajectory; where the two systems coincide it computes the series once.  The
+energy and the residuals are stacked calls over the samples, made after the
+integration loop (``integrators.map_rows``).
 """
 
 from __future__ import annotations
@@ -31,12 +33,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SingularFormError, SingularHessianError, SingularSystemError
-from .fields import ScalarField
+from .fields import ScalarField, _matvec
 from .integrators import (
     ResidualSeries,
     StepperConfig,
     Trajectory,
     integrate_field,
+    map_rows,
     solve_linear,
 )
 from .structures import StructureOperator
@@ -82,9 +85,13 @@ def liouville_field(op: StructureOperator, semispray) -> np.ndarray:
 
 
 def lagrangian_energy(op: StructureOperator, L: ScalarField, x, semispray) -> float:
-    """E_L^A = V_A(L) - L, with the semispray treated as given data."""
+    """E_L^A = V_A(L) - L, with the semispray treated as given data.
+
+    x and the semispray are one point (a float results) or stacked rows.
+    """
     value, gradient = L.value_and_gradient(x)
-    return float(liouville_field(op, semispray) @ gradient - value)
+    energy = np.vecdot(liouville_field(op, semispray), gradient) - value
+    return float(energy) if energy.ndim == 0 else energy
 
 
 def canonical_rhs(op: StructureOperator, L: ScalarField, x) -> np.ndarray:
@@ -139,23 +146,20 @@ def integrate_lagrangian(
     dt: float,
     method: str = "implicit_midpoint",
 ) -> Trajectory:
-    """Integrate Hess . xdot = A . grad L, recording the energy per sample.
+    """Integrate Hess . xdot = A . grad L; the energy series is E_L^A per sample.
 
     A constant Hessian (quadratic L) is solved against A once per
     trajectory, under the same conditioning guard, so each field evaluation
     is one matvec with Hess^{-1} A.  Otherwise every evaluation is
     ``canonical_rhs``: one guarded solve with the Hessian at that point.  The
-    energy is ``lagrangian_energy`` of each sample and its recorded semispray.
+    energy is ``lagrangian_energy`` of the samples and their recorded
+    semisprays, evaluated after the loop.
     """
     if method not in LAGRANGIAN_METHODS:
         raise ValueError(f"method must be one of {LAGRANGIAN_METHODS}")
     op, L = system.operator, system.lagrangian
     cfg = StepperConfig(method=method, dt=dt)
     hessian = L.constant_hessian()
-
-    def energy(x, xdot):
-        return lagrangian_energy(op, L, x, xdot)
-
     try:
         if hessian is None:
 
@@ -168,9 +172,14 @@ def integrate_lagrangian(
             def field(x):
                 return flow @ L.gradient(x)
 
-        return integrate_field(field, x0, t_end, cfg, {"energy": energy})
+        traj = integrate_field(field, x0, t_end, cfg)
     except SingularSystemError as exc:
         raise SingularHessianError(str(exc)) from exc
+
+    def energy(x, xdot):
+        return lagrangian_energy(op, L, x, xdot)
+
+    return replace(traj, invariants={"energy": map_rows(energy, traj.states, traj.derivatives)})
 
 
 def el_residuals(system: LagrangianSystem, traj: Trajectory) -> ResidualSeries:
@@ -182,10 +191,11 @@ def el_residuals(system: LagrangianSystem, traj: Trajectory) -> ResidualSeries:
     """
     op, L = system.operator, system.lagrangian
     sign = op.sign if system.convention == "derived" else printed_sign(op)
-    rows = []
-    for x, xdot in zip(traj.states, traj.derivatives):
-        rows.append(L.hessian(x) @ xdot - sign * L.gradient(x)[op.index])
-    return ResidualSeries(traj.times, np.asarray(rows))
+
+    def rows(x, xdot):
+        return _matvec(L.hessian(x), xdot) - sign * L.gradient(x)[..., op.index]
+
+    return ResidualSeries(traj.times, map_rows(rows, traj.states, traj.derivatives))
 
 
 def convention_residuals(

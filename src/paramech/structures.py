@@ -108,7 +108,10 @@ class SignedPermutation:
         return 4 * self.n
 
     def apply(self, vector) -> np.ndarray:
-        return self.sign * np.asarray(vector)[self.index]
+        # Along the last axis, so a stack of vectors maps row by row.  np.take
+        # keeps such a result C-contiguous (fancy indexing would not), and a
+        # dot product of a contiguous row rounds as that of a lone vector.
+        return self.sign * np.take(vector, self.index, axis=-1)
 
     @cached_property
     def matrix(self) -> np.ndarray:

@@ -260,6 +260,9 @@ PRIMITIVE_CASES = [
         )
         for n in (1, 2, 3)
     ),
+    pytest.param(lambda: KineticField([1.0, 2.5]), id="kinetic-n2"),
+    pytest.param(lambda: DistanceFromOrigin(8), id="distance-n2"),
+    pytest.param(lambda: PotentialField([1.0, 0.5], 9.81, n=2), id="potential-n2"),
     pytest.param(JetsOnlyField, id="jets_only"),
 ]
 
@@ -270,14 +273,32 @@ def test_primitives_are_the_parts_of_every_combination(make_field):
     # evaluate and value_and_gradient only combine them, bit for bit.
     field = make_field()
     rng = np.random.default_rng(31)
-    for _ in range(25):
-        x = rng.uniform(-1.5, 1.5, size=field.dim)
+    points = rng.uniform(-1.5, 1.5, size=(25, field.dim))
+    for x in points:
         result = field.evaluate(x)
         value, gradient = field.value_and_gradient(x)
+        assert type(value) is float
         assert field.value(x) == result.value == value
         assert np.array_equal(field.gradient(x), result.gradient)
         assert np.array_equal(field.gradient(x), gradient)
         assert np.array_equal(field.hessian(x), result.hessian)
+    # A stack of points (m, dim): every row is bitwise that point alone,
+    # whatever the stack height, empty stacks included.
+    for stack in (points, points[:1], points[7:10], points[:0]):
+        m, dim = stack.shape
+        result = field.evaluate(stack)
+        values, gradients = field.value_and_gradient(stack)
+        assert result.value.shape == values.shape == (m,)
+        assert result.gradient.shape == gradients.shape == (m, dim)
+        assert result.hessian.shape == (m, dim, dim)
+        assert np.array_equal(field.value(stack), values)
+        assert np.array_equal(field.gradient(stack), gradients)
+        assert np.array_equal(field.hessian(stack), result.hessian)
+        for row, x in enumerate(stack):
+            assert values[row] == result.value[row] == field.value(x)
+            assert np.array_equal(gradients[row], field.gradient(x))
+            assert np.array_equal(result.gradient[row], field.gradient(x))
+            assert np.array_equal(result.hessian[row], field.hessian(x))
 
 
 DIMENSION_CASES = {
@@ -302,8 +323,18 @@ NUMERIC_METHODS = (
 @pytest.mark.parametrize("method", NUMERIC_METHODS)
 @pytest.mark.parametrize("kind", sorted(DIMENSION_CASES))
 def test_every_method_checks_point_dimension(kind, method):
-    # A length-1 point must not broadcast over the coordinates.
+    # A length-1 point must not broadcast over the coordinates; a stack of
+    # points (m, dim) is checked on its trailing axis, and 3-D input is refused.
     field = DIMENSION_CASES[kind]()
-    for point in ([2.0], [1.0] * (DIM + 1), [[1.0] * DIM]):
+    wrong = (
+        2.0,
+        [2.0],
+        [1.0] * (DIM + 1),
+        [[2.0]] * 3,
+        [[1.0] * (DIM + 1)] * 2,
+        [[[1.0] * DIM]],
+        np.ones((2, 3, DIM)),
+    )
+    for point in wrong:
         with pytest.raises(ValueError, match="point dimension mismatch"):
             getattr(field, method)(point)

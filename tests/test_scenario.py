@@ -1,20 +1,28 @@
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from paramech import integrators
 from paramech.errors import ScenarioError
 from paramech.exterior import PolyScalar
+from paramech.hamiltonian import hamiltonian_vector_field
 from paramech.integrators import ResidualSeries, Trajectory
+from paramech.lagrangian import printed_sign
 from paramech.scenario import (
     _trajectory_table,
     build_field,
+    execute_scenario,
+    load_scenario,
     format_float,
     parse_scenario,
     run_scenario,
     run_scenario_files,
     serialize_scenario,
 )
+from paramech.structures import StructureKind, build_structure
 
 HARMONIC_HAMILTONIAN = """
 # minimal harmonic scenario
@@ -241,3 +249,37 @@ def test_trajectory_table_cells_are_format_float():
         expected = [times[k], *cells[k]]
         assert row == ",".join(format_float(v) for v in expected)
     assert len(rows) == 9 and table.endswith("\n")
+
+
+SAMPLES = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.scn"))
+
+
+@pytest.mark.parametrize("path", SAMPLES, ids=lambda p: p.stem)
+def test_postpass_is_bitwise_independent_of_the_chunk_size(path, monkeypatch):
+    # 1,100 samples: two chunks at the default size.  Each stacked row must be
+    # bitwise the one-point evaluation the per-sample loop used to make.
+    scenario = load_scenario(path)
+    scenario = replace(scenario, t_end=1100 * scenario.dt)
+    traj, residuals, maxima = execute_scenario(scenario)
+    assert len(traj) > integrators.POSTPASS_ROWS
+    for rows in (1, 3):
+        monkeypatch.setattr(integrators, "POSTPASS_ROWS", rows)
+        again, again_residuals, again_maxima = execute_scenario(scenario)
+        assert np.array_equal(again.states, traj.states)
+        assert np.array_equal(again.invariants["energy"], traj.invariants["energy"])
+        assert np.array_equal(again_residuals.residuals, residuals.residuals)
+        assert again_maxima == maxima
+
+    field = build_field(scenario.function, scenario.n)
+    energy = traj.invariants["energy"]
+    if scenario.formalism == "hamiltonian":
+        for k, (x, xdot) in enumerate(zip(traj.states, traj.derivatives)):
+            assert energy[k] == field.value(x)
+            expected = xdot - hamiltonian_vector_field(scenario.kind, field, x)
+            assert np.array_equal(residuals.residuals[k], expected)
+    else:
+        op = build_structure(StructureKind(scenario.structure), scenario.n)
+        sign = op.sign if scenario.convention == "derived" else printed_sign(op)
+        for k, (x, xdot) in enumerate(zip(traj.states, traj.derivatives)):
+            expected = field.hessian(x) @ xdot - sign * field.gradient(x)[op.index]
+            assert np.array_equal(residuals.residuals[k], expected)
