@@ -8,7 +8,9 @@ recovers the field from (i_X Phi)_b = dH_b and the two must agree, which pins
 the sign conventions.
 
 The two-form's matrix is a signed permutation, stored as the (index, sign)
-pair of ``paramech.structures``, so the integrated field is one gather.  The
+pair of ``paramech.structures``, so the integrated field is one gather.  For
+a quadratic H that field is affine with the constant Jacobian S Q (Q the
+Hessian), and the integrator steps it exactly in the increment form.  The
 energy series and the residuals are computed after the integration loop, as
 stacked calls over the samples (``integrators.map_rows``).
 
@@ -153,7 +155,9 @@ def integrate_hamiltonian(
     S is the kind's two-form matrix M, antisymmetric and orthogonal, so the
     solution X = M^{-T} grad H of (i_X M)_b = dH_b is M grad H: one gather
     and sign flip, which reproduces ``hamiltonian_vector_field`` bit for bit.
-    The energy is evaluated after the loop, stacked over the samples.
+    A quadratic H makes the field affine, and every step is then exact
+    (``StepperConfig.jacobian``).  The energy is evaluated after the loop,
+    stacked over the samples.
     """
     if method not in HAMILTONIAN_METHODS:
         raise ValueError(f"method must be one of {HAMILTONIAN_METHODS}")
@@ -164,8 +168,11 @@ def integrate_hamiltonian(
     def field(x):
         return sign * H.gradient(x)[index]
 
+    # A quadratic H, grad H = b + Q x, gives the affine field with J = S Q.
+    hessian = H.constant_hessian()
+    jacobian = None if hessian is None else sign[:, None] * hessian[index]
     mask = position_mask(form) if method == "symplectic_euler" else None
-    cfg = StepperConfig(method=method, dt=dt, position_mask=mask)
+    cfg = StepperConfig(method=method, dt=dt, position_mask=mask, jacobian=jacobian)
     traj = integrate_field(field, x0, t_end, cfg)
     return replace(traj, invariants={"energy": map_rows(H.value, traj.states)})
 

@@ -15,6 +15,16 @@ policy: inside its loop overflow gives inf without a warning, and a non-finite
 state is rejected whatever the method, so fields stay plain numpy.  Steppers
 are pure functions of their inputs; trajectories are bitwise reproducible.
 
+An affine field f(x) = c + J x whose caller passes J as
+``StepperConfig.jacobian`` is stepped exactly, in the increment form
+x + M f(x); the propagator form P x + q drifts more.  M is derived once per
+config from (method, dt, J, position mask): rk4's dt (I + h/2 + h^2/6 +
+h^3/24) with h = dt J, the midpoint's dt (I - h/2)^{-1} (for a quadratic
+Hamiltonian the Cayley transform, which keeps the energy to roundoff), and
+the closed form of symplectic Euler's masked linear stage.  A shortened last
+step has its own config and so its own M.  Every other field takes the staged
+rk4 step or the fixed-point implicit stage.
+
 What is computed from the samples afterwards (energy, residuals) is one
 stacked call per ``POSTPASS_ROWS`` rows through ``map_rows``, under the same
 overflow policy; the optional per-sample ``invariant_fns`` hook of
@@ -25,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -77,6 +88,8 @@ class StepperConfig:
     newton_max_iters: int = 50
     # Required by symplectic Euler: True marks position-like coordinates.
     position_mask: np.ndarray | None = field(default=None, repr=False)
+    # The constant Jacobian J of an affine field f(x) = c + J x, if known.
+    jacobian: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -85,6 +98,33 @@ class StepperConfig:
             raise ValueError("dt must be positive")
         if self.newton_tol <= 0 or self.newton_max_iters < 1:
             raise ValueError("tolerances must be positive")
+        if self.jacobian is not None:
+            shape = np.shape(self.jacobian)
+            if len(shape) != 2 or shape[0] != shape[1]:
+                raise ValueError("jacobian must be a square matrix")
+
+    @cached_property
+    def increment(self) -> np.ndarray | None:
+        """M with the exact step x -> x + M f(x) for the affine field, else None.
+
+        Derived once per config from (method, dt, jacobian, position_mask); a
+        singular stage matrix is a ConvergenceError after 0 iterations.
+        """
+        if self.jacobian is None:
+            return None
+        dt, jacobian = self.dt, np.asarray(self.jacobian, dtype=float)
+        eye = np.eye(len(jacobian))
+        if self.method == "rk4":
+            h = dt * jacobian
+            return dt * (eye + h @ (eye / 2.0 + h @ (eye / 6.0 + h / 24.0)))
+        if self.method == "implicit_midpoint":
+            return _stage_inverse("implicit midpoint", eye - (dt / 2.0) * jacobian, dt * eye)
+        # The momenta d = z - x solve (I - dt Q J) d = dt Q f(x), Q the momentum
+        # projector; the positions then move by dt P f(z) = dt P (f(x) + J d).
+        positions = np.diag(_position_mask(self.position_mask).astype(float))
+        momenta = eye - positions
+        stage = _stage_inverse("symplectic Euler", eye - dt * momenta @ jacobian, dt * momenta)
+        return dt * positions + (eye + dt * positions @ jacobian) @ stage
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,6 +177,20 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def _position_mask(mask) -> np.ndarray:
+    if mask is None:
+        raise ValueError("symplectic_euler requires a position mask")
+    return np.asarray(mask, dtype=bool)
+
+
+def _stage_inverse(stage: str, matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """matrix^{-1} rhs for an affine stage; singular means the stage cannot converge."""
+    try:
+        return solve_linear(matrix, rhs, error=f"{stage} stage matrix")
+    except SingularSystemError as exc:
+        raise ConvergenceError(f"{exc}, so the stage cannot converge", 0) from exc
+
+
 def _step_rk4(f, x, dt):
     k1 = f(x)
     k2 = f(x + 0.5 * dt * k1)
@@ -171,9 +225,7 @@ def _step_implicit_midpoint(f, x, dt, tol, max_iters):
 
 
 def _step_symplectic_euler(f, x, dt, mask, tol, max_iters):
-    if mask is None:
-        raise ValueError("symplectic_euler requires a position mask")
-    mask = np.asarray(mask, dtype=bool)
+    mask = _position_mask(mask)
 
     # Momenta implicit, positions explicit in the updated momenta.  The stage
     # starts from x itself, so its first evaluation is f(x).
@@ -185,8 +237,15 @@ def _step_symplectic_euler(f, x, dt, mask, tol, max_iters):
 
 
 def step_explicit(f: Callable[[np.ndarray], np.ndarray], x, cfg: StepperConfig) -> np.ndarray:
-    """One step of the configured method for xdot = f(x)."""
+    """One step of the configured method for xdot = f(x).
+
+    With a Jacobian in cfg the field is affine and the step is the exact
+    x + M f(x), M = cfg.increment; otherwise staged (rk4) or a fixed-point
+    stage (implicit methods).
+    """
     x = np.asarray(x, dtype=float)
+    if cfg.jacobian is not None:
+        return x + cfg.increment @ f(x)
     if cfg.method == "rk4":
         return _step_rk4(f, x, cfg.dt)
     if cfg.method == "implicit_midpoint":

@@ -23,7 +23,9 @@ Two residual conventions are supported when auditing trajectories:
 ``convention_residuals`` is the one place that takes both along a
 trajectory; where the two systems coincide it computes the series once.  The
 energy and the residuals are stacked calls over the samples, made after the
-integration loop (``integrators.map_rows``).
+integration loop (``integrators.map_rows``).  A quadratic L has a constant
+Hessian Q, so its flow Q^{-1} A grad L is affine and is stepped exactly in
+the increment form.
 """
 
 from __future__ import annotations
@@ -148,30 +150,33 @@ def integrate_lagrangian(
 ) -> Trajectory:
     """Integrate Hess . xdot = A . grad L; the energy series is E_L^A per sample.
 
-    A constant Hessian (quadratic L) is solved against A once per
+    A constant Hessian Q (quadratic L) is solved against A once per
     trajectory, under the same conditioning guard, so each field evaluation
-    is one matvec with Hess^{-1} A.  Otherwise every evaluation is
-    ``canonical_rhs``: one guarded solve with the Hessian at that point.  The
-    energy is ``lagrangian_energy`` of the samples and their recorded
-    semisprays, evaluated after the loop.
+    is one matvec with Q^{-1} A.  That field is affine, with the Jacobian
+    Q^{-1} A Q, so every step is exact (``StepperConfig.jacobian``).
+    Otherwise every evaluation is ``canonical_rhs``: one guarded solve with
+    the Hessian at that point.  The energy is ``lagrangian_energy`` of the
+    samples and their recorded semisprays, evaluated after the loop.
     """
     if method not in LAGRANGIAN_METHODS:
         raise ValueError(f"method must be one of {LAGRANGIAN_METHODS}")
     op, L = system.operator, system.lagrangian
-    cfg = StepperConfig(method=method, dt=dt)
     hessian = L.constant_hessian()
     try:
         if hessian is None:
+            jacobian = None
 
             def field(x):
                 return canonical_rhs(op, L, x)
 
         else:
             flow = solve_linear(hessian, op.matrix, error="Hessian")
+            jacobian = flow @ hessian
 
             def field(x):
                 return flow @ L.gradient(x)
 
+        cfg = StepperConfig(method=method, dt=dt, jacobian=jacobian)
         traj = integrate_field(field, x0, t_end, cfg)
     except SingularSystemError as exc:
         raise SingularHessianError(str(exc)) from exc

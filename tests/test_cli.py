@@ -36,7 +36,8 @@ dt = 0.01
 method = rk4
 """
 
-# Field Lipschitz constant ~2e8 at dt = 1e-3: the midpoint stage cannot contract.
+# Field Lipschitz constant ~2e8 at dt = 1e-3, beyond any fixed-point stage;
+# but H is quadratic, so the field is affine and each step is exact.
 STIFF = """n = 1
 formalism = hamiltonian
 structure = F
@@ -168,10 +169,50 @@ def test_run_constant_singular_hessian_exit_code(tmp_path, capsys):
     assert "Hessian" in capsys.readouterr().err
 
 
+# The quartic term makes the field non-affine, and the squares give it a
+# Lipschitz constant ~2200 at dt = 1e-3: the midpoint stage cannot contract.
+STIFF_QUARTIC = """n = 1
+formalism = hamiltonian
+structure = F
+function = polynomial
+term = 1100 : 2 0 0 0
+term = 1100 : 0 2 0 0
+term = 1100 : 0 0 2 0
+term = 1100 : 0 0 0 2
+term = 1 : 4 0 0 0
+x0 = 0.01 0 0 0
+t_end = 0.01
+dt = 0.001
+method = implicit_midpoint
+"""
+
+
 def test_run_nonconvergence_exit_code(tmp_path, capsys):
-    scenario = write(tmp_path, "stiff.scn", STIFF)
+    scenario = write(tmp_path, "stiff.scn", STIFF_QUARTIC)
     assert main(["run", scenario, "--out", str(tmp_path)]) == 4
     assert "converge" in capsys.readouterr().err
+
+
+def test_run_stiff_quadratic_keeps_energy_to_roundoff(tmp_path, capsys):
+    # The exact affine midpoint step is the Cayley transform of dt S Q.
+    scenario = write(tmp_path, "stiff.scn", STIFF)
+    assert main(["run", scenario, "--out", str(tmp_path)]) == 0
+    summary = (tmp_path / "stiff_summary.txt").read_text(encoding="utf-8")
+    values = dict(line.split(" = ", 1) for line in summary.splitlines())
+    assert float(values["energy_initial"]) == 1e8
+    assert float(values["energy_drift_max"]) <= 1e-12 * float(values["energy_initial"])
+
+
+def test_run_singular_affine_stage_exit_code(tmp_path, capsys):
+    # A quadratic G Lagrangian has the field Jacobian A, with A^2 = I, so at
+    # dt = 2 the midpoint stage matrix I - A is singular.
+    text = PRINTED_F.replace("structure = F", "structure = G").replace("rk4", "implicit_midpoint")
+    text = text.replace("dt = 0.01", "dt = 2")
+    scenario = write(tmp_path, "singular.scn", text)
+    assert main(["run", scenario, "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "stage matrix" in err and "stepping from t = 0)" in err
+    assert "Traceback" not in err
 
 
 # rk4 overflows within its first step; the implicit stages diverge too.

@@ -19,22 +19,22 @@ from paramech.cli import main
 SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.scn"))
 
 OUTPUT_DIGESTS = {
-    "audit_lagrangian_f_printed_summary.txt": "dc951e3961a71e4329239f5cd6753ca5ff1c5aae70e948e794e134436bf90d52",
-    "audit_lagrangian_f_printed_trajectory.csv": "a1434af3ef349de7739e5578ef445802e4dbd34326c6fb18ff3b20e1e03e450a",
-    "circle_lagrangian_f_summary.txt": "eee9b02e28fa663513ad61a827068b8b75eb3273723c2aa81e2da4ca4a84a357",
-    "circle_lagrangian_f_trajectory.csv": "d56de49d0430b6e405d32f6287fae6b46da89fbbce97aa2b34712a40dc2a1978",
+    "audit_lagrangian_f_printed_summary.txt": "36c5a85702c107b334226496bdac9a0c0eb0748329aa4adac4a1470c89b70417",
+    "audit_lagrangian_f_printed_trajectory.csv": "7f7707b629d9bdf1a3cded1cd90bfcfa030ac15bbde7f3ce1fe3bc70cfe40fc4",
+    "circle_lagrangian_f_summary.txt": "7fc5dadbe7990a83fed70ed07acbea59a41dd0c484577b017393d9a04ecc1980",
+    "circle_lagrangian_f_trajectory.csv": "0835b07e2243059818b07bb90149b0004b4cc77c1b2146b25e407650aad471b6",
     "falling_particle_g_summary.txt": "81c20421dc41c6203ce798adbf34f7e6fdc6b695bdb1f98e3096043ebb9fb670",
     "falling_particle_g_trajectory.csv": "4cfc23a5c365c5e61a2fc880bd5e361754094d8a488a107eb693565b68f7fba8",
-    "harmonic_oscillator_fstar_summary.txt": "6d002590acf0938a9945547b88d70d5b0c6bac0c3a5e32c6ecda824976d8c740",
-    "harmonic_oscillator_fstar_trajectory.csv": "e5f5e06126b994bcfd3e4ee1dcbc84234d70d0fe3c117e0abfb8d63b3a247b8c",
-    "harmonic_oscillator_gstar_summary.txt": "9933fb7f863566562ad0eb5082167057bc3390b38d2dcd65b6a131a6a3d22d65",
-    "harmonic_oscillator_gstar_trajectory.csv": "d30b9f787b59b6517d027f8d1b3813d31cd1a2a1b7bbbf678b825f7227e126af",
-    "harmonic_oscillator_hstar_summary.txt": "cb6489c3d19f0c2cf170222dc385e04f605564fe7e310c1d85057780d7a25981",
-    "harmonic_oscillator_hstar_trajectory.csv": "3a8c5224d2e54b4fcce2b7861d654e57e5a7d11c0d9850709fb81f80b476cc3e",
+    "harmonic_oscillator_fstar_summary.txt": "45f7d37b1bfd51f2cf800fda86a2c0b6414fcec9bc0177243eadf4eeab6c521d",
+    "harmonic_oscillator_fstar_trajectory.csv": "b62f92e38b1bf97d6441f86a2eccc5dab16066ef050bdf918984b177a781cced",
+    "harmonic_oscillator_gstar_summary.txt": "45b8c2c382fcc18f63287ac5ac89f243ff9209366d092c12075d1b36d54e5d59",
+    "harmonic_oscillator_gstar_trajectory.csv": "d9e340d1436c751d7b7056d6beb84aef7839c38c03e1aaaf31d2ee298c26477b",
+    "harmonic_oscillator_hstar_summary.txt": "20676b5fa6469f05c613c4e0175ea9c0fbb306b8acc458093ad899619b5f7ea3",
+    "harmonic_oscillator_hstar_trajectory.csv": "6b5634014cd0346e74e01de46722a3e34962700cda24f652bd81c6ff0fba8c28",
     "quartic_hstar_summary.txt": "f77c7139eef2b46c45b00e79a2c22a24c91b4a7c86033eaf0e15786debb79e15",
     "quartic_hstar_trajectory.csv": "a8cfdf23c4e8dbc16826dc9bd0a60f38c8a417abc86434fd9d793beedf0870a7",
 }
-RUN_STDOUT_DIGEST = "f5a622cd3ecce9c45a988bbbaee634733fa216dc828ec5eddef682a9705a25e2"
+RUN_STDOUT_DIGEST = "2d76938916864f72cddcb83b9506578abb0efdfaa9fb0d7120f019eb18079d73"
 VERIFY_3_DIGEST = "c2a0f0af8406177a8e4c2e2c624dfb5f6616b72cc280f7dc481aee46e7302dac"
 VERIFY_5_DIGEST = "5a7b19da737974d63dc399448b318ee53dd1f1f1b805417cac274307c7ae7441"
 

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from paramech.errors import ConvergenceError, SingularSystemError
 from paramech.integrators import (
+    METHODS,
     StepperConfig,
     Trajectory,
     integrate_field,
@@ -106,6 +109,51 @@ def test_midpoint_nonconvergence_reports_iterations(method):
     assert excinfo.value.iterations == 10
 
 
+@pytest.mark.parametrize("method, rate", [("implicit_midpoint", 2.0), ("symplectic_euler", 1.0)])
+def test_singular_affine_stage_is_a_convergence_error(method, rate):
+    # J = (2/dt) I makes I - dt/2 J zero; J = (1/dt) I zeroes the momentum
+    # rows of symplectic Euler's I - dt Q J.  No iteration can solve either.
+    dt = 1e-3
+    jacobian = (rate / dt) * np.eye(2)
+    cfg = StepperConfig(
+        method=method, dt=dt, jacobian=jacobian, position_mask=np.array([True, False])
+    )
+    with pytest.raises(ConvergenceError, match=r"stage matrix.*t = 0\)$") as excinfo:
+        integrate_field(lambda x: jacobian @ x, np.ones(2), 0.01, cfg)
+    assert excinfo.value.iterations == 0
+    assert "cannot converge" in str(excinfo.value)
+
+
+def random_affine_field(rng, dim):
+    offset, jacobian = rng.standard_normal(dim), rng.standard_normal((dim, dim))
+    return (lambda x: offset + jacobian @ x), jacobian
+
+
+def assert_close_per_row(actual, expected):
+    scale = 1e-12 * (1.0 + np.linalg.norm(expected, axis=-1))
+    assert np.all(np.linalg.norm(actual - expected, axis=-1) <= scale)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("method", METHODS)
+def test_affine_step_agrees_with_the_staged_step(method, n):
+    rng = np.random.default_rng(40 + n)
+    dim = 4 * n
+    field, jacobian = random_affine_field(rng, dim)
+    staged = StepperConfig(method=method, dt=1e-3, position_mask=np.arange(dim) < 2 * n)
+    affine = replace(staged, jacobian=jacobian)
+    assert staged.increment is None and affine.increment.shape == (dim, dim)
+    for x in rng.standard_normal((5, dim)):
+        assert_close_per_row(step_explicit(field, x, affine), step_explicit(field, x, staged))
+    # Ten full steps and a shortened eleventh, which needs its own increment.
+    x0 = rng.standard_normal(dim)
+    exact = integrate_field(field, x0, 0.0105, affine)
+    reference = integrate_field(field, x0, 0.0105, staged)
+    assert len(exact) == 12 and exact.times[-1] == 0.0105
+    assert np.array_equal(exact.times, reference.times)
+    assert_close_per_row(exact.states, reference.states)
+
+
 def test_zero_t_end_returns_initial_sample():
     cfg = StepperConfig(method="rk4", dt=0.1)
     traj = integrate_field(rotation_field, [1.0, 0.0, 0.0, 0.0], 0.0, cfg)
@@ -149,6 +197,9 @@ def test_symplectic_euler_requires_mask():
     cfg = StepperConfig(method="symplectic_euler", dt=0.01)
     with pytest.raises(ValueError):
         step_explicit(rotation_field, np.ones(4), cfg)
+    affine = replace(cfg, jacobian=np.eye(4))
+    with pytest.raises(ValueError, match="position mask"):
+        step_explicit(rotation_field, np.ones(4), affine)
 
 
 def test_config_validation():
@@ -158,6 +209,9 @@ def test_config_validation():
         StepperConfig(method="rk4", dt=-0.1)
     with pytest.raises(ValueError):
         StepperConfig(method="rk4", dt=0.1, newton_tol=0.0)
+    for jacobian in (np.ones((2, 3)), np.ones(4)):
+        with pytest.raises(ValueError, match="square"):
+            StepperConfig(method="rk4", dt=0.1, jacobian=jacobian)
 
 
 def test_trajectory_validation():
