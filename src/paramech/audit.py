@@ -251,7 +251,10 @@ def _structure_records(n_max: int) -> list[AuditRecord]:
 def _hessian_commutator(op: StructureOperator, hess: np.ndarray) -> np.ndarray:
     """A^T Hess - Hess A for a symmetric Hess, so that A^T Hess = (Hess A)^T."""
     hess_a = np.empty_like(hess)
-    hess_a[:, op.index] = hess * op.sign  # column index[k] is sign[k] * column k
+    # Column index[k] is sign[k] * column k: place the columns, then negate.
+    hess_a[:, op.index] = hess
+    negated = op.index[op.sign < 0]
+    hess_a[:, negated] = -hess_a[:, negated]
     return hess_a.T - hess_a
 
 
@@ -303,10 +306,10 @@ def _exterior_records(rng: random.Random, n_max: int) -> list[AuditRecord]:
                 for _ in range(2):
                     point = _random_point(rng, dim)
                     measured = form_to_matrix(two_form, point)
-                    hess = np.array(
-                        [[p.evaluate(point) for p in row] for row in hess_polys],
-                        dtype=object,
-                    )
+                    hess = np.empty((dim, dim), dtype=object)
+                    for a in range(dim):
+                        for b in range(a, dim):
+                            hess[a, b] = hess[b, a] = hess_polys[a][b].evaluate(point)
                     expected = _hessian_commutator(op, hess)
                     ok_matrix = ok_matrix and np.array_equal(measured, expected)
         records.append(

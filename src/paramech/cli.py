@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import sys
 from pathlib import Path
@@ -56,7 +57,9 @@ def _exit_code(exc: BaseException) -> int:
     raise exc
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="paramech",
         description="Mechanics on flat para-quaternionic space: verification and simulation",

@@ -6,10 +6,19 @@ to rounding.  Form degree is capped at 3, which is all the differential of a
 two-form requires.
 
 ``PolyScalar(dim, terms)`` and ``KForm(dim, degree, terms)`` take their terms
-as a mapping or as an iterable of (key, coefficient) pairs.  The constructors
-are the one place that sums like terms: coefficients of a repeated key are
-added, and keys whose sum is zero are dropped.  Exponents must be integral
-(``operator.index``); a float exponent is rejected, never truncated.
+as a mapping or as an iterable of (key, coefficient) pairs.  The public
+constructors are the validation boundary and the one place that sums like
+terms: coefficients of a repeated key are added, and keys whose sum is zero
+are dropped.  Exponents must be integral (``operator.index``); a float
+exponent is rejected, never truncated.
+
+A polynomial derived from valid ones with distinct keys by construction
+(``partial``, ``scale``, negation and ``+``, which merges into a copy) is not
+validated again: it goes through ``PolyScalar._derived``, which only drops
+zero coefficients.  ``poly_hessian`` differentiates the upper triangle and
+mirrors it, and ``ext_d`` differentiates a coefficient only in the variables
+it contains and only towards a wedge that does not vanish.  A sign of +-1 is
+applied by negation, never by a multiplication.
 
 Index conventions:
   * a k-form is stored as a map from a strictly increasing index tuple to its
@@ -88,6 +97,19 @@ class PolyScalar:
         self._sorted = None
 
     @classmethod
+    def _derived(cls, dim: int, pairs: Iterable[tuple]) -> "PolyScalar":
+        """Unchecked constructor: pairs of valid, distinct keys and Fractions.
+
+        Only zero coefficients are dropped; the public constructor is the
+        validation boundary.
+        """
+        poly = object.__new__(cls)
+        poly.dim = dim
+        poly.terms = {e: c for e, c in pairs if c}
+        poly._sorted = None
+        return poly
+
+    @classmethod
     def zero(cls, dim: int) -> "PolyScalar":
         return cls(dim)
 
@@ -129,13 +151,17 @@ class PolyScalar:
 
     def __add__(self, other: "PolyScalar") -> "PolyScalar":
         self._check(other)
-        return PolyScalar(self.dim, [*self.terms.items(), *other.terms.items()])
+        merged = dict(self.terms)
+        for e, c in other.terms.items():
+            previous = merged.get(e)
+            merged[e] = c if previous is None else previous + c
+        return PolyScalar._derived(self.dim, merged.items())
 
     def __sub__(self, other: "PolyScalar") -> "PolyScalar":
         return self + (-other)
 
     def __neg__(self) -> "PolyScalar":
-        return PolyScalar(self.dim, {e: -c for e, c in self.terms.items()})
+        return PolyScalar._derived(self.dim, [(e, -c) for e, c in self.terms.items()])
 
     def __mul__(self, other):
         if isinstance(other, PolyScalar):
@@ -153,7 +179,7 @@ class PolyScalar:
 
     def scale(self, c) -> "PolyScalar":
         c = _as_fraction(c)
-        return PolyScalar(self.dim, {e: c * v for e, v in self.terms.items()})
+        return PolyScalar._derived(self.dim, [(e, c * v) for e, v in self.terms.items()])
 
     def partial(self, index: int) -> "PolyScalar":
         lowered = [
@@ -161,7 +187,7 @@ class PolyScalar:
             for e, c in self.terms.items()
             if e[index]
         ]
-        return PolyScalar(self.dim, lowered)
+        return PolyScalar._derived(self.dim, lowered)
 
     def evaluate(self, point):
         """Evaluate at a point; exact when the point is rational."""
@@ -202,8 +228,19 @@ def poly_gradient(poly: PolyScalar) -> list[PolyScalar]:
 
 
 def poly_hessian(poly: PolyScalar) -> list[list[PolyScalar]]:
+    """Second partials; entry [b][a] is the same object as [a][b] for a < b."""
     grad = poly_gradient(poly)
-    return [[grad[a].partial(b) for b in range(poly.dim)] for a in range(poly.dim)]
+    dim = poly.dim
+    hessian = [[None] * dim for _ in range(dim)]
+    for a in range(dim):
+        for b in range(a, dim):
+            hessian[a][b] = hessian[b][a] = grad[a].partial(b)
+    return hessian
+
+
+def _signed(poly: PolyScalar, sign: int) -> PolyScalar:
+    """poly for sign +1, its negation for sign -1."""
+    return poly if sign > 0 else -poly
 
 
 def _merge_sign(indices: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
@@ -369,7 +406,7 @@ def wedge(a: KForm, b: KForm) -> KForm:
             merged = _merge_sign(ia + ib)
             if merged is not None:
                 sign, key = merged
-                terms.append((key, (ca * cb).scale(sign)))
+                terms.append((key, _signed(ca * cb, sign)))
     return KForm(a.dim, degree, terms)
 
 
@@ -379,14 +416,13 @@ def ext_d(a: KForm) -> KForm:
         raise ValueError("exterior derivative of a degree-3 form is not supported")
     terms = []
     for indices, coeff in a.terms.items():
-        for direction in range(a.dim):
-            partial = coeff.partial(direction)
-            if partial.is_zero:
-                continue
+        # Only the variables with a positive exponent in some term.
+        variables = [k for k, column in enumerate(zip(*coeff.terms)) if any(column)]
+        for direction in variables:
             merged = _merge_sign((direction,) + indices)
             if merged is not None:
                 sign, key = merged
-                terms.append((key, partial.scale(sign)))
+                terms.append((key, _signed(coeff.partial(direction), sign)))
     return KForm(a.dim, a.degree + 1, terms)
 
 
@@ -402,7 +438,7 @@ def interior(X: SymVectorField, a: KForm) -> KForm:
             component = X.components[index]
             if not component.is_zero:
                 key = indices[:slot] + indices[slot + 1 :]
-                terms.append((key, (coeff * component).scale((-1) ** slot)))
+                terms.append((key, _signed(coeff * component, (-1) ** slot)))
     return KForm(a.dim, a.degree - 1, terms)
 
 
@@ -424,7 +460,7 @@ def vertical_derivation(op: StructureOperator, a: KForm) -> KForm:
             merged = _merge_sign(indices[:slot] + (images[b],) + indices[slot + 1 :])
             if merged is not None:
                 sign, key = merged
-                terms.append((key, coeff.scale(entries[b] * sign)))
+                terms.append((key, _signed(coeff, entries[b] * sign)))
     return KForm(a.dim, a.degree, terms)
 
 
@@ -439,7 +475,7 @@ def vertical_differential(op: StructureOperator, f: PolyScalar) -> KForm:
     if op.dim != f.dim:
         raise ValueError("dimension mismatch")
     terms = {
-        (b,): f.partial(a).scale(sign)
+        (b,): _signed(f.partial(a), sign)
         for a, (b, sign) in enumerate(zip(op.index.tolist(), op.sign.tolist()))
     }
     return KForm(f.dim, 1, terms)

@@ -269,10 +269,11 @@ class PolynomialField(ScalarField):
         self._value_rep = _StackedPolys([poly])
         self._hess_const = None
         if poly.total_degree() <= 2:
-            origin = [Fraction(0)] * poly.dim
-            self._grad_origin = np.array([float(p.evaluate(origin)) for p in self._grad])
+            # The value at the origin is the constant coefficient.
+            origin = (0,) * poly.dim
+            self._grad_origin = np.array([float(p.terms.get(origin, 0)) for p in self._grad])
             self._hess_const = np.array(
-                [[float(p.evaluate(origin)) for p in row] for row in self._hess]
+                [[float(p.terms.get(origin, 0)) for p in row] for row in self._hess]
             )
         else:
             self._grad_rep = _StackedPolys(self._grad)

@@ -18,7 +18,9 @@ exact rational coefficient and one exponent per coordinate:
 
 Coefficients accept both "1/2" and "0.5" and are stored exactly.  Output files
 are written atomically (temp file, then rename) and deterministically: floats
-are printed with 17 significant digits.
+are printed with 17 significant digits.  The trajectory table is streamed into
+the temp file: the header, then blocks of ``integrators.POSTPASS_ROWS`` rows,
+so no whole-table string is built.
 """
 
 from __future__ import annotations
@@ -26,12 +28,14 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
+from . import integrators
 from .errors import ScenarioError
 from .exterior import PolyScalar
 from .fields import (
@@ -368,21 +372,26 @@ class RunResult:
     summary_path: Path | None = None
 
 
-def _atomic_write(path: Path, content: str) -> None:
+def _atomic_write(path: Path, blocks: Iterable[str]) -> None:
+    """Write the text blocks in order to a temporary file, then rename it."""
     path.parent.mkdir(parents=True, exist_ok=True)
     handle = tempfile.NamedTemporaryFile(
         "w", dir=path.parent, prefix=path.name + ".", suffix=".tmp", delete=False
     )
     try:
         with handle:
-            handle.write(content)
+            handle.writelines(blocks)
         os.replace(handle.name, path)
     except BaseException:
         os.unlink(handle.name)
         raise
 
 
-def _trajectory_table(traj: Trajectory, residuals: ResidualSeries) -> str:
+def _trajectory_table(traj: Trajectory, residuals: ResidualSeries) -> Iterator[str]:
+    """The table as text blocks: the header line, then POSTPASS_ROWS rows each.
+
+    The block size is read when the first block is asked for.
+    """
     dim = traj.states.shape[1]
     header = (
         ["t"]
@@ -391,10 +400,13 @@ def _trajectory_table(traj: Trajectory, residuals: ResidualSeries) -> str:
         + [f"res_{a + 1}" for a in range(dim)]
     )
     # '%.17g' % v is format_float(v) for every float, inf and nan included.
-    row = ",".join(["%.17g"] * len(header))
+    row = ",".join(["%.17g"] * len(header)) + "\n"
     columns = (traj.times, traj.states, traj.invariants["energy"], residuals.residuals)
-    rows = [",".join(header)] + [row % tuple(c.tolist()) for c in np.column_stack(columns)]
-    return "\n".join(rows) + "\n"
+    yield ",".join(header) + "\n"
+    rows = integrators.POSTPASS_ROWS
+    for start in range(0, len(traj), rows):
+        block = np.column_stack([c[start : start + rows] for c in columns])
+        yield "".join([row % tuple(cells) for cells in block.tolist()])
 
 
 def execute_scenario(
@@ -466,7 +478,7 @@ def run_scenario(
         summary_path=summary_path,
     )
     _atomic_write(trajectory_path, _trajectory_table(traj, residuals))
-    _atomic_write(summary_path, render_summary(result))
+    _atomic_write(summary_path, [render_summary(result)])
     return result
 
 

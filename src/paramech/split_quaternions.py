@@ -175,7 +175,8 @@ def sq_mul(p: SplitQuaternion, q: SplitQuaternion) -> SplitQuaternion:
             if cb == 0:
                 continue
             sign, basis = _MUL_TABLE[a][b]
-            out[basis] = out[basis] + sign * ca * cb
+            product = ca * cb
+            out[basis] = out[basis] + product if sign > 0 else out[basis] - product
     return SplitQuaternion(*out)
 
 

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from paramech.cli import main
+from paramech.cli import _build_parser, main
 
 HARMONIC = """n = 1
 formalism = hamiltonian
@@ -261,6 +261,32 @@ def test_verify_report(tmp_path, capsys):
     assert "0 fail" in out
     assert report_path.exists()
     assert report_path.read_text().splitlines()[0].startswith("identity audit")
+
+
+def test_one_parser_serves_a_sequence_of_calls(tmp_path, capsys):
+    # run, verify and a bad argument in one process give what each gives
+    # from a freshly built parser.
+    argvs = [
+        ["run", write(tmp_path, "h.scn", HARMONIC), "--out", str(tmp_path)],
+        ["verify", "--n", "1"],
+        ["run"],
+    ]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    fresh = []
+    for argv in argvs:
+        _build_parser.cache_clear()
+        fresh.append(call(argv))
+    in_sequence = [call(argv) for argv in argvs]
+    assert [code for code, _, _ in fresh] == [0, 0, 2]
+    assert in_sequence == fresh
+    assert _build_parser() is _build_parser()
 
 
 def test_verify_deterministic(capsys):

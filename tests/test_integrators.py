@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -96,6 +97,38 @@ def test_rk4_non_finite_state_reports_time():
     cfg = StepperConfig(method="rk4", dt=0.1)
     with pytest.raises(ConvergenceError, match="non-finite.*stepping from t = 0.4"):
         integrate_field(field, np.zeros(4), 2.0, cfg)
+
+
+def test_blown_up_stage_warns_nothing_for_a_direct_caller():
+    # The first guess and the first iterate are both infinite, so their
+    # difference is inf - inf; the stage still reports iteration 1, silently.
+    def blow_up(y):
+        return np.full_like(y, np.inf)
+
+    cfg = StepperConfig(method="implicit_midpoint", dt=1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="non-finite state at iteration 1") as excinfo:
+            step_explicit(blow_up, np.ones(4), cfg)
+    assert excinfo.value.iterations == 1
+
+
+def test_overflowing_squared_step_is_not_a_non_finite_state():
+    # Finite iterates 2e199 apart: the squared step overflows, the iterates do not.
+    def flip(y):
+        return np.where(y > 0, -1e202, 1e202)
+
+    cfg = StepperConfig(method="implicit_midpoint", dt=1e-3, newton_max_iters=5)
+    with pytest.raises(ConvergenceError, match="did not converge after 5 iterations"):
+        step_explicit(flip, np.zeros(4), cfg)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_state_whose_square_overflows_is_still_finite(method):
+    cfg = StepperConfig(method=method, dt=0.1, position_mask=ROTATION_MASK)
+    traj = integrate_field(lambda x: np.full(4, 1e200), np.zeros(4), 0.3, cfg)
+    assert np.isfinite(traj.states).all()
+    assert traj.states[-1, 0] > 1e199
 
 
 @pytest.mark.parametrize("method", ["implicit_midpoint", "symplectic_euler"])

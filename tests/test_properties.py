@@ -3,9 +3,12 @@
 Random rational polynomials (n = 1..3, degree <= 4) check the per-order
 primitives of ``PolynomialField`` against each other and against the jets;
 random (exponents, coefficient) pairs with repeats and cancellations check
-that ``PolyScalar`` sums like terms as ``+`` does; random valid scenarios
+that ``PolyScalar`` sums like terms as ``+`` does; random rational polynomials
+and forms check the unvalidated derived polynomials, the mirrored Hessian and
+the pruned exterior derivative against the public constructors and an
+unpruned reference; random valid scenarios
 check that serialization round-trips; random rational split quaternions check
-the algebra laws; random finite vectors check that each structure operator and
+the algebra laws and the product against the hand-derived table; random finite vectors check that each structure operator and
 two-form applies as its dense matrix.  Example generation is derandomized, so
 every run sees the same inputs.
 """
@@ -16,13 +19,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paramech.exterior import PolyScalar
+from paramech.exterior import KForm, PolyScalar, ext_d, poly_hessian
 from paramech.fields import PolynomialField
 from paramech.hamiltonian import HAMILTONIAN_METHODS, canonical_two_form
 from paramech.lagrangian import LAGRANGIAN_METHODS
 from paramech.scenario import FieldSpec, Scenario, parse_scenario, serialize_scenario
 from paramech.split_quaternions import SplitQuaternion, sq_conj, sq_mul, sq_norm_sq
 from paramech.structures import DUAL_KINDS, PRIMAL_KINDS, build_structure
+from test_split_quaternions import EXPECTED_TABLE
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -94,6 +98,99 @@ def test_polyscalar_from_pairs_is_the_sum_of_its_monomials(case):
 
 
 @st.composite
+def rational_polynomials(draw, dim=None):
+    if dim is None:
+        dim = 4 * draw(st.integers(1, 3))
+    exponents = st.lists(st.integers(0, 3), min_size=dim, max_size=dim).map(tuple)
+    return PolyScalar(dim, draw(st.lists(st.tuples(exponents, coefficients), max_size=6)))
+
+
+@st.composite
+def polynomial_pairs(draw):
+    # The second shares some keys of the first with the opposite sign, so that
+    # their sum cancels terms.
+    p = draw(rational_polynomials())
+    q = draw(rational_polynomials(p.dim))
+    cancelling = draw(st.lists(st.sampled_from(sorted(p.terms)), max_size=3)) if p.terms else []
+    q = PolyScalar(p.dim, [*q.terms.items(), *((e, -p.terms[e]) for e in set(cancelling))])
+    return p, q
+
+
+def _lowered(poly, index):
+    """The pairs of the partial in x_index, for the public constructor."""
+    return [
+        (e[:index] + (e[index] - 1,) + e[index + 1 :], c * e[index])
+        for e, c in poly.terms.items()
+        if e[index]
+    ]
+
+
+@PROPERTY_SETTINGS
+@given(polynomial_pairs(), coefficients, st.data())
+def test_derived_polynomials_are_the_public_constructor_of_their_pairs(case, c, data):
+    p, q = case
+    dim = p.dim
+    index = data.draw(st.integers(0, dim - 1))
+    expected = {
+        "partial": PolyScalar(dim, _lowered(p, index)),
+        "scale": PolyScalar(dim, [(e, c * v) for e, v in p.terms.items()]),
+        "scale by 0": PolyScalar(dim, [(e, 0 * v) for e, v in p.terms.items()]),
+        "negation": PolyScalar(dim, [(e, -v) for e, v in p.terms.items()]),
+        "sum": PolyScalar(dim, [*p.terms.items(), *q.terms.items()]),
+    }
+    derived = {
+        "partial": p.partial(index),
+        "scale": p.scale(c),
+        "scale by 0": p.scale(0),
+        "negation": -p,
+        "sum": p + q,
+    }
+    for name, poly in derived.items():
+        assert poly == expected[name], name
+        assert poly.dim == dim and 0 not in poly.terms.values(), name
+
+
+@PROPERTY_SETTINGS
+@given(rational_polynomials())
+def test_hessian_entries_are_second_partials(p):
+    hessian = poly_hessian(p)
+    for a in range(p.dim):
+        for b in range(p.dim):
+            assert hessian[a][b] == p.partial(a).partial(b)
+
+
+def _reference_ext_d(form):
+    """d without pruning: every direction, the wedge sign by counting inversions."""
+    terms = []
+    for indices, coeff in form.terms.items():
+        for direction in range(form.dim):
+            key = (direction,) + indices
+            if len(set(key)) < len(key):
+                continue
+            inversions = sum(
+                key[i] > key[j] for i in range(len(key)) for j in range(i + 1, len(key))
+            )
+            partial = PolyScalar(form.dim, _lowered(coeff, direction))
+            terms.append((tuple(sorted(key)), partial.scale((-1) ** inversions)))
+    return KForm(form.dim, form.degree + 1, terms)
+
+
+@st.composite
+def forms(draw):
+    dim = 4 * draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 2))
+    keys = st.lists(st.integers(0, dim - 1), min_size=degree, max_size=degree, unique=True)
+    pairs = st.tuples(keys.map(sorted).map(tuple), rational_polynomials(dim))
+    return KForm(dim, degree, draw(st.lists(pairs, max_size=4)))
+
+
+@PROPERTY_SETTINGS
+@given(forms())
+def test_exterior_derivative_is_the_unpruned_sum(form):
+    assert ext_d(form) == _reference_ext_d(form)
+
+
+@st.composite
 def scenarios(draw):
     n = draw(st.integers(1, 3))
     dim = 4 * n
@@ -157,6 +254,15 @@ def test_conjugation_reverses_products(p, q):
 @given(split_quaternions, split_quaternions)
 def test_split_quaternion_norm_is_multiplicative(p, q):
     assert sq_norm_sq(sq_mul(p, q)) == sq_norm_sq(p) * sq_norm_sq(q)
+
+
+@PROPERTY_SETTINGS
+@given(split_quaternions, split_quaternions)
+def test_split_quaternion_product_is_the_table_product(p, q):
+    out = [Fraction(0)] * 4
+    for (a, b), (sign, basis) in EXPECTED_TABLE.items():
+        out[basis] += sign * p.coefficients[a] * q.coefficients[b]
+    assert sq_mul(p, q) == SplitQuaternion(*out)
 
 
 @st.composite

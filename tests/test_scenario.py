@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -242,7 +243,7 @@ def test_trajectory_table_cells_are_format_float():
     cells = np.concatenate([specials * 3, bits])[:72].reshape(8, 9)
     times = np.arange(8) / 3
     traj = Trajectory(times, cells[:, :4], np.zeros((8, 4)), {"energy": cells[:, 4]})
-    table = _trajectory_table(traj, ResidualSeries(times, cells[:, 5:]))
+    table = "".join(_trajectory_table(traj, ResidualSeries(times, cells[:, 5:])))
     rows = table.splitlines()
     assert rows[0] == "t,x_1,x_2,x_3,x_4,energy,res_1,res_2,res_3,res_4"
     for k, row in enumerate(rows[1:]):
@@ -255,13 +256,15 @@ SAMPLES = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.
 
 
 @pytest.mark.parametrize("path", SAMPLES, ids=lambda p: p.stem)
-def test_postpass_is_bitwise_independent_of_the_chunk_size(path, monkeypatch):
+def test_postpass_is_bitwise_independent_of_the_chunk_size(path, monkeypatch, tmp_path):
     # 1,100 samples: two chunks at the default size.  Each stacked row must be
-    # bitwise the one-point evaluation the per-sample loop used to make.
+    # bitwise the one-point evaluation the per-sample loop used to make, and
+    # the table, written in blocks of that size, must keep its bytes.
     scenario = load_scenario(path)
     scenario = replace(scenario, t_end=1100 * scenario.dt)
     traj, residuals, maxima = execute_scenario(scenario)
     assert len(traj) > integrators.POSTPASS_ROWS
+    table = run_scenario(scenario, "default", tmp_path).trajectory_path.read_bytes()
     for rows in (1, 3):
         monkeypatch.setattr(integrators, "POSTPASS_ROWS", rows)
         again, again_residuals, again_maxima = execute_scenario(scenario)
@@ -269,6 +272,10 @@ def test_postpass_is_bitwise_independent_of_the_chunk_size(path, monkeypatch):
         assert np.array_equal(again.invariants["energy"], traj.invariants["energy"])
         assert np.array_equal(again_residuals.residuals, residuals.residuals)
         assert again_maxima == maxima
+        blocks = list(_trajectory_table(again, again_residuals))
+        assert len(blocks) == 1 + math.ceil(len(traj) / rows)
+        written = run_scenario(scenario, f"rows_{rows}", tmp_path).trajectory_path
+        assert written.read_bytes() == table
 
     field = build_field(scenario.function, scenario.n)
     energy = traj.invariants["energy"]
