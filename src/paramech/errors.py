@@ -46,3 +46,7 @@ class ConvergenceError(ParamechError):
     def __init__(self, message: str, iterations: int):
         self.iterations = iterations
         super().__init__(message)
+
+    def __reduce__(self):
+        # The default would call the constructor with the message alone.
+        return type(self), (*self.args, self.iterations), self.__dict__

@@ -7,17 +7,21 @@ two-form requires.
 
 ``PolyScalar(dim, terms)`` and ``KForm(dim, degree, terms)`` take their terms
 as a mapping or as an iterable of (key, coefficient) pairs.  The public
-constructors are the validation boundary and the one place that sums like
-terms: coefficients of a repeated key are added, and keys whose sum is zero
-are dropped.  Exponents must be integral (``operator.index``); a float
-exponent is rejected, never truncated.
+constructors are the validation boundary and, with ``KForm._derived``, the
+only code that sums like terms: coefficients of a repeated key are added,
+and keys whose sum is zero are dropped.  Exponents must be integral
+(``operator.index``); a float exponent is rejected, never truncated.
 
 A polynomial derived from valid ones with distinct keys by construction
 (``partial``, ``scale``, negation and ``+``, which merges into a copy) is not
 validated again: it goes through ``PolyScalar._derived``, which only drops
-zero coefficients.  ``poly_hessian`` differentiates the upper triangle and
-mirrors it, and ``ext_d`` differentiates a coefficient only in the variables
-it contains and only towards a wedge that does not vanish.  A sign of +-1 is
+zero coefficients.  A form built from valid ones (``+``, negation, scaling,
+``wedge``, ``ext_d``, ``interior``, ``vertical_derivation`` and
+``vertical_differential``) goes through ``KForm._derived``, which sums like
+terms and drops zeros as the public constructor does, with no checks.
+``poly_hessian`` differentiates the upper triangle and mirrors it, and
+``ext_d`` differentiates a coefficient only in the variables it contains and
+only towards a wedge that does not vanish.  A sign of +-1 is
 applied by negation, never by a multiplication.
 
 Index conventions:
@@ -33,7 +37,7 @@ Index conventions:
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -275,7 +279,10 @@ class KForm:
     ):
         if not 0 <= degree <= MAX_DEGREE:
             raise ValueError(f"degree must be within 0..{MAX_DEGREE}, got {degree}")
-        clean: dict[tuple[int, ...], PolyScalar] = {}
+        self._collect(dim, degree, self._checked(dim, degree, terms))
+
+    @staticmethod
+    def _checked(dim: int, degree: int, terms) -> Iterator[tuple[tuple[int, ...], PolyScalar]]:
         for indices, coeff in terms.items() if isinstance(terms, Mapping) else terms or ():
             indices = tuple(indices)
             if len(indices) != degree:
@@ -286,11 +293,28 @@ class KForm:
                 raise ValueError(f"index tuple {indices} must be strictly increasing")
             if coeff.dim != dim:
                 raise ValueError("coefficient dimension mismatch")
+            yield indices, coeff
+
+    def _collect(self, dim: int, degree: int, pairs: Iterable[tuple]) -> None:
+        """Set the fields from (key, coefficient) pairs: like terms summed, zeros dropped."""
+        clean: dict[tuple[int, ...], PolyScalar] = {}
+        for indices, coeff in pairs:
             previous = clean.get(indices)
             clean[indices] = coeff if previous is None else previous + coeff
         self.dim = dim
         self.degree = degree
         self.terms = {k: v for k, v in clean.items() if not v.is_zero}
+
+    @classmethod
+    def _derived(cls, dim: int, degree: int, pairs: Iterable[tuple]) -> "KForm":
+        """Unchecked constructor: pairs of valid keys and coefficients of dimension dim.
+
+        Like terms are summed and zero coefficients dropped as in the public
+        constructor, which is the validation boundary.
+        """
+        form = object.__new__(cls)
+        form._collect(dim, degree, pairs)
+        return form
 
     @classmethod
     def zero(cls, dim: int, degree: int = 0) -> "KForm":
@@ -327,17 +351,17 @@ class KForm:
 
     def __add__(self, other: "KForm") -> "KForm":
         self._check(other)
-        return KForm(self.dim, self.degree, [*self.terms.items(), *other.terms.items()])
+        return KForm._derived(self.dim, self.degree, [*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other: "KForm") -> "KForm":
         return self + (-other)
 
     def __neg__(self) -> "KForm":
-        return KForm(self.dim, self.degree, {k: -v for k, v in self.terms.items()})
+        return KForm._derived(self.dim, self.degree, [(k, -v) for k, v in self.terms.items()])
 
     def __mul__(self, scalar):
-        return KForm(
-            self.dim, self.degree, {k: v.scale(scalar) for k, v in self.terms.items()}
+        return KForm._derived(
+            self.dim, self.degree, [(k, v.scale(scalar)) for k, v in self.terms.items()]
         )
 
     __rmul__ = __mul__
@@ -407,7 +431,7 @@ def wedge(a: KForm, b: KForm) -> KForm:
             if merged is not None:
                 sign, key = merged
                 terms.append((key, _signed(ca * cb, sign)))
-    return KForm(a.dim, degree, terms)
+    return KForm._derived(a.dim, degree, terms)
 
 
 def ext_d(a: KForm) -> KForm:
@@ -423,7 +447,7 @@ def ext_d(a: KForm) -> KForm:
             if merged is not None:
                 sign, key = merged
                 terms.append((key, _signed(coeff.partial(direction), sign)))
-    return KForm(a.dim, a.degree + 1, terms)
+    return KForm._derived(a.dim, a.degree + 1, terms)
 
 
 def interior(X: SymVectorField, a: KForm) -> KForm:
@@ -439,7 +463,7 @@ def interior(X: SymVectorField, a: KForm) -> KForm:
             if not component.is_zero:
                 key = indices[:slot] + indices[slot + 1 :]
                 terms.append((key, _signed(coeff * component, (-1) ** slot)))
-    return KForm(a.dim, a.degree - 1, terms)
+    return KForm._derived(a.dim, a.degree - 1, terms)
 
 
 def vertical_derivation(op: StructureOperator, a: KForm) -> KForm:
@@ -461,7 +485,7 @@ def vertical_derivation(op: StructureOperator, a: KForm) -> KForm:
             if merged is not None:
                 sign, key = merged
                 terms.append((key, _signed(coeff, entries[b] * sign)))
-    return KForm(a.dim, a.degree, terms)
+    return KForm._derived(a.dim, a.degree, terms)
 
 
 def vertical_differential(op: StructureOperator, f: PolyScalar) -> KForm:
@@ -474,11 +498,11 @@ def vertical_differential(op: StructureOperator, f: PolyScalar) -> KForm:
         raise ValueError("vertical differential uses a tangent-side operator")
     if op.dim != f.dim:
         raise ValueError("dimension mismatch")
-    terms = {
-        (b,): _signed(f.partial(a), sign)
+    terms = [
+        ((b,), _signed(f.partial(a), sign))
         for a, (b, sign) in enumerate(zip(op.index.tolist(), op.sign.tolist()))
-    }
-    return KForm(f.dim, 1, terms)
+    ]
+    return KForm._derived(f.dim, 1, terms)
 
 
 def vertical_differential_via_commutator(op: StructureOperator, f: PolyScalar) -> KForm:

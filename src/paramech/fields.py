@@ -214,6 +214,17 @@ class ScalarField:
     def value_and_gradient(self, x) -> tuple[float, np.ndarray]:
         return self.value(x), self.gradient(x)
 
+    def gradient_and_hessian(self, x) -> tuple[np.ndarray, np.ndarray]:
+        return self.gradient(x), self.hessian(x)
+
+    def signed_gradient(self, index: np.ndarray, sign: np.ndarray):
+        """The map x -> sign * gradient(x)[index], for a signed permutation."""
+
+        def field(x):
+            return sign * self.gradient(x)[..., index]
+
+        return field
+
     def evaluate(self, x) -> EvalResult:
         return EvalResult(self.value(x), self.gradient(x), self.hessian(x))
 
@@ -231,7 +242,12 @@ class _StackedPolys:
 
     __slots__ = ("exponents", "weights")
 
-    def __init__(self, polys):
+    def __init__(self, exponents: np.ndarray, weights: np.ndarray):
+        self.exponents = exponents
+        self.weights = weights
+
+    @classmethod
+    def from_polys(cls, polys) -> "_StackedPolys":
         coeffs = []
         exponents = []
         owner = []
@@ -240,15 +256,21 @@ class _StackedPolys:
                 coeffs.append(float(coeff))
                 exponents.append(exps)
                 owner.append(k)
-        self.exponents = np.asarray(exponents, dtype=np.int64).reshape(
+        exponents = np.asarray(exponents, dtype=np.int64).reshape(
             len(coeffs), polys[0].dim if polys else 0
         )
         incidence = np.zeros((len(polys), len(coeffs)))
         incidence[owner, np.arange(len(coeffs))] = 1.0
-        self.weights = incidence * np.asarray(coeffs)
+        return cls(exponents, incidence * np.asarray(coeffs))
+
+    def signed_rows(self, index: np.ndarray, sign: np.ndarray) -> "_StackedPolys":
+        """The same table with polynomial c replaced by sign[c] * polynomial index[c]."""
+        return _StackedPolys(self.exponents, sign[:, None] * self.weights[index])
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         monomials = np.multiply.reduce(np.power(x[..., None, :], self.exponents), axis=-1)
+        if monomials.ndim == 1:
+            return self.weights @ monomials  # rounds as _matvec does
         return _matvec(self.weights, monomials)
 
 
@@ -266,7 +288,7 @@ class PolynomialField(ScalarField):
         self.poly = poly
         self._grad = poly_gradient(poly)
         self._hess = poly_hessian(poly)
-        self._value_rep = _StackedPolys([poly])
+        self._value_rep = _StackedPolys.from_polys([poly])
         self._hess_const = None
         if poly.total_degree() <= 2:
             # The value at the origin is the constant coefficient.
@@ -276,9 +298,11 @@ class PolynomialField(ScalarField):
                 [[float(p.terms.get(origin, 0)) for p in row] for row in self._hess]
             )
         else:
-            self._grad_rep = _StackedPolys(self._grad)
+            self._grad_rep = _StackedPolys.from_polys(self._grad)
             self._upper = np.triu_indices(poly.dim)
-            self._hess_rep = _StackedPolys([self._hess[a][b] for a, b in zip(*self._upper)])
+            self._hess_rep = _StackedPolys.from_polys(
+                [self._hess[a][b] for a, b in zip(*self._upper)]
+            )
 
     def _apply(self, xs):
         return self.poly.evaluate(xs)
@@ -304,6 +328,23 @@ class PolynomialField(ScalarField):
         hessian[..., rows, cols] = hessian[..., cols, rows] = self._hess_rep.evaluate(x)
         return hessian
 
+    def signed_gradient(self, index: np.ndarray, sign: np.ndarray):
+        """One term table, or sign*b[index] + (sign*Q[index]) x for a quadratic."""
+        if self._hess_const is None:
+            rows = self._grad_rep.signed_rows(index, sign)
+
+            def field(x):
+                return rows.evaluate(self._point(x))
+
+        else:
+            offset = sign * self._grad_origin[index]
+            matrix = sign[:, None] * self._hess_const[index]
+
+            def field(x):
+                return offset + _matvec(matrix, self._point(x))
+
+        return field
+
     def exact_evaluate(self, point):
         """Exact value/gradient/Hessian at a rational point (Fractions)."""
         value = self.poly.evaluate(point)
@@ -322,6 +363,7 @@ class KineticField(ScalarField):
         super().__init__(4 * len(masses))
         self.masses = masses
         self._weights = np.tile(np.asarray(masses), 4)
+        self._hessian = np.diag(self._weights)
 
     def _apply(self, xs):
         n = len(self.masses)
@@ -340,11 +382,15 @@ class KineticField(ScalarField):
         return self._weights * self._point(x)
 
     def hessian(self, x) -> np.ndarray:
-        return _per_row(np.diag(self._weights), self._point(x))
+        return _per_row(self._hessian, self._point(x))
 
 
 class DistanceFromOrigin(ScalarField):
     """Euclidean distance to the origin; its derivatives are singular at 0."""
+
+    def __init__(self, dim: int):
+        super().__init__(dim)
+        self._eye = np.eye(dim)
 
     def _apply(self, xs):
         total = None
@@ -368,13 +414,19 @@ class DistanceFromOrigin(ScalarField):
             raise SingularPointError("distance to the origin is not differentiable at 0")
         return x / r, r
 
+    def _hessian(self, unit: np.ndarray, r: np.ndarray) -> np.ndarray:
+        outer = unit[..., :, None] * unit[..., None, :]
+        return (self._eye - outer) / r[..., None]
+
     def gradient(self, x) -> np.ndarray:
         return self._unit(x)[0]
 
     def hessian(self, x) -> np.ndarray:
+        return self._hessian(*self._unit(x))
+
+    def gradient_and_hessian(self, x) -> tuple[np.ndarray, np.ndarray]:
         unit, r = self._unit(x)
-        outer = unit[..., :, None] * unit[..., None, :]
-        return (np.eye(self.dim) - outer) / r[..., None]
+        return unit, self._hessian(unit, r)
 
 
 class PotentialField(ScalarField):
@@ -406,6 +458,10 @@ class PotentialField(ScalarField):
     def hessian(self, x) -> np.ndarray:
         return self._scale * self.height.hessian(x)
 
+    def gradient_and_hessian(self, x) -> tuple[np.ndarray, np.ndarray]:
+        gradient, hessian = self.height.gradient_and_hessian(x)
+        return self._scale * gradient, self._scale * hessian
+
 
 class SumField(ScalarField):
     """Linear combination of fields; derivatives combine termwise."""
@@ -426,14 +482,21 @@ class SumField(ScalarField):
             total = term if total is None else total + term
         return total
 
+    def _combine(self, terms) -> np.ndarray:
+        return sum(c * term for (c, _), term in zip(self.parts, terms))
+
     def value(self, x) -> float:
-        return sum(c * f.value(x) for c, f in self.parts)
+        return self._combine(f.value(x) for _, f in self.parts)
 
     def gradient(self, x) -> np.ndarray:
-        return sum(c * f.gradient(x) for c, f in self.parts)
+        return self._combine(f.gradient(x) for _, f in self.parts)
 
     def hessian(self, x) -> np.ndarray:
-        return sum(c * f.hessian(x) for c, f in self.parts)
+        return self._combine(f.hessian(x) for _, f in self.parts)
+
+    def gradient_and_hessian(self, x) -> tuple[np.ndarray, np.ndarray]:
+        pairs = [f.gradient_and_hessian(x) for _, f in self.parts]
+        return self._combine(g for g, _ in pairs), self._combine(h for _, h in pairs)
 
 
 def harmonic_field(n: int) -> PolynomialField:

@@ -8,7 +8,8 @@ recovers the field from (i_X Phi)_b = dH_b and the two must agree, which pins
 the sign conventions.
 
 The two-form's matrix is a signed permutation, stored as the (index, sign)
-pair of ``paramech.structures``, so the integrated field is one gather.  For
+pair of ``paramech.structures``, so the integrated field is the signed,
+permuted gradient, evaluated by the Hamiltonian as one table.  For
 a quadratic H that field is affine with the constant Jacobian S Q (Q the
 Hessian), and the integrator steps it exactly in the increment form.  The
 energy series and the residuals are computed after the integration loop, as
@@ -155,6 +156,8 @@ def integrate_hamiltonian(
     S is the kind's two-form matrix M, antisymmetric and orthogonal, so the
     solution X = M^{-T} grad H of (i_X M)_b = dH_b is M grad H: one gather
     and sign flip, which reproduces ``hamiltonian_vector_field`` bit for bit.
+    The field evaluates that signed gradient in one go
+    (``ScalarField.signed_gradient``; one term table for a polynomial H).
     A quadratic H makes the field affine, and every step is then exact
     (``StepperConfig.jacobian``).  The energy is evaluated after the loop,
     stacked over the samples.
@@ -164,10 +167,7 @@ def integrate_hamiltonian(
     H = system.hamiltonian
     form = canonical_two_form(system.kind, system.n)
     index, sign = form.index, form.sign
-
-    def field(x):
-        return sign * H.gradient(x)[index]
-
+    field = H.signed_gradient(index, sign)
     # A quadratic H, grad H = b + Q x, gives the affine field with J = S Q.
     hessian = H.constant_hessian()
     jacobian = None if hessian is None else sign[:, None] * hessian[index]

@@ -99,7 +99,8 @@ def lagrangian_energy(op: StructureOperator, L: ScalarField, x, semispray) -> fl
 def canonical_rhs(op: StructureOperator, L: ScalarField, x) -> np.ndarray:
     """Semispray solving Hess(L) . xdot = A . grad L at x."""
     try:
-        return solve_linear(L.hessian(x), op.apply(L.gradient(x)), error="Hessian")
+        gradient, hessian = L.gradient_and_hessian(x)
+        return solve_linear(hessian, op.apply(gradient), error="Hessian")
     except SingularSystemError as exc:
         raise SingularHessianError(str(exc)) from exc
 

@@ -301,6 +301,35 @@ def test_primitives_are_the_parts_of_every_combination(make_field):
             assert np.array_equal(result.hessian[row], field.hessian(x))
 
 
+@pytest.mark.parametrize("make_field", PRIMITIVE_CASES)
+def test_gradient_and_hessian_is_the_pair_of_primitives(make_field):
+    field = make_field()
+    points = np.random.default_rng(32).uniform(-1.5, 1.5, size=(10, field.dim))
+    for x in (*points, points, points[:0]):
+        gradient, hessian = field.gradient_and_hessian(x)
+        assert np.array_equal(gradient, field.gradient(x))
+        assert np.array_equal(hessian, field.hessian(x))
+
+
+@pytest.mark.parametrize("make_field", PRIMITIVE_CASES)
+def test_signed_gradient_is_the_signed_permuted_gradient(make_field):
+    # The Hamiltonian field sign * grad H[index], bit for bit, per point and per row.
+    field = make_field()
+    rng = np.random.default_rng(33)
+    index = rng.permutation(field.dim)
+    sign = rng.choice(np.array([-1, 1]), size=field.dim)
+    signed = field.signed_gradient(index, sign)
+    points = rng.uniform(-1.5, 1.5, size=(10, field.dim))
+    for x in points:
+        assert np.array_equal(signed(x), sign * field.gradient(x)[index])
+    stacked = signed(points)
+    assert stacked.shape == points.shape
+    for row, x in enumerate(points):
+        assert np.array_equal(stacked[row], signed(x))
+    with pytest.raises(ValueError, match="point dimension mismatch"):
+        signed(np.ones(field.dim + 1))
+
+
 DIMENSION_CASES = {
     "quadratic": lambda: harmonic_field(1),
     "quartic": lambda: mixed_quartic_field(1),
@@ -315,6 +344,7 @@ NUMERIC_METHODS = (
     "gradient",
     "hessian",
     "value_and_gradient",
+    "gradient_and_hessian",
     "evaluate",
     "evaluate_via_jets",
 )

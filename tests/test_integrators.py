@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import paramech.integrators as integrators
 from paramech.errors import ConvergenceError, SingularSystemError
 from paramech.integrators import (
     METHODS,
@@ -261,9 +262,29 @@ def pendulum_field(x):
 PENDULUM_MASK = np.array([True, False, True, False])
 
 
+# The increment of the quartic through the last five states, oldest first.
+EXTRAPOLATION = np.array([1.0, -5.0, 10.0, -10.0, 4.0])
+
+
+def reference_steps(field, x0, steps, cfg):
+    """Plain steps, each re-evaluating f at its start point, except that a
+    midpoint step from step 5 on is handed the extrapolated start: f(x)
+    answers with the increment over dt."""
+    states = [np.asarray(x0, dtype=float)]
+    for k in range(1, steps + 1):
+        x, f = states[-1], field
+        if cfg.method == "implicit_midpoint" and k >= 5:
+            start = (EXTRAPOLATION @ np.array(states[k - 5 : k])) / cfg.dt
+
+            def f(y, x=x, start=start):
+                return start if y is x else field(y)
+
+        states.append(step_explicit(f, x, cfg))
+    return np.asarray(states)
+
+
 @pytest.mark.parametrize("method", ["rk4", "implicit_midpoint", "symplectic_euler"])
 def test_derivative_reuse_is_bitwise_neutral(method):
-    # Reference: plain steps, each re-evaluating f at its start point.
     cfg = StepperConfig(method=method, dt=0.01, position_mask=PENDULUM_MASK)
     x0 = np.array([1.2, 0.0, 0.5, -0.3])
     calls = []
@@ -273,13 +294,86 @@ def test_derivative_reuse_is_bitwise_neutral(method):
         return pendulum_field(y)
 
     traj = integrate_field(counted, x0, 0.5, cfg)
-    states = [x0]
-    for _ in range(50):
-        states.append(step_explicit(pendulum_field, states[-1], cfg))
-    assert np.array_equal(traj.states, np.asarray(states))
+    states = reference_steps(pendulum_field, x0, 50, cfg)
+    assert np.array_equal(traj.states, states)
     assert np.array_equal(traj.derivatives, [pendulum_field(x) for x in states])
     if method == "rk4":
         assert len(calls) == 1 + 4 * 50
+
+
+def test_midpoint_warm_up_and_shortened_last_step_start_from_euler():
+    # Ten full steps and a shortened eleventh: steps 1-4 and the last one are
+    # the plain step; steps 5-10 start from the extrapolation.
+    cfg = StepperConfig(method="implicit_midpoint", dt=0.01)
+    x0 = np.array([1.2, 0.0, 0.5, -0.3])
+    traj = integrate_field(pendulum_field, x0, 0.105, cfg)
+    assert len(traj) == 12
+    plain = [step_explicit(pendulum_field, x, cfg) for x in traj.states[:-2]]
+    for k in range(1, 5):
+        assert np.array_equal(traj.states[k], plain[k - 1])
+    assert not all(np.array_equal(traj.states[k], plain[k - 1]) for k in range(5, 11))
+    last = replace(cfg, dt=0.105 - 10 * 0.01)
+    assert np.array_equal(traj.states[-1], step_explicit(pendulum_field, traj.states[-2], last))
+
+
+def quartic_hstar_field(x):
+    # S grad H under H* for H = |x|^2 / 2 + (x_1^4 + x_4^4) / 4.
+    g = x + np.array([x[0] ** 3, 0.0, 0.0, x[3] ** 3])
+    return np.array([-g[3], -g[2], g[1], g[0]])
+
+
+def test_extrapolated_start_takes_two_evaluations_per_step():
+    cfg = StepperConfig(method="implicit_midpoint", dt=1e-3)
+    x0 = np.array([1.0, 0.0, 0.0, 0.5])
+    counts = []
+    for t_end in (4e-3, 1.0):
+        calls = []
+
+        def counted(y):
+            calls.append(1)
+            return quartic_hstar_field(y)
+
+        integrate_field(counted, x0, t_end, cfg)
+        counts.append(len(calls))
+    # One stage iteration and the recorded derivative per step after the warm-up.
+    assert (counts[1] - counts[0]) / 996 <= 2.1
+
+
+def test_stage_failure_at_an_extrapolated_step_reports_time():
+    # x_1 grows with unit speed; the field turns stiff once x_1 passes 0.0065,
+    # in the stage of the step from t = 0.006, which starts from the extrapolation.
+    def field(x):
+        return np.array([1.0, 0.0, 0.0, 0.0]) if x[0] < 0.0065 else 1e8 * x
+
+    cfg = StepperConfig(method="implicit_midpoint", dt=1e-3, newton_max_iters=10)
+    with pytest.raises(ConvergenceError, match="stepping from t = 0.006\\)") as excinfo:
+        integrate_field(field, np.zeros(4), 0.02, cfg)
+    assert "converge" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("affine", [False, True])
+@pytest.mark.parametrize("method", METHODS)
+def test_integrate_field_calls_step_explicit_once_per_step(monkeypatch, method, affine):
+    # Span tracing wraps the module-level step_explicit as (f, x, cfg) and
+    # counts one step per call; a shortened last step is one call as well.
+    plain = integrators.step_explicit
+    seen = []
+
+    def step_explicit(f, x, cfg):
+        seen.append(cfg.dt)
+        return plain(f, x, cfg)
+
+    monkeypatch.setattr(integrators, "step_explicit", step_explicit)
+    jacobian = np.array([[0.0, -1.0], [1.0, 0.0]])
+    cfg = StepperConfig(
+        method=method,
+        dt=0.01,
+        position_mask=np.array([True, False]),
+        jacobian=jacobian if affine else None,
+    )
+    traj = integrate_field(lambda x: jacobian @ x, np.array([1.0, 0.0]), 0.105, cfg)
+    assert len(seen) == len(traj) - 1 == 11
+    assert seen[:10] == [0.01] * 10 and seen[10] == 0.105 - 10 * 0.01
 
 
 def test_time_grid_is_k_dt_and_ends_on_t_end():

@@ -215,13 +215,6 @@ def test_printed_sign():
     assert np.array_equal(printed_sign(op(H)), op(H).sign)
 
 
-def test_residual_quadruples_shape():
-    system = LagrangianSystem(op(G, 2), harmonic_field(2))
-    traj = integrate_lagrangian(system, [1.0, 0, 0, 0, 0, 0.5, 0, 0], 0.5, 1e-2)
-    quads = el_residuals(system, traj).quadruples()
-    assert quads.shape == (len(traj), 2, 4)
-
-
 def test_reduced_flow_matrix_is_rotational_for_f():
     # xdot = Hess^{-1} F Hess x is similar to F, so its spectrum is +-i.
     rng = np.random.default_rng(33)

@@ -4,9 +4,9 @@ Random rational polynomials (n = 1..3, degree <= 4) check the per-order
 primitives of ``PolynomialField`` against each other and against the jets;
 random (exponents, coefficient) pairs with repeats and cancellations check
 that ``PolyScalar`` sums like terms as ``+`` does; random rational polynomials
-and forms check the unvalidated derived polynomials, the mirrored Hessian and
-the pruned exterior derivative against the public constructors and an
-unpruned reference; random valid scenarios
+and forms check the unvalidated derived polynomials and forms, the mirrored
+Hessian and the pruned exterior derivative against the public constructors
+and an unpruned reference; random valid scenarios
 check that serialization round-trips; random rational split quaternions check
 the algebra laws and the product against the hand-derived table; random finite vectors check that each structure operator and
 two-form applies as its dense matrix.  Example generation is derandomized, so
@@ -182,6 +182,28 @@ def forms(draw):
     keys = st.lists(st.integers(0, dim - 1), min_size=degree, max_size=degree, unique=True)
     pairs = st.tuples(keys.map(sorted).map(tuple), rational_polynomials(dim))
     return KForm(dim, degree, draw(st.lists(pairs, max_size=4)))
+
+
+@st.composite
+def form_pairs(draw):
+    # Valid (key, coefficient) pairs with repeated keys, some of which cancel.
+    dim = 4 * draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 3))
+    keys = st.lists(st.integers(0, dim - 1), min_size=degree, max_size=degree, unique=True)
+    pair = st.tuples(keys.map(sorted).map(tuple), rational_polynomials(dim))
+    pairs = draw(st.lists(pair, max_size=6))
+    cancelling = draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+    return dim, degree, pairs + [(k, -c) for k, c in cancelling] + draw(st.permutations(pairs))
+
+
+@PROPERTY_SETTINGS
+@given(form_pairs())
+def test_derived_form_is_the_public_constructor_of_its_pairs(case):
+    dim, degree, pairs = case
+    derived = KForm._derived(dim, degree, pairs)
+    assert derived == KForm(dim, degree, pairs)
+    assert (derived.dim, derived.degree) == (dim, degree)
+    assert not any(c.is_zero for c in derived.terms.values())
 
 
 @PROPERTY_SETTINGS
