@@ -53,13 +53,7 @@ from .hamiltonian import (
     integrate_hamiltonian,
     liouville_one_form,
 )
-from .integrators import (
-    ResidualSeries,
-    StepperConfig,
-    Trajectory,
-    integrate_field,
-    step_explicit,
-)
+from .integrators import StepperConfig, Trajectory, integrate_field, step_explicit
 from .lagrangian import (
     LagrangianSystem,
     canonical_rhs,

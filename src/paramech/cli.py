@@ -91,7 +91,7 @@ def _cmd_run(args) -> int:
     results = run_scenario_files(args.scenarios, out_dir=args.out)
     for result in results:
         print(
-            f"{result.name}: {len(result.trajectory)} samples, "
+            f"{result.name}: {result.samples} samples, "
             f"energy drift {format_float(result.energy_drift_max)}, "
             f"endpoint distance {format_float(result.endpoint_distance)}"
         )

@@ -1,8 +1,13 @@
 """Numerically evaluatable scalar fields on R^{4n}.
 
 A field's numeric primitives are ``value``, ``gradient`` and ``hessian``,
-each implemented once per class and checking the point's dimension;
-``value_and_gradient`` and ``evaluate`` only combine them.  Every primitive
+each implemented once per class and checking the point's dimension.  The
+composites ``value_and_gradient``, ``gradient_and_hessian``, ``evaluate`` and
+``signed_gradient`` combine them on ``ScalarField``; a class may override a
+composite for speed (``gradient_and_hessian`` on ``DistanceFromOrigin``,
+``PotentialField`` and ``SumField``, ``signed_gradient`` on a non-quadratic
+``PolynomialField``), and the override must equal the combination of the
+primitives bit for bit.  Every primitive
 takes one point ``(dim,)`` or a stack of points ``(m, dim)``, and each row of
 a stacked result is bitwise the result at that row alone: the one-point call
 is the ``m = 1`` case of the same numpy expression, and matrix-vector products
@@ -329,19 +334,13 @@ class PolynomialField(ScalarField):
         return hessian
 
     def signed_gradient(self, index: np.ndarray, sign: np.ndarray):
-        """One term table, or sign*b[index] + (sign*Q[index]) x for a quadratic."""
-        if self._hess_const is None:
-            rows = self._grad_rep.signed_rows(index, sign)
+        """One term table with the rows signed and permuted, unless quadratic."""
+        if self._hess_const is not None:
+            return super().signed_gradient(index, sign)
+        rows = self._grad_rep.signed_rows(index, sign)
 
-            def field(x):
-                return rows.evaluate(self._point(x))
-
-        else:
-            offset = sign * self._grad_origin[index]
-            matrix = sign[:, None] * self._hess_const[index]
-
-            def field(x):
-                return offset + _matvec(matrix, self._point(x))
+        def field(x):
+            return rows.evaluate(self._point(x))
 
         return field
 

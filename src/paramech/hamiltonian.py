@@ -27,14 +27,8 @@ from fractions import Fraction
 import numpy as np
 
 from .exterior import KForm, PolyScalar
-from .fields import ScalarField
-from .integrators import (
-    ResidualSeries,
-    StepperConfig,
-    Trajectory,
-    integrate_field,
-    map_rows,
-)
+from .fields import ScalarField, _matvec
+from .integrators import StepperConfig, Trajectory, integrate_field, map_rows
 from .structures import SignedPermutation, StructureKind, build_structure
 
 __all__ = [
@@ -158,27 +152,35 @@ def integrate_hamiltonian(
     and sign flip, which reproduces ``hamiltonian_vector_field`` bit for bit.
     The field evaluates that signed gradient in one go
     (``ScalarField.signed_gradient``; one term table for a polynomial H).
-    A quadratic H makes the field affine, and every step is then exact
-    (``StepperConfig.jacobian``).  The energy is evaluated after the loop,
-    stacked over the samples.
+    A quadratic H, grad H = b + Q x, makes the field affine, c + J x with
+    c = S b and J = S Q; it is built here next to its Jacobian as one matvec,
+    and every step is then exact (``StepperConfig.jacobian``).  The energy is
+    evaluated after the loop, stacked over the samples.
     """
     if method not in HAMILTONIAN_METHODS:
         raise ValueError(f"method must be one of {HAMILTONIAN_METHODS}")
     H = system.hamiltonian
     form = canonical_two_form(system.kind, system.n)
     index, sign = form.index, form.sign
-    field = H.signed_gradient(index, sign)
-    # A quadratic H, grad H = b + Q x, gives the affine field with J = S Q.
     hessian = H.constant_hessian()
-    jacobian = None if hessian is None else sign[:, None] * hessian[index]
+    if hessian is None:
+        jacobian = None
+        field = H.signed_gradient(index, sign)
+    else:
+        jacobian = sign[:, None] * hessian[index]
+        offset = sign * H.gradient(np.zeros(H.dim))[index]
+
+        def field(x):
+            return offset + _matvec(jacobian, H._point(x))
+
     mask = position_mask(form) if method == "symplectic_euler" else None
     cfg = StepperConfig(method=method, dt=dt, position_mask=mask, jacobian=jacobian)
     traj = integrate_field(field, x0, t_end, cfg)
     return replace(traj, invariants={"energy": map_rows(H.value, traj.states)})
 
 
-def hamilton_residuals(system: HamiltonianSystem, traj: Trajectory) -> ResidualSeries:
-    """Residuals of this kind's closed-form equations along a trajectory.
+def hamilton_residuals(system: HamiltonianSystem, traj: Trajectory) -> np.ndarray:
+    """Residuals of this kind's closed-form equations, one row per sample.
 
     The trajectory's recorded derivatives stand in for the curve's velocity,
     so checking a trajectory generated by a different kind yields the honest
@@ -188,4 +190,4 @@ def hamilton_residuals(system: HamiltonianSystem, traj: Trajectory) -> ResidualS
     def rows(x, xdot):
         return xdot - hamiltonian_vector_field(system.kind, system.hamiltonian, x)
 
-    return ResidualSeries(traj.times, map_rows(rows, traj.states, traj.derivatives))
+    return map_rows(rows, traj.states, traj.derivatives)

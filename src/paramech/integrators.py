@@ -60,7 +60,6 @@ __all__ = [
     "METHODS",
     "StepperConfig",
     "Trajectory",
-    "ResidualSeries",
     "step_explicit",
     "integrate_field",
     "map_rows",
@@ -169,23 +168,6 @@ class Trajectory:
         return len(self.times)
 
 
-@dataclass(frozen=True, eq=False)
-class ResidualSeries:
-    """Per-sample residual vectors of an equation system along a trajectory."""
-
-    times: np.ndarray
-    residuals: np.ndarray
-
-    def __post_init__(self):
-        if len(self.times) != len(self.residuals):
-            raise ValueError("residual series must match the sample count")
-
-    def max_abs(self) -> float:
-        if self.residuals.size == 0:
-            return 0.0
-        return float(np.max(np.abs(self.residuals)))
-
-
 def _position_mask(mask) -> np.ndarray:
     if mask is None:
         raise ValueError("symplectic_euler requires a position mask")
@@ -277,7 +259,10 @@ def _plan_steps(t_end: float, dt: float) -> tuple[int, float]:
         raise ValueError("t_end must be finite and nonnegative")
     if t_end == 0:
         return 0, 0.0
-    full = int(np.floor(t_end / dt + 1e-6))
+    # A few ulps of slack absorb the rounding of t_end / dt (0.3 / 0.1 is
+    # 2.9999999999999996), and no more: a shortened step covers the rest.
+    ratio = t_end / dt
+    full = math.floor(ratio + 4 * math.ulp(ratio))
     remainder = t_end - full * dt
     if remainder <= 1e-12 * max(1.0, t_end):
         remainder = 0.0

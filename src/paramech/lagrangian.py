@@ -21,7 +21,7 @@ Two residual conventions are supported when auditing trajectories:
     reports this as a documented discrepancy rather than hiding it.
 
 ``convention_residuals`` is the one place that takes both along a
-trajectory; where the two systems coincide it computes the series once.  The
+trajectory; where the two systems coincide it computes the residuals once.  The
 energy and the residuals are stacked calls over the samples, made after the
 integration loop (``integrators.map_rows``).  A quadratic L has a constant
 Hessian Q, so its flow Q^{-1} A grad L is affine and is stepped exactly in
@@ -36,14 +36,7 @@ import numpy as np
 
 from .errors import SingularFormError, SingularHessianError, SingularSystemError
 from .fields import ScalarField, _matvec
-from .integrators import (
-    ResidualSeries,
-    StepperConfig,
-    Trajectory,
-    integrate_field,
-    map_rows,
-    solve_linear,
-)
+from .integrators import StepperConfig, Trajectory, integrate_field, map_rows, solve_linear
 from .structures import StructureOperator
 
 __all__ = [
@@ -53,6 +46,7 @@ __all__ = [
     "liouville_field",
     "lagrangian_energy",
     "canonical_rhs",
+    "two_form_matrix",
     "intrinsic_solve",
     "integrate_lagrangian",
     "el_residuals",
@@ -105,6 +99,20 @@ def canonical_rhs(op: StructureOperator, L: ScalarField, x) -> np.ndarray:
         raise SingularHessianError(str(exc)) from exc
 
 
+def two_form_matrix(op: StructureOperator, hess: np.ndarray) -> np.ndarray:
+    """W = A^T Hess - Hess A for a symmetric Hess, so that A^T Hess = (Hess A)^T.
+
+    Hess A is a column gather, so the entries stay in Hess's dtype (exact
+    Fractions in the audit, floats in ``intrinsic_solve``).
+    """
+    hess_a = np.empty_like(hess)
+    # Column index[k] is sign[k] * column k: place the columns, then negate.
+    hess_a[:, op.index] = hess
+    negated = op.index[op.sign < 0]
+    hess_a[:, negated] = -hess_a[:, negated]
+    return hess_a.T - hess_a
+
+
 def intrinsic_solve(op: StructureOperator, L: ScalarField, x) -> np.ndarray:
     """Semispray recovered from the contraction identity itself.
 
@@ -113,7 +121,7 @@ def intrinsic_solve(op: StructureOperator, L: ScalarField, x) -> np.ndarray:
     (i_X W)_b = dE_b into one linear system.  Nondegeneracy of W is required.
     """
     hess = L.hessian(x)
-    two_form = op.matrix.T @ hess - hess @ op.matrix
+    two_form = two_form_matrix(op, hess)
     try:
         condition = np.linalg.cond(two_form)
     except np.linalg.LinAlgError:
@@ -188,8 +196,8 @@ def integrate_lagrangian(
     return replace(traj, invariants={"energy": map_rows(energy, traj.states, traj.derivatives)})
 
 
-def el_residuals(system: LagrangianSystem, traj: Trajectory) -> ResidualSeries:
-    """Residuals of the system's convention along a trajectory.
+def el_residuals(system: LagrangianSystem, traj: Trajectory) -> np.ndarray:
+    """Residuals of the system's convention, one row per sample.
 
     The time derivative d/dt (dL/dx_a) is expanded by the chain rule as
     Hess . xdot using the trajectory's recorded derivatives, so integrator
@@ -201,17 +209,15 @@ def el_residuals(system: LagrangianSystem, traj: Trajectory) -> ResidualSeries:
     def rows(x, xdot):
         return _matvec(L.hessian(x), xdot) - sign * L.gradient(x)[..., op.index]
 
-    return ResidualSeries(traj.times, map_rows(rows, traj.states, traj.derivatives))
+    return map_rows(rows, traj.states, traj.derivatives)
 
 
-def convention_residuals(
-    system: LagrangianSystem, traj: Trajectory
-) -> dict[str, ResidualSeries]:
+def convention_residuals(system: LagrangianSystem, traj: Trajectory) -> dict[str, np.ndarray]:
     """Residuals of both conventions along a trajectory, keyed by convention.
 
     The system's own convention is ignored.  Where the printed sign pattern
     equals A (G and H) the two systems are one, and both keys map to the
-    same series.
+    same array.
     """
     derived = el_residuals(replace(system, convention="derived"), traj)
     op = system.operator

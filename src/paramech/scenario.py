@@ -50,7 +50,7 @@ from .hamiltonian import (
     hamilton_residuals,
     integrate_hamiltonian,
 )
-from .integrators import ResidualSeries, Trajectory
+from .integrators import Trajectory
 from .lagrangian import (
     LAGRANGIAN_METHODS,
     LagrangianSystem,
@@ -360,10 +360,14 @@ def build_field(spec: FieldSpec, n: int) -> ScalarField:
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
+    """The summary of one written run; the run's arrays are not kept."""
+
     name: str
     scenario: Scenario
-    trajectory: Trajectory
-    residuals: ResidualSeries
+    samples: int
+    energy_initial: float
+    energy_final: float
+    final_state: tuple[float, ...]
     energy_drift_max: float
     endpoint_distance: float
     residual_maxima: dict[str, float]
@@ -387,7 +391,7 @@ def _atomic_write(path: Path, blocks: Iterable[str]) -> None:
         raise
 
 
-def _trajectory_table(traj: Trajectory, residuals: ResidualSeries) -> Iterator[str]:
+def _trajectory_table(traj: Trajectory, residuals: np.ndarray) -> Iterator[str]:
     """The table as text blocks: the header line, then POSTPASS_ROWS rows each.
 
     The block size is read when the first block is asked for.
@@ -401,7 +405,7 @@ def _trajectory_table(traj: Trajectory, residuals: ResidualSeries) -> Iterator[s
     )
     # '%.17g' % v is format_float(v) for every float, inf and nan included.
     row = ",".join(["%.17g"] * len(header)) + "\n"
-    columns = (traj.times, traj.states, traj.invariants["energy"], residuals.residuals)
+    columns = (traj.times, traj.states, traj.invariants["energy"], residuals)
     yield ",".join(header) + "\n"
     rows = integrators.POSTPASS_ROWS
     for start in range(0, len(traj), rows):
@@ -409,15 +413,13 @@ def _trajectory_table(traj: Trajectory, residuals: ResidualSeries) -> Iterator[s
         yield "".join([row % tuple(cells) for cells in block.tolist()])
 
 
-def execute_scenario(
-    scenario: Scenario,
-) -> tuple[Trajectory, ResidualSeries, dict[str, float]]:
+def execute_scenario(scenario: Scenario) -> tuple[Trajectory, np.ndarray, dict[str, float]]:
     """Integrate a scenario and take its residuals; nothing is written.
 
-    Returns the trajectory, the residual series its table reports, and the
-    residual maxima keyed as in the summary: ``derived_residual_max`` and
-    ``printed_residual_max`` for Lagrangian runs, ``residual_max`` for
-    Hamiltonian runs.
+    Returns the trajectory, the residuals its table reports (one row per
+    sample), and the maxima of their absolute values keyed as in the
+    summary: ``derived_residual_max`` and ``printed_residual_max`` for
+    Lagrangian runs, ``residual_max`` for Hamiltonian runs.
     """
     field = build_field(scenario.function, scenario.n)
     if scenario.formalism == "lagrangian":
@@ -426,15 +428,18 @@ def execute_scenario(
         traj = integrate_lagrangian(
             system, scenario.x0, scenario.t_end, scenario.dt, scenario.method
         )
-        series = convention_residuals(system, traj)
-        maxima = {f"{name}_residual_max": s.max_abs() for name, s in series.items()}
-        return traj, series[scenario.convention], maxima
+        residuals = convention_residuals(system, traj)
+        maxima = {
+            f"{name}_residual_max": float(np.abs(r).max(initial=0.0))
+            for name, r in residuals.items()
+        }
+        return traj, residuals[scenario.convention], maxima
     system = HamiltonianSystem(scenario.kind, field)
     traj = integrate_hamiltonian(
         system, scenario.x0, scenario.t_end, scenario.dt, scenario.method
     )
     residuals = hamilton_residuals(system, traj)
-    return traj, residuals, {"residual_max": residuals.max_abs()}
+    return traj, residuals, {"residual_max": float(np.abs(residuals).max(initial=0.0))}
 
 
 def run_scenario(
@@ -468,8 +473,10 @@ def run_scenario(
     result = RunResult(
         name=name,
         scenario=scenario,
-        trajectory=traj,
-        residuals=residuals,
+        samples=len(traj),
+        energy_initial=float(energy[0]),
+        energy_final=float(energy[-1]),
+        final_state=tuple(traj.states[-1].tolist()),
         energy_drift_max=drift,
         endpoint_distance=endpoint,
         residual_maxima=maxima,
@@ -484,7 +491,6 @@ def run_scenario(
 
 def render_summary(result: RunResult) -> str:
     s = result.scenario
-    energy = result.trajectory.invariants["energy"]
     lines = [
         f"scenario = {result.name}",
         f"formalism = {s.formalism}",
@@ -493,12 +499,12 @@ def render_summary(result: RunResult) -> str:
         f"method = {s.method}",
         f"dt = {format_float(s.dt)}",
         f"t_end = {format_float(s.t_end)}",
-        f"samples = {len(result.trajectory)}",
-        f"energy_initial = {format_float(energy[0])}",
-        f"energy_final = {format_float(energy[-1])}",
+        f"samples = {result.samples}",
+        f"energy_initial = {format_float(result.energy_initial)}",
+        f"energy_final = {format_float(result.energy_final)}",
         f"energy_drift_max = {format_float(result.energy_drift_max)}",
         f"endpoint_distance_from_start = {format_float(result.endpoint_distance)}",
-        "final_state = " + " ".join(format_float(v) for v in result.trajectory.states[-1]),
+        "final_state = " + " ".join(format_float(v) for v in result.final_state),
     ]
     for key, value in result.residual_maxima.items():
         lines.append(f"{key} = {format_float(value)}")

@@ -212,7 +212,7 @@ def test_criterion_5_hamiltonian_closed_forms():
     for kind in DUAL_KINDS:
         system = HamiltonianSystem(kind, harmonic_field(1))
         traj = integrate_hamiltonian(system, [1.0, 0.0, 0.3, -0.4], 2.0, 1e-3, "rk4")
-        residual_worst = max(residual_worst, hamilton_residuals(system, traj).max_abs())
+        residual_worst = max(residual_worst, np.abs(hamilton_residuals(system, traj)).max())
     ok = ok and residual_worst <= 1e-6
     _report(
         5,
@@ -272,7 +272,7 @@ def test_criterion_7_lagrangian_dynamics():
     for kind in PRIMAL_KINDS:
         sys_kind = LagrangianSystem(build_structure(kind, 1), harmonic_field(1))
         traj_kind = integrate_lagrangian(sys_kind, [1.0, 0.0, 0.0, 0.0], 2.0, 1e-3)
-        residual_worst = max(residual_worst, el_residuals(sys_kind, traj_kind).max_abs())
+        residual_worst = max(residual_worst, np.abs(el_residuals(sys_kind, traj_kind)).max())
     ok = ok and residual_worst <= 1e-6
     _report(
         7,
@@ -287,11 +287,11 @@ def test_criterion_8_equation_audit():
     for kind in (G, H):
         printed = LagrangianSystem(build_structure(kind, 1), harmonic_field(1), convention="printed")
         traj = integrate_lagrangian(printed, [1.0, 0.0, 0.0, 0.0], 2.0, 1e-2)
-        ok = ok and el_residuals(printed, traj).max_abs() <= 1e-6
+        ok = ok and np.abs(el_residuals(printed, traj)).max() <= 1e-6
 
     printed_f = LagrangianSystem(build_structure(F, 1), harmonic_field(1), convention="printed")
     circle = integrate_lagrangian(printed_f, [1.0, 0.0, 0.0, 0.0], 2 * np.pi, 1e-3)
-    f_residual = el_residuals(printed_f, circle).max_abs()
+    f_residual = np.abs(el_residuals(printed_f, circle)).max()
     ok = ok and f_residual >= 0.1
 
     report = verify_all(1)

@@ -8,9 +8,9 @@ from paramech.audit import (
     STATUS_DISCREPANCY,
     STATUS_FAIL,
     STATUS_PASS,
-    _hessian_commutator,
     verify_all,
 )
+from paramech.lagrangian import two_form_matrix
 from paramech.structures import PRIMAL_KINDS, build_structure
 
 
@@ -62,6 +62,6 @@ def test_hessian_commutator_is_the_dense_product():
                 for a in range(op.dim):
                     for b in range(a, op.dim):
                         hess[a, b] = hess[b, a] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                gathered = _hessian_commutator(op, hess)
+                gathered = two_form_matrix(op, hess)
                 assert all(isinstance(entry, Fraction) for entry in gathered.flat)
                 assert np.array_equal(gathered, op.matrix.T @ hess - hess @ op.matrix)

@@ -377,12 +377,17 @@ def test_integrate_field_calls_step_explicit_once_per_step(monkeypatch, method, 
 
 
 def test_time_grid_is_k_dt_and_ends_on_t_end():
-    for t_end, dt, count in ((2 * np.pi, 1e-3, 6285), (0.3, 0.1, 4), (1.0, 0.001, 1001)):
+    # 0.0029999995 is 5e-7 dt short of 3 dt: two full steps and a shortened
+    # one, not three full steps that overshoot the last sample's time.
+    cases = ((2 * np.pi, 1e-3, 6285), (0.3, 0.1, 4), (1.0, 0.001, 1001), (0.0029999995, 1e-3, 4))
+    for t_end, dt, count in cases:
         cfg = StepperConfig(method="rk4", dt=dt)
         traj = integrate_field(rotation_field, [1.0, 0.0, 0.0, 0.0], t_end, cfg)
         assert len(traj) == count
         assert all(traj.times[k] == k * dt for k in range(count - 1))
         assert traj.times[-1] == t_end
+        clock = integrate_field(np.ones_like, [0.0], t_end, cfg)
+        assert clock.states[-1, 0] == pytest.approx(t_end, rel=1e-12, abs=0)
 
 
 def test_non_finite_t_end_rejected():

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +12,7 @@ from paramech import integrators
 from paramech.errors import ScenarioError
 from paramech.exterior import PolyScalar
 from paramech.hamiltonian import hamiltonian_vector_field
-from paramech.integrators import ResidualSeries, Trajectory
+from paramech.integrators import Trajectory
 from paramech.lagrangian import printed_sign
 from paramech.scenario import (
     _trajectory_table,
@@ -52,6 +54,9 @@ t_end = 1.0
 dt = 0.01
 method = implicit_midpoint
 """
+
+
+SAMPLES = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.scn"))
 
 
 def test_parse_minimal_scenario():
@@ -212,6 +217,50 @@ def test_run_many(tmp_path):
         assert result.trajectory_path.exists()
 
 
+@pytest.mark.parametrize("path", SAMPLES, ids=lambda p: p.stem)
+def test_run_result_is_the_summary_of_execute_scenario(path, tmp_path):
+    scenario = load_scenario(path)
+    traj, residuals, maxima = execute_scenario(scenario)
+    energy = traj.invariants["energy"]
+    if scenario.formalism == "hamiltonian":
+        assert maxima["residual_max"] == np.abs(residuals).max()
+        warns = False
+    else:
+        assert maxima[f"{scenario.convention}_residual_max"] == np.abs(residuals).max()
+        warns = scenario.structure == "F" and maxima["printed_residual_max"] > 1e-6
+    expected = {
+        "name": path.stem,
+        "scenario": scenario,
+        "samples": len(traj),
+        "energy_initial": energy[0],
+        "energy_final": energy[-1],
+        "final_state": tuple(traj.states[-1]),
+        "energy_drift_max": np.max(np.abs(energy - energy[0])),
+        "endpoint_distance": np.linalg.norm(traj.states[-1] - np.asarray(scenario.x0)),
+        "residual_maxima": maxima,
+        "warnings": warns,
+        "trajectory_path": tmp_path / f"{path.stem}_trajectory.csv",
+        "summary_path": tmp_path / f"{path.stem}_summary.txt",
+    }
+    [result] = run_scenario_files([path], out_dir=tmp_path)
+    got = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+    got["warnings"] = bool(result.warnings)
+    assert got == expected
+    assert all(not isinstance(value, np.ndarray) for value in got.values())
+
+
+def test_run_results_hold_no_arrays(tmp_path):
+    # Each file's arrays are freed once its table and summary are written.
+    tracemalloc.start()
+    try:
+        results = run_scenario_files(SAMPLES, out_dir=tmp_path)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(results) == len(SAMPLES) == 7
+    assert held < 0.1e6
+
+
 def test_custom_output_paths(tmp_path):
     text = HARMONIC_HAMILTONIAN + "out_trajectory = a/b.csv\nout_summary = a/b.txt\n"
     result = run_scenario(parse_scenario(text), "named", tmp_path)
@@ -226,7 +275,8 @@ def test_sample_time_grid_lands_on_t_end(tmp_path):
         HARMONIC_HAMILTONIAN.replace("t_end = 6.2832", "t_end = 6.283185307179586")
     )
     result = run_scenario(scenario, "grid", tmp_path)
-    times = result.trajectory.times
+    times = execute_scenario(scenario)[0].times
+    assert result.samples == len(times)
     assert times[3000] == 3000 * scenario.dt
     assert all(times[k] == k * scenario.dt for k in range(len(times) - 1))
     assert times[-1] == scenario.t_end
@@ -243,16 +293,13 @@ def test_trajectory_table_cells_are_format_float():
     cells = np.concatenate([specials * 3, bits])[:72].reshape(8, 9)
     times = np.arange(8) / 3
     traj = Trajectory(times, cells[:, :4], np.zeros((8, 4)), {"energy": cells[:, 4]})
-    table = "".join(_trajectory_table(traj, ResidualSeries(times, cells[:, 5:])))
+    table = "".join(_trajectory_table(traj, cells[:, 5:]))
     rows = table.splitlines()
     assert rows[0] == "t,x_1,x_2,x_3,x_4,energy,res_1,res_2,res_3,res_4"
     for k, row in enumerate(rows[1:]):
         expected = [times[k], *cells[k]]
         assert row == ",".join(format_float(v) for v in expected)
     assert len(rows) == 9 and table.endswith("\n")
-
-
-SAMPLES = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.scn"))
 
 
 @pytest.mark.parametrize("path", SAMPLES, ids=lambda p: p.stem)
@@ -270,7 +317,7 @@ def test_postpass_is_bitwise_independent_of_the_chunk_size(path, monkeypatch, tm
         again, again_residuals, again_maxima = execute_scenario(scenario)
         assert np.array_equal(again.states, traj.states)
         assert np.array_equal(again.invariants["energy"], traj.invariants["energy"])
-        assert np.array_equal(again_residuals.residuals, residuals.residuals)
+        assert np.array_equal(again_residuals, residuals)
         assert again_maxima == maxima
         blocks = list(_trajectory_table(again, again_residuals))
         assert len(blocks) == 1 + math.ceil(len(traj) / rows)
@@ -283,10 +330,10 @@ def test_postpass_is_bitwise_independent_of_the_chunk_size(path, monkeypatch, tm
         for k, (x, xdot) in enumerate(zip(traj.states, traj.derivatives)):
             assert energy[k] == field.value(x)
             expected = xdot - hamiltonian_vector_field(scenario.kind, field, x)
-            assert np.array_equal(residuals.residuals[k], expected)
+            assert np.array_equal(residuals[k], expected)
     else:
         op = build_structure(StructureKind(scenario.structure), scenario.n)
         sign = op.sign if scenario.convention == "derived" else printed_sign(op)
         for k, (x, xdot) in enumerate(zip(traj.states, traj.derivatives)):
             expected = field.hessian(x) @ xdot - sign * field.gradient(x)[op.index]
-            assert np.array_equal(residuals.residuals[k], expected)
+            assert np.array_equal(residuals[k], expected)
