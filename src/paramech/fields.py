@@ -10,9 +10,11 @@ composite for speed (``gradient_and_hessian`` on ``DistanceFromOrigin``,
 primitives bit for bit.  Every primitive
 takes one point ``(dim,)`` or a stack of points ``(m, dim)``, and each row of
 a stacked result is bitwise the result at that row alone: the one-point call
-is the ``m = 1`` case of the same numpy expression, and matrix-vector products
-go through a batched matmul (``_matvec``), never a 2-D matmul that would
-round differently.  Polynomial specs keep one analytically differentiated
+is the ``m = 1`` case of the same numpy expression.  Matrix-vector products
+go through ``_matvec``: a stack is one batched matmul, which runs BLAS gemv
+on each row, and one point is ``ndarray.dot``, the same gemv without the
+batching overhead; never a 2-D matmul of a whole stack, which would round
+differently.  Polynomial specs keep one analytically differentiated
 term table per order; the built-in fields carry closed forms.
 ``evaluate_via_jets`` (second-order forward propagation, numbers carrying a
 gradient row and a Hessian block, exact to roundoff) is the fallback of a
@@ -156,9 +158,12 @@ def _sqrt(z):
 def _matvec(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     """matrix @ x along the last axis of x, for one point or a stack of points.
 
-    matrix is one matrix or one per row of x.  A batched matmul computes each
-    row as the 1-D product does, bit for bit, whatever the stack height.
+    matrix is one matrix or one per row of x.  One point and one matrix is
+    ``ndarray.dot``, BLAS gemv; a batched matmul runs that gemv on each row,
+    so every row is bitwise its one-point product, whatever the stack height.
     """
+    if x.ndim == 1 and matrix.ndim == 2:
+        return matrix.dot(x)
     return np.matmul(matrix, x[..., None])[..., 0]
 
 
@@ -274,8 +279,6 @@ class _StackedPolys:
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         monomials = np.multiply.reduce(np.power(x[..., None, :], self.exponents), axis=-1)
-        if monomials.ndim == 1:
-            return self.weights @ monomials  # rounds as _matvec does
         return _matvec(self.weights, monomials)
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exterior import KForm, PolyScalar
-from .fields import ScalarField, _matvec
+from .fields import ScalarField
 from .integrators import StepperConfig, Trajectory, integrate_field, map_rows
 from .structures import SignedPermutation, StructureKind, build_structure
 
@@ -169,12 +169,16 @@ def integrate_hamiltonian(
     else:
         jacobian = sign[:, None] * hessian[index]
         offset = sign * H.gradient(np.zeros(H.dim))[index]
+        # The steps keep x0's dimension, so it is checked once, here.
+        H._point(x0)
 
         def field(x):
-            return offset + _matvec(jacobian, H._point(x))
+            return offset + jacobian.dot(x)
 
     mask = position_mask(form) if method == "symplectic_euler" else None
-    cfg = StepperConfig(method=method, dt=dt, position_mask=mask, jacobian=jacobian)
+    cfg = StepperConfig(
+        method=method, dt=dt, position_mask=mask, jacobian=jacobian, rowwise=jacobian is None
+    )
     traj = integrate_field(field, x0, t_end, cfg)
     return replace(traj, invariants={"energy": map_rows(H.value, traj.states)})
 

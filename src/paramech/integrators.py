@@ -5,6 +5,11 @@ linearly-implicit system M(x) xdot = b(x) goes through it as the field
 x -> ``solve_linear(M(x), b(x))``; a caller whose M is constant solves for
 M^{-1} once instead.  Each solve reuses one inverse for both the solution and
 the 1-norm condition number that guards against near-singular systems.
+``solve_linear`` also takes a stack of systems, each row bitwise its
+one-point solve, and raises the one-point message of the first failing row.
+Products of one point (the affine increment M f(x), the extrapolation below,
+the inverse times one right-hand side) are ``ndarray.dot``, BLAS gemv; a stack
+goes through a batched matmul, which runs the same gemv on each row.
 
 ``integrate_field`` samples the times t_k = k*dt, the last one exactly t_end
 (a shortened final step lands there), into arrays allocated before the first
@@ -38,6 +43,17 @@ the tolerance.  ``step_explicit(f, x, cfg)`` stays the one call per step: the
 start reaches it through the first evaluation at x, which ``integrate_field``
 answers with D / dt.  The first four steps and a shortened last step keep the
 Euler start; the tolerance and the iteration limit are the same either way.
+
+Such a run reads no recorded derivative of samples 4 to full-1 (their next
+step extrapolates) nor of the last sample.  With ``StepperConfig.rowwise``, a
+caller's promise that f maps a stack (m, dim) row by row, each row bitwise
+its one-point value, ``integrate_field`` records those derivatives by stacked
+calls of f over blocks of ``POSTPASS_ROWS`` samples instead of one call per
+sample.  Both formalisms set it for their non-affine fields; the mass-matrix
+field above handles one point only and keeps the default False.  Failures
+keep their order: the pending rows are recorded before a step's error is
+re-raised, and a stacked block that raises is redone one sample at a time, so
+the first failing sample raises what it raises without the flag.
 
 What is computed from the samples afterwards (energy, residuals) is one
 stacked call per ``POSTPASS_ROWS`` rows through ``map_rows``, under the same
@@ -83,20 +99,42 @@ def solve_linear(matrix: np.ndarray, rhs: np.ndarray, error: str = "linear syste
     """Dense solve of matrix @ X = rhs (a vector or a matrix of columns).
 
     One inverse gives both the solution and the 1-norm condition number,
-    which must not exceed 1e12.
+    which must not exceed 1e12.  A stack of systems, matrices (m, d, d) with
+    right-hand sides (m, d), is solved row by row, each row bitwise its
+    one-point solve; the first row over the limit raises its one-point
+    message.
     """
     matrix = np.asarray(matrix, dtype=float)
+    stacked = matrix.ndim == 3
     try:
         inverse = np.linalg.inv(matrix)
     except np.linalg.LinAlgError:
+        if stacked:
+            # One exactly singular row fails the whole stack; one row at a
+            # time, the first failing row raises.
+            for row_matrix, row_rhs in zip(matrix, rhs):
+                solve_linear(row_matrix, row_rhs, error)
         condition = math.inf
     else:
-        condition = float(np.maximum.reduce(np.add.reduce(np.abs(matrix), axis=0))) * float(
-            np.maximum.reduce(np.add.reduce(np.abs(inverse), axis=0))
-        )
-    if not math.isfinite(condition) or condition > _CONDITION_LIMIT:
+        condition = _max_column_sum(matrix) * _max_column_sum(inverse)
+        if stacked:
+            failed = np.flatnonzero(~(condition <= _CONDITION_LIMIT))
+            condition = condition[failed[0]] if len(failed) else 0.0
+    if not condition <= _CONDITION_LIMIT:
         raise SingularSystemError(f"{error}: condition estimate {condition:.3g} exceeds 1e12")
-    return inverse @ np.asarray(rhs, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    if stacked:
+        return np.matmul(inverse, rhs[..., None])[..., 0]
+    return inverse.dot(rhs)
+
+
+def _max_column_sum(matrix: np.ndarray):
+    """The 1-norm of a matrix, or of each matrix of a stack.
+
+    The column sums add the rows in order, for one matrix and for each matrix
+    of a stack alike, so a stacked norm is bitwise the one-point norm.
+    """
+    return np.maximum.reduce(np.add.reduce(np.abs(matrix), axis=-2), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -109,6 +147,9 @@ class StepperConfig:
     position_mask: np.ndarray | None = field(default=None, repr=False)
     # The constant Jacobian J of an affine field f(x) = c + J x, if known.
     jacobian: np.ndarray | None = field(default=None, repr=False)
+    # True if f maps a stack (m, dim) row by row, each row bitwise its
+    # one-point value: derivatives no step reads are then recorded stacked.
+    rowwise: bool = False
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -243,7 +284,7 @@ def step_explicit(f: Callable[[np.ndarray], np.ndarray], x, cfg: StepperConfig) 
     """
     x = np.asarray(x, dtype=float)
     if cfg.jacobian is not None:
-        return x + cfg.increment @ f(x)
+        return x + cfg.increment.dot(f(x))
     if cfg.method == "rk4":
         return _step_rk4(f, x, cfg.dt)
     if cfg.method == "implicit_midpoint":
@@ -269,30 +310,20 @@ def _plan_steps(t_end: float, dt: float) -> tuple[int, float]:
     return full, remainder
 
 
-def _advance(f, x, first, cfg: StepperConfig, t: float) -> np.ndarray:
-    """One step from the state x at time t.
+def _record_rows(f, states, derivatives, start: int, stop: int) -> None:
+    """derivatives[start:stop] = f(states[start:stop]) by one stacked call.
 
-    The steppers evaluate the start point x itself first, and ``first``
-    answers that evaluation: the derivative at x, or for an extrapolated
-    midpoint stage the increment over dt, so that the stage starts at
-    x + dt * first.
+    A stack that raises is redone one row at a time, so the first failing
+    sample raises what its own evaluation raises; if no row fails alone, the
+    rows computed one at a time stand.
     """
-
-    def first_same_as_last(y):
-        return first if y is x else f(y)
-
+    if start >= stop:
+        return
     try:
-        x = step_explicit(first_same_as_last, x, cfg)
-        # x.dot(x) is finite for a finite x unless it overflows.
-        if not math.isfinite(x.dot(x)) and not np.isfinite(x).all():
-            raise ConvergenceError(f"{cfg.method} step diverged to a non-finite state", 0)
-    except SingularSystemError as exc:
-        raise type(exc)(f"{exc} (while stepping from t = {t:.9g})") from exc
-    except ConvergenceError as exc:
-        raise ConvergenceError(
-            f"{exc} (while stepping from t = {t:.9g})", exc.iterations
-        ) from exc
-    return x
+        derivatives[start:stop] = f(states[start:stop])
+    except Exception:
+        for k in range(start, stop):
+            derivatives[k] = f(states[k])
 
 
 def integrate_field(
@@ -304,7 +335,10 @@ def integrate_field(
 ) -> Trajectory:
     """Integrate xdot = f(x) on the grid t_k = k*dt; the last sample is t_end.
 
-    Each invariant function is called as fn(x, xdot) at every sample.
+    Each invariant function is called as fn(x, xdot) at every sample.  With
+    ``cfg.rowwise`` and no invariant functions, an extrapolated midpoint run
+    records the derivatives that no step reads by stacked calls of f (see the
+    module docstring).
     """
     invariant_fns = dict(invariant_fns or {})
     full, remainder = _plan_steps(t_end, cfg.dt)
@@ -322,23 +356,67 @@ def integrate_field(
         ) from exc
     if steps:
         times[-1] = t_end
+    dt, history = cfg.dt, len(_EXTRAPOLATION)
+    last_cfg = replace(cfg, dt=remainder) if remainder else cfg
     extrapolate = cfg.method == "implicit_midpoint" and cfg.jacobian is None
-    history = len(_EXTRAPOLATION)
+    # A full step from here on starts from the extrapolation, not from fx.
+    extrapolate_from = history if extrapolate else count
+    # Deferred samples: defer_from <= k < full, and defer_last.
+    defer = extrapolate and cfg.rowwise and not invariant_fns
+    defer_from, defer_last = (history - 1, count - 1) if defer else (count, 0)
     with np.errstate(over="ignore", invalid="ignore"):
         fx = np.asarray(f(x), dtype=float)
-        for k in range(count):
-            if k:
+        states[0] = x
+        derivatives[0] = fx
+        for name, fn in invariant_fns.items():
+            invariants[name][0] = fn(x, fx)
+        # The samples lo..k-1 await their derivatives at the top of step k.
+        lo, stepping = 1, False
+        try:
+            for k in range(1, count):
                 step_cfg, first = cfg, fx
                 if k > full:
-                    step_cfg = replace(cfg, dt=remainder)
-                elif extrapolate and k >= history:
-                    first = (_EXTRAPOLATION @ states[k - history : k]) / cfg.dt
-                x = _advance(f, x, first, step_cfg, times[k - 1])
-                fx = np.asarray(f(x), dtype=float)
-            states[k] = x
-            derivatives[k] = fx
-            for name, fn in invariant_fns.items():
-                invariants[name][k] = fn(x, fx)
+                    step_cfg = last_cfg
+                elif k >= extrapolate_from:
+                    first = _EXTRAPOLATION.dot(states[k - history : k]) / dt
+
+                # The steppers evaluate the start point x itself first:
+                # ``first`` answers, the derivative at x or, for an
+                # extrapolated stage, the increment over dt.
+                def first_same_as_last(y, x=x, first=first):
+                    return first if y is x else f(y)
+
+                stepping = True
+                x = step_explicit(first_same_as_last, x, step_cfg)
+                # x.dot(x) is finite for a finite x unless it overflows.
+                if not math.isfinite(x.dot(x)) and not np.isfinite(x).all():
+                    raise ConvergenceError(
+                        f"{step_cfg.method} step diverged to a non-finite state", 0
+                    )
+                stepping = False
+                states[k] = x
+                if defer_from <= k < full or k == defer_last:
+                    if k + 1 - lo == POSTPASS_ROWS:
+                        start, lo = lo, k + 1
+                        _record_rows(f, states, derivatives, start, lo)
+                    continue
+                start, lo = lo, k + 1
+                _record_rows(f, states, derivatives, start, k)
+                fx = f(x)
+                derivatives[k] = fx
+                for name, fn in invariant_fns.items():
+                    invariants[name][k] = fn(x, fx)
+        except Exception as exc:
+            # Earlier samples fail first: a pending derivative that raises
+            # replaces exc.
+            _record_rows(f, states, derivatives, lo, k)
+            if not stepping or not isinstance(exc, (SingularSystemError, ConvergenceError)):
+                raise
+            message = f"{exc} (while stepping from t = {times[k - 1]:.9g})"
+            if isinstance(exc, ConvergenceError):
+                raise ConvergenceError(message, exc.iterations) from exc
+            raise type(exc)(message) from exc
+        _record_rows(f, states, derivatives, lo, count)
     return Trajectory(times, states, derivatives, invariants)
 
 

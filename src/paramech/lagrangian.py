@@ -91,7 +91,7 @@ def lagrangian_energy(op: StructureOperator, L: ScalarField, x, semispray) -> fl
 
 
 def canonical_rhs(op: StructureOperator, L: ScalarField, x) -> np.ndarray:
-    """Semispray solving Hess(L) . xdot = A . grad L at x."""
+    """Semispray solving Hess(L) . xdot = A . grad L at x, or at each row of x."""
     try:
         gradient, hessian = L.gradient_and_hessian(x)
         return solve_linear(hessian, op.apply(gradient), error="Hessian")
@@ -164,8 +164,10 @@ def integrate_lagrangian(
     is one matvec with Q^{-1} A.  That field is affine, with the Jacobian
     Q^{-1} A Q, so every step is exact (``StepperConfig.jacobian``).
     Otherwise every evaluation is ``canonical_rhs``: one guarded solve with
-    the Hessian at that point.  The energy is ``lagrangian_energy`` of the
-    samples and their recorded semisprays, evaluated after the loop.
+    the Hessian at that point.  It maps a stack of points row by row (a stack
+    of guarded solves), so the run records the semisprays that no step reads
+    stacked (``StepperConfig.rowwise``).  The energy is ``lagrangian_energy``
+    of the samples and their recorded semisprays, evaluated after the loop.
     """
     if method not in LAGRANGIAN_METHODS:
         raise ValueError(f"method must be one of {LAGRANGIAN_METHODS}")
@@ -183,9 +185,9 @@ def integrate_lagrangian(
             jacobian = flow @ hessian
 
             def field(x):
-                return flow @ L.gradient(x)
+                return flow.dot(L.gradient(x))
 
-        cfg = StepperConfig(method=method, dt=dt, jacobian=jacobian)
+        cfg = StepperConfig(method=method, dt=dt, jacobian=jacobian, rowwise=jacobian is None)
         traj = integrate_field(field, x0, t_end, cfg)
     except SingularSystemError as exc:
         raise SingularHessianError(str(exc)) from exc

@@ -16,6 +16,7 @@ from paramech.fields import (
     harmonic_field,
     kinetic_energy,
     kinetic_minus_potential_field,
+    _matvec,
     lagrangian_from_energies,
     potential_energy,
 )
@@ -328,6 +329,26 @@ def test_signed_gradient_is_the_signed_permuted_gradient(make_field):
         assert np.array_equal(stacked[row], signed(x))
     with pytest.raises(ValueError, match="point dimension mismatch"):
         signed(np.ones(field.dim + 1))
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1025])
+@pytest.mark.parametrize("dim", [4, 8, 12])
+def test_one_point_gemv_is_each_batched_row(dim, rows):
+    # One point is ndarray.dot (BLAS gemv), a stack one batched matmul; with
+    # one shared matrix or one per row, every row is bitwise the one-point
+    # product, rows holding inf or nan included.
+    rng = np.random.default_rng(dim * rows)
+    matrix = rng.standard_normal((dim, dim))
+    per_row = rng.standard_normal((rows, dim, dim))
+    points = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-5, 6, size=(rows, 1))
+    points[rows // 2, 0] = np.inf
+    points[-1, dim - 1] = np.nan
+    with np.errstate(invalid="ignore"):
+        shared, own = _matvec(matrix, points), _matvec(per_row, points)
+        for row, x in enumerate(points):
+            assert np.array_equal(shared[row], _matvec(matrix, x), equal_nan=True)
+            assert np.array_equal(own[row], _matvec(per_row[row], x), equal_nan=True)
+    assert not np.isfinite(shared[rows // 2]).any() and np.isnan(shared[-1]).all()
 
 
 DIMENSION_CASES = {

@@ -1,11 +1,14 @@
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import paramech.integrators as integrators
 from paramech.errors import ConvergenceError, SingularSystemError
+from paramech.fields import kinetic_minus_potential_field
+from paramech.hamiltonian import canonical_two_form
 from paramech.integrators import (
     METHODS,
     StepperConfig,
@@ -14,6 +17,11 @@ from paramech.integrators import (
     solve_linear,
     step_explicit,
 )
+from paramech.lagrangian import canonical_rhs
+from paramech.scenario import build_field, load_scenario
+from paramech.structures import G, build_structure
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def rotation_field(x):
@@ -421,3 +429,117 @@ def test_solve_linear_guard():
     for singular in (np.diag([1.0, 1e-13]), np.zeros((2, 2)), np.full((2, 2), np.nan)):
         with pytest.raises(SingularSystemError, match="exceeds 1e12"):
             solve_linear(singular, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1025])
+@pytest.mark.parametrize("dim", [4, 8, 12])
+def test_stacked_solve_is_the_one_point_solve_per_row(dim, rows):
+    rng = np.random.default_rng(dim * rows)
+    matrices = rng.standard_normal((rows, dim, dim)) + dim * np.eye(dim)
+    rhs = rng.standard_normal((rows, dim))
+    stacked = solve_linear(matrices, rhs)
+    assert stacked.shape == (rows, dim)
+    for row in range(rows):
+        assert np.array_equal(stacked[row], solve_linear(matrices[row], rhs[row]))
+
+
+ILL = np.diag([1.0, 1.0, 1.0, 1e-13])
+WORSE = np.diag([1.0, 1e-15, 1.0, 1.0])
+SINGULAR = np.diag([1.0, 1.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "first, later",
+    [(ILL, WORSE), (SINGULAR, ILL), (ILL, SINGULAR)],
+    ids=["ill-then-worse", "singular-then-ill", "ill-then-singular"],
+)
+def test_stacked_solve_raises_the_message_of_the_first_failing_row(first, later):
+    # Rows 2 and 4 fail; the stack raises what row 2 alone raises.  An exactly
+    # singular row has no inverse and the condition estimate inf.
+    matrices = np.stack([(1.0 + k) * np.eye(4) for k in range(6)])
+    matrices[2], matrices[4] = first, later
+    rhs = np.ones((6, 4))
+    with pytest.raises(SingularSystemError) as alone:
+        solve_linear(first, rhs[2], error="Hessian")
+    with pytest.raises(SingularSystemError) as stacked:
+        solve_linear(matrices, rhs, error="Hessian")
+    assert str(stacked.value) == str(alone.value)
+    assert ("condition estimate inf" in str(alone.value)) == (first is SINGULAR)
+
+
+def quartic_hstar_rowwise():
+    # S grad H of the sample quartic_hstar.scn, one term table for all rows.
+    scenario = load_scenario(SCENARIOS / "quartic_hstar.scn")
+    form = canonical_two_form(scenario.kind, scenario.n)
+    field = build_field(scenario.function, scenario.n)
+    return field.signed_gradient(form.index, form.sign), scenario.x0
+
+
+def kinetic_minus_potential_g():
+    op = build_structure(G, 1)
+    lagrangian = kinetic_minus_potential_field([1.0], 0.5)
+    return (lambda x: canonical_rhs(op, lagrangian, x)), (3.0, 4.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "steps", [3, 4.5, 20.5, integrators.POSTPASS_ROWS + 40], ids=lambda s: f"{s}dt"
+)
+@pytest.mark.parametrize("make_field", [quartic_hstar_rowwise, kinetic_minus_potential_g])
+def test_stacked_derivative_recording_is_bitwise_neutral(make_field, steps):
+    # Runs shorter than five steps, with a shortened last step, and longer
+    # than one block of deferred rows: the flag changes no sample.
+    field, x0 = make_field()
+    dt = 1e-3
+    runs, stacked = [], []
+
+    def counted(x):
+        stacked.append(np.ndim(x) == 2)
+        return field(x)
+
+    for rowwise in (False, True):
+        stacked.clear()
+        cfg = StepperConfig(dt=dt, rowwise=rowwise)
+        runs.append((integrate_field(counted, x0, steps * dt, cfg), sum(stacked), len(stacked)))
+    (off, off_stacked, off_calls), (on, on_stacked, on_calls) = runs
+    assert np.array_equal(on.times, off.times)
+    assert np.array_equal(on.states, off.states)
+    assert np.array_equal(on.derivatives, off.derivatives)
+    assert off_stacked == 0 and on_stacked >= 1
+    if steps > integrators.POSTPASS_ROWS:
+        assert on_stacked >= 2 and on_calls <= off_calls - integrators.POSTPASS_ROWS
+    # Invariant functions see every derivative as it is taken: nothing stacked.
+    stacked.clear()
+    hooked = integrate_field(
+        counted, x0, steps * dt, StepperConfig(dt=dt, rowwise=True), {"zero": lambda x, xdot: 0.0}
+    )
+    assert not any(stacked)
+    assert np.array_equal(hooked.derivatives, off.derivatives)
+
+
+@pytest.mark.parametrize("singular_sample", [7, None])
+def test_stacked_recording_fails_in_sample_order(singular_sample):
+    # x_1 is a clock, exact at dt = 1/8, and every stage evaluates midpoints
+    # x_k + 1/16 only.  The field is singular at sample 7 (x_1 = 7/8), whose
+    # derivative a row-wise run defers, and infinite past x_1 = 1.2, so the
+    # step from t = 1.25 diverges.  Either way the run raises what the plain
+    # run raises: the sample-7 error, or the divergence when there is none.
+    dt = 0.125
+    velocity = np.array([1.0, 0.0, 0.0, 0.0])
+
+    def field(x):
+        clock = x[..., :1]
+        if singular_sample is not None and (clock == singular_sample * dt).any():
+            raise SingularSystemError(f"field at {x.shape} is singular at x_1 = {singular_sample * dt}")
+        return np.where(clock < 1.2, velocity, np.inf)
+
+    errors = []
+    for rowwise in (False, True):
+        cfg = StepperConfig(dt=dt, rowwise=rowwise)
+        with pytest.raises((SingularSystemError, ConvergenceError)) as excinfo:
+            integrate_field(field, np.zeros(4), 2.0, cfg)
+        errors.append((type(excinfo.value), str(excinfo.value)))
+    assert errors[0] == errors[1]
+    if singular_sample is None:
+        assert errors[1][0] is ConvergenceError and "stepping from t = 1.25" in errors[1][1]
+    else:
+        assert errors[1] == (SingularSystemError, "field at (4,) is singular at x_1 = 0.875")
