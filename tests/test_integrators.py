@@ -489,18 +489,19 @@ def test_stacked_derivative_recording_is_bitwise_neutral(make_field, steps):
     # Runs shorter than five steps, with a shortened last step, and longer
     # than one block of deferred rows: the flag changes no sample.
     field, x0 = make_field()
-    dt = 1e-3
-    runs, stacked = [], []
+    stacked = []
 
     def counted(x):
         stacked.append(np.ndim(x) == 2)
         return field(x)
 
-    for rowwise in (False, True):
+    def run(rowwise, invariant_fns=None):
         stacked.clear()
-        cfg = StepperConfig(dt=dt, rowwise=rowwise)
-        runs.append((integrate_field(counted, x0, steps * dt, cfg), sum(stacked), len(stacked)))
-    (off, off_stacked, off_calls), (on, on_stacked, on_calls) = runs
+        cfg = StepperConfig(dt=1e-3, rowwise=rowwise)
+        traj = integrate_field(counted, x0, steps * cfg.dt, cfg, invariant_fns)
+        return traj, sum(stacked), len(stacked)
+
+    (off, off_stacked, off_calls), (on, on_stacked, on_calls) = run(False), run(True)
     assert np.array_equal(on.times, off.times)
     assert np.array_equal(on.states, off.states)
     assert np.array_equal(on.derivatives, off.derivatives)
@@ -508,11 +509,8 @@ def test_stacked_derivative_recording_is_bitwise_neutral(make_field, steps):
     if steps > integrators.POSTPASS_ROWS:
         assert on_stacked >= 2 and on_calls <= off_calls - integrators.POSTPASS_ROWS
     # Invariant functions see every derivative as it is taken: nothing stacked.
-    stacked.clear()
-    hooked = integrate_field(
-        counted, x0, steps * dt, StepperConfig(dt=dt, rowwise=True), {"zero": lambda x, xdot: 0.0}
-    )
-    assert not any(stacked)
+    hooked, hooked_stacked, _ = run(True, {"zero": lambda x, xdot: 0.0})
+    assert hooked_stacked == 0
     assert np.array_equal(hooked.derivatives, off.derivatives)
 
 
