@@ -11,7 +11,8 @@ The two-form's matrix is a signed permutation, stored as the (index, sign)
 pair of ``paramech.structures``, so the integrated field is the signed,
 permuted gradient, evaluated by the Hamiltonian as one table.  For
 a quadratic H that field is affine with the constant Jacobian S Q (Q the
-Hessian), and the integrator steps it exactly in the increment form.  The
+Hessian), and the integrator steps it exactly in the increment form, a long
+run block by block (``integrators``).  The
 energy series and the residuals are computed after the integration loop, as
 stacked calls over the samples (``integrators.map_rows``).
 
@@ -27,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exterior import KForm, PolyScalar
-from .fields import ScalarField
+from .fields import ScalarField, _matvec
 from .integrators import StepperConfig, Trajectory, integrate_field, map_rows
 from .structures import SignedPermutation, StructureKind, build_structure
 
@@ -154,8 +155,11 @@ def integrate_hamiltonian(
     (``ScalarField.signed_gradient``; one term table for a polynomial H).
     A quadratic H, grad H = b + Q x, makes the field affine, c + J x with
     c = S b and J = S Q; it is built here next to its Jacobian as one matvec,
-    and every step is then exact (``StepperConfig.jacobian``).  The energy is
-    evaluated after the loop, stacked over the samples.
+    and every step is then exact (``StepperConfig.jacobian``).  Both fields
+    map a stack of points row by row (``StepperConfig.rowwise``), so a long
+    affine run maps block after block and records each block's derivatives
+    by one stacked call.  The energy is evaluated after the loop, stacked
+    over the samples.
     """
     if method not in HAMILTONIAN_METHODS:
         raise ValueError(f"method must be one of {HAMILTONIAN_METHODS}")
@@ -173,11 +177,11 @@ def integrate_hamiltonian(
         H._point(x0)
 
         def field(x):
-            return offset + jacobian.dot(x)
+            return offset + _matvec(jacobian, x)
 
     mask = position_mask(form) if method == "symplectic_euler" else None
     cfg = StepperConfig(
-        method=method, dt=dt, position_mask=mask, jacobian=jacobian, rowwise=jacobian is None
+        method=method, dt=dt, position_mask=mask, jacobian=jacobian, rowwise=True
     )
     traj = integrate_field(field, x0, t_end, cfg)
     return replace(traj, invariants={"energy": map_rows(H.value, traj.states)})

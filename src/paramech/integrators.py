@@ -19,10 +19,12 @@ recorded derivative is also the first field evaluation of the next step
 integration loop owns the overflow policy: inside it overflow gives inf
 without a warning, and a non-finite state is rejected whatever the method, so
 fields stay plain numpy.  Each implicit stage applies the same policy, so a
-direct ``step_explicit`` caller sees no warning from it either.  Finiteness is tested by one dot product (the
-squared state, or the squared stage step), and the state is scanned entry by
-entry only when that product is not finite.  Steppers are pure functions of
-their inputs; trajectories are bitwise reproducible.
+direct ``step_explicit`` caller sees no warning from it either; a stage under
+``integrate_field`` finds the policy held and does not enter it again.
+Finiteness is tested by one dot product (the squared state, or the squared
+stage step), and the state is scanned entry by entry only when that product is
+not finite.  Steppers are pure functions of their inputs; trajectories are
+bitwise reproducible.
 
 An affine field f(x) = c + J x whose caller passes J as
 ``StepperConfig.jacobian`` is stepped exactly, in the increment form
@@ -33,6 +35,21 @@ Hamiltonian the Cayley transform, which keeps the energy to roundoff), and
 the closed form of symplectic Euler's masked linear stage.  A shortened last
 step has its own config and so its own M.  Every other field takes the staged
 rk4 step or the fixed-point implicit stage.
+
+A long affine run goes block by block.  With ``StepperConfig.rowwise`` (see
+below), no invariant functions and more than B = 1024 full steps, samples
+1..B are stepped one at a time as above.  Each later block of up to B samples,
+up to the last full step, is the block before it mapped by the exact B-step
+map x -> x + (D x + e): one stacked product per block, and one stacked call
+of f for the block's derivatives, so each is bitwise f of its state.  (D, e)
+is derived once per run by squaring the one-step map x + (D_1 x + e_1), with
+D_1 = M J and e_1 = M f(0), in this deviation form, which never rounds the
+small D_1 into I + D_1: D_2m = 2 D_m + D_m D_m and e_2m = 2 e_m + D_m e_m.  A
+shortened last step is still one step.  If D or e is not finite, no block is
+mapped; a mapped block with a non-finite state or derivative is stepped again
+one sample at a time, so a divergence is raised by the step that produces it,
+with its usual type and message.  A run of at most B full steps, and a run
+without the flag or with invariant functions, steps every sample.
 
 The implicit midpoint stage of a full step k >= 5 starts from the quartic
 extrapolation of the last five samples, x_k ~ x_{k-1} + D with
@@ -49,11 +66,12 @@ step extrapolates) nor of the last sample.  With ``StepperConfig.rowwise``, a
 caller's promise that f maps a stack (m, dim) row by row, each row bitwise
 its one-point value, ``integrate_field`` records those derivatives by stacked
 calls of f over blocks of ``POSTPASS_ROWS`` samples instead of one call per
-sample.  Both formalisms set it for their non-affine fields; the mass-matrix
-field above handles one point only and keeps the default False.  Failures
-keep their order: the pending rows are recorded before a step's error is
-re-raised, and a stacked block that raises is redone one sample at a time, so
-the first failing sample raises what it raises without the flag.
+sample.  Both formalisms set it for all their fields, affine ones included;
+the mass-matrix field above handles one point only and keeps the default
+False.  Failures keep their order: the pending rows are recorded before a
+step's error is re-raised, and a stacked block that raises is redone one
+sample at a time, so the first failing sample raises what it raises without
+the flag.
 
 What is computed from the samples afterwards (energy, residuals) is one
 stacked call per ``POSTPASS_ROWS`` rows through ``map_rows``, under the same
@@ -64,6 +82,8 @@ overflow policy; the optional per-sample ``invariant_fns`` hook of
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Mapping
@@ -71,6 +91,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConvergenceError, SingularSystemError
+from .fields import _matvec
 
 __all__ = [
     "METHODS",
@@ -87,12 +108,32 @@ METHODS = ("rk4", "symplectic_euler", "implicit_midpoint")
 
 _CONDITION_LIMIT = 1e12
 
+# True while a caller holds the overflow policy (``_overflow_policy``).
+_POLICY_HELD: ContextVar[bool] = ContextVar("paramech_overflow_policy_held", default=False)
+
+# Samples per block of a long affine run (a power of two), independent of
+# POSTPASS_ROWS: after the first block, each block is the previous one mapped
+# by the exact _BLOCK-step map, derived by _BLOCK_SQUARINGS squarings.
+_BLOCK_SQUARINGS = 10
+_BLOCK = 1 << _BLOCK_SQUARINGS
+
 # Rows per stacked post-pass call: bounds its temporaries on long runs.
 POSTPASS_ROWS = 1024
 
 # The increment x_{k+1} - x_k of the quartic through the last five states,
 # oldest first: the start of a full non-affine midpoint stage from step 5 on.
 _EXTRAPOLATION = np.array([1.0, -5.0, 10.0, -10.0, 4.0])
+
+
+@contextmanager
+def _overflow_policy():
+    """Overflow gives inf and inf - inf gives nan, without a warning."""
+    token = _POLICY_HELD.set(True)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    finally:
+        _POLICY_HELD.reset(token)
 
 
 def solve_linear(matrix: np.ndarray, rhs: np.ndarray, error: str = "linear system") -> np.ndarray:
@@ -235,22 +276,25 @@ def _solve_stage(stage, update, y, x, tol, max_iters):
     """Iterate y <- update(y) until two iterates are within tol*(1+|x|).
 
     A finite step from a finite iterate is finite, so the iterate itself is
-    scanned only when the squared step is not.
+    scanned only when the squared step is not.  The overflow policy is
+    entered here only if no caller holds it already.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = tol * (1.0 + math.sqrt(x.dot(x)))
-        for iteration in range(1, max_iters + 1):
-            y_next = update(y)
-            d = y_next - y
-            err = d.dot(d)
-            if not math.isfinite(err) and not np.isfinite(y_next).all():
-                raise ConvergenceError(
-                    f"{stage} stage diverged to a non-finite state at iteration {iteration}",
-                    iteration,
-                )
-            if math.sqrt(err) <= scale:
-                return y_next
-            y = y_next
+    if not _POLICY_HELD.get():
+        with _overflow_policy():
+            return _solve_stage(stage, update, y, x, tol, max_iters)
+    scale = tol * (1.0 + math.sqrt(x.dot(x)))
+    for iteration in range(1, max_iters + 1):
+        y_next = update(y)
+        d = y_next - y
+        err = d.dot(d)
+        if not math.isfinite(err) and not np.isfinite(y_next).all():
+            raise ConvergenceError(
+                f"{stage} stage diverged to a non-finite state at iteration {iteration}",
+                iteration,
+            )
+        if math.sqrt(err) <= scale:
+            return y_next
+        y = y_next
     raise ConvergenceError(
         f"{stage} stage did not converge after {max_iters} iterations", max_iters
     )
@@ -326,6 +370,39 @@ def _record_rows(f, states, derivatives, start: int, stop: int) -> None:
             derivatives[k] = f(states[k])
 
 
+def _block_map(f, dim: int, cfg: StepperConfig):
+    """(D, e) of the exact _BLOCK-step map x -> x + (D x + e), or None if not finite.
+
+    One step is x + M f(x) = x + (D_1 x + e_1) with D_1 = M J and
+    e_1 = M f(0); two steps of a map in this deviation form are
+    D_2m = 2 D_m + D_m D_m and e_2m = 2 e_m + D_m e_m.
+    """
+    increment = cfg.increment
+    deviation = increment.dot(np.asarray(cfg.jacobian, dtype=float))
+    offset = increment.dot(np.asarray(f(np.zeros(dim)), dtype=float))
+    for _ in range(_BLOCK_SQUARINGS):
+        offset = 2.0 * offset + deviation.dot(offset)
+        deviation = 2.0 * deviation + deviation.dot(deviation)
+    if not (np.isfinite(deviation).all() and np.isfinite(offset).all()):
+        return None
+    return deviation, offset
+
+
+def _map_block(block_map, f, states, derivatives, start: int, stop: int) -> bool:
+    """Map samples start-_BLOCK..stop-_BLOCK-1 to start..stop-1, and record
+    their derivatives by one stacked call.
+
+    False if a mapped state or derivative is not finite: the caller then
+    steps those samples one at a time, which overwrites them.
+    """
+    deviation, offset = block_map
+    rows = states[start - _BLOCK : stop - _BLOCK]
+    states[start:stop] = rows + (_matvec(deviation, rows) + offset)
+    _record_rows(f, states, derivatives, start, stop)
+    mapped = np.isfinite(states[start:stop]).all() and np.isfinite(derivatives[start:stop]).all()
+    return bool(mapped)
+
+
 def integrate_field(
     f: Callable[[np.ndarray], np.ndarray],
     x0,
@@ -337,8 +414,14 @@ def integrate_field(
 
     Each invariant function is called as fn(x, xdot) at every sample.  With
     ``cfg.rowwise`` and no invariant functions, an extrapolated midpoint run
-    records the derivatives that no step reads by stacked calls of f (see the
-    module docstring).
+    records the derivatives that no step reads by stacked calls of f.  An
+    affine run (``cfg.jacobian``) of more than 1024 full steps steps its first
+    1024 samples, then maps each later block of up to 1024 samples from the
+    block before it by the exact 1024-step map and records the block's
+    derivatives by one stacked call; a block that maps to a non-finite value
+    is stepped instead, and the shortened last step is one step.  Every other
+    run, each one of at most 1024 full steps included, steps every sample
+    (see the module docstring).
     """
     invariant_fns = dict(invariant_fns or {})
     full, remainder = _plan_steps(t_end, cfg.dt)
@@ -364,48 +447,61 @@ def integrate_field(
     # Deferred samples: defer_from <= k < full, and defer_last.
     defer = extrapolate and cfg.rowwise and not invariant_fns
     defer_from, defer_last = (history - 1, count - 1) if defer else (count, 0)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _overflow_policy():
+        block_map = None
+        if cfg.jacobian is not None and cfg.rowwise and not invariant_fns and full > _BLOCK:
+            block_map = _block_map(f, dim, cfg)
         fx = np.asarray(f(x), dtype=float)
         states[0] = x
         derivatives[0] = fx
         for name, fn in invariant_fns.items():
             invariants[name][0] = fn(x, fx)
         # The samples lo..k-1 await their derivatives at the top of step k.
-        lo, stepping = 1, False
+        k, lo, stepping = 1, 1, False
         try:
-            for k in range(1, count):
-                step_cfg, first = cfg, fx
-                if k > full:
-                    step_cfg = last_cfg
-                elif k >= extrapolate_from:
-                    first = _EXTRAPOLATION.dot(states[k - history : k]) / dt
+            while k < count:
+                # Samples k..stop-1: a block of a mapped run, else the rest.
+                stop = count
+                if block_map is not None and k <= full:
+                    stop = min(k + _BLOCK, full + 1)
+                    if k > _BLOCK and _map_block(block_map, f, states, derivatives, k, stop):
+                        k = lo = stop
+                        x, fx = states[k - 1], derivatives[k - 1]
+                        continue
+                for k in range(k, stop):
+                    step_cfg, first = cfg, fx
+                    if k > full:
+                        step_cfg = last_cfg
+                    elif k >= extrapolate_from:
+                        first = _EXTRAPOLATION.dot(states[k - history : k]) / dt
 
-                # The steppers evaluate the start point x itself first:
-                # ``first`` answers, the derivative at x or, for an
-                # extrapolated stage, the increment over dt.
-                def first_same_as_last(y, x=x, first=first):
-                    return first if y is x else f(y)
+                    # The steppers evaluate the start point x itself first:
+                    # ``first`` answers, the derivative at x or, for an
+                    # extrapolated stage, the increment over dt.
+                    def first_same_as_last(y, x=x, first=first):
+                        return first if y is x else f(y)
 
-                stepping = True
-                x = step_explicit(first_same_as_last, x, step_cfg)
-                # x.dot(x) is finite for a finite x unless it overflows.
-                if not math.isfinite(x.dot(x)) and not np.isfinite(x).all():
-                    raise ConvergenceError(
-                        f"{step_cfg.method} step diverged to a non-finite state", 0
-                    )
-                stepping = False
-                states[k] = x
-                if defer_from <= k < full or k == defer_last:
-                    if k + 1 - lo == POSTPASS_ROWS:
-                        start, lo = lo, k + 1
-                        _record_rows(f, states, derivatives, start, lo)
-                    continue
-                start, lo = lo, k + 1
-                _record_rows(f, states, derivatives, start, k)
-                fx = f(x)
-                derivatives[k] = fx
-                for name, fn in invariant_fns.items():
-                    invariants[name][k] = fn(x, fx)
+                    stepping = True
+                    x = step_explicit(first_same_as_last, x, step_cfg)
+                    # x.dot(x) is finite for a finite x unless it overflows.
+                    if not math.isfinite(x.dot(x)) and not np.isfinite(x).all():
+                        raise ConvergenceError(
+                            f"{step_cfg.method} step diverged to a non-finite state", 0
+                        )
+                    stepping = False
+                    states[k] = x
+                    if defer_from <= k < full or k == defer_last:
+                        if k + 1 - lo == POSTPASS_ROWS:
+                            start, lo = lo, k + 1
+                            _record_rows(f, states, derivatives, start, lo)
+                        continue
+                    start, lo = lo, k + 1
+                    _record_rows(f, states, derivatives, start, k)
+                    fx = f(x)
+                    derivatives[k] = fx
+                    for name, fn in invariant_fns.items():
+                        invariants[name][k] = fn(x, fx)
+                k = stop
         except Exception as exc:
             # Earlier samples fail first: a pending derivative that raises
             # replaces exc.
@@ -428,7 +524,7 @@ def map_rows(fn: Callable[..., np.ndarray], *arrays: np.ndarray) -> np.ndarray:
     ``integrate_field``.
     """
     rows = POSTPASS_ROWS
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _overflow_policy():
         chunks = [
             fn(*(a[start : start + rows] for a in arrays))
             for start in range(0, max(len(arrays[0]), 1), rows)

@@ -25,7 +25,7 @@ trajectory; where the two systems coincide it computes the residuals once.  The
 energy and the residuals are stacked calls over the samples, made after the
 integration loop (``integrators.map_rows``).  A quadratic L has a constant
 Hessian Q, so its flow Q^{-1} A grad L is affine and is stepped exactly in
-the increment form.
+the increment form, a long run block by block (``integrators``).
 """
 
 from __future__ import annotations
@@ -162,12 +162,14 @@ def integrate_lagrangian(
     A constant Hessian Q (quadratic L) is solved against A once per
     trajectory, under the same conditioning guard, so each field evaluation
     is one matvec with Q^{-1} A.  That field is affine, with the Jacobian
-    Q^{-1} A Q, so every step is exact (``StepperConfig.jacobian``).
-    Otherwise every evaluation is ``canonical_rhs``: one guarded solve with
-    the Hessian at that point.  It maps a stack of points row by row (a stack
-    of guarded solves), so the run records the semisprays that no step reads
-    stacked (``StepperConfig.rowwise``).  The energy is ``lagrangian_energy``
-    of the samples and their recorded semisprays, evaluated after the loop.
+    Q^{-1} A Q, so every step is exact (``StepperConfig.jacobian``), and a
+    long run maps block after block.  Otherwise every evaluation is
+    ``canonical_rhs``: one guarded solve with the Hessian at that point.
+    Both fields map a stack of points row by row (a stack of matvecs or of
+    guarded solves, ``StepperConfig.rowwise``), so the run records the
+    semisprays that no step reads stacked.  The energy is
+    ``lagrangian_energy`` of the samples and their recorded semisprays,
+    evaluated after the loop.
     """
     if method not in LAGRANGIAN_METHODS:
         raise ValueError(f"method must be one of {LAGRANGIAN_METHODS}")
@@ -185,9 +187,9 @@ def integrate_lagrangian(
             jacobian = flow @ hessian
 
             def field(x):
-                return flow.dot(L.gradient(x))
+                return _matvec(flow, L.gradient(x))
 
-        cfg = StepperConfig(method=method, dt=dt, jacobian=jacobian, rowwise=jacobian is None)
+        cfg = StepperConfig(method=method, dt=dt, jacobian=jacobian, rowwise=True)
         traj = integrate_field(field, x0, t_end, cfg)
     except SingularSystemError as exc:
         raise SingularHessianError(str(exc)) from exc

@@ -76,6 +76,9 @@ __all__ = [
 FORMALISMS = ("lagrangian", "hamiltonian")
 FUNCTION_KINDS = ("harmonic", "polynomial", "kinetic_minus_potential")
 
+# The largest exponent a term may carry: it must fit an int64 table entry.
+_MAX_EXPONENT = int(np.iinfo(np.int64).max)
+
 _SCALAR_KEYS = (
     "n",
     "formalism",
@@ -178,7 +181,7 @@ def _parse_term(value: str, lineno: int) -> tuple[Fraction, tuple[int, ...]]:
         exponents = tuple(int(part) for part in exponent_text.split())
     except ValueError:
         raise ScenarioError("exponents must be integers", lineno, "term") from None
-    if any(not 0 <= e <= np.iinfo(np.int64).max for e in exponents):
+    if any(not 0 <= e <= _MAX_EXPONENT for e in exponents):
         raise ScenarioError("exponents must be nonnegative int64 values", lineno, "term")
     return coeff, exponents
 

@@ -239,6 +239,19 @@ def test_run_non_finite_state_exit_code(tmp_path, capsys, method):
     assert not (tmp_path / "blow_summary.txt").exists()
 
 
+def test_run_long_unstable_affine_run_exit_code(tmp_path, capsys):
+    # rk4 at dt = 3 amplifies the harmonic rotation ~1.505-fold per step; the
+    # states overflow near step 1736, after the first block of 1024 steps.
+    text = HARMONIC.replace("t_end = 1.0", "t_end = 6000").replace("dt = 0.001", "dt = 3")
+    scenario = write(tmp_path, "unstable.scn", text.replace("implicit_midpoint", "rk4"))
+    assert main(["run", scenario, "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "rk4 step diverged to a non-finite state" in err
+    t = float(re.search(r"stepping from t = ([0-9.e+]+)\)", err).group(1))
+    assert 1024 * 3 < t < 2048 * 3
+    assert not (tmp_path / "unstable_summary.txt").exists()
+
+
 def test_run_unstorable_sample_plan_exit_code(tmp_path, capsys):
     # 1e21 samples: the sample arrays cannot be allocated, so nothing is run.
     scenario = write(tmp_path, "huge.scn", HARMONIC.replace("t_end = 1.0", "t_end = 1e18"))

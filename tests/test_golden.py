@@ -19,22 +19,22 @@ from paramech.cli import main
 SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.scn"))
 
 OUTPUT_DIGESTS = {
-    "audit_lagrangian_f_printed_summary.txt": "36c5a85702c107b334226496bdac9a0c0eb0748329aa4adac4a1470c89b70417",
-    "audit_lagrangian_f_printed_trajectory.csv": "7f7707b629d9bdf1a3cded1cd90bfcfa030ac15bbde7f3ce1fe3bc70cfe40fc4",
-    "circle_lagrangian_f_summary.txt": "7fc5dadbe7990a83fed70ed07acbea59a41dd0c484577b017393d9a04ecc1980",
-    "circle_lagrangian_f_trajectory.csv": "0835b07e2243059818b07bb90149b0004b4cc77c1b2146b25e407650aad471b6",
+    "audit_lagrangian_f_printed_summary.txt": "0b36313c61a44349c9d1f9a3ccf583fdb818b1ef0d28bc0e548b4eba10ce0857",
+    "audit_lagrangian_f_printed_trajectory.csv": "1a2db152429bdbe4687017f3c6dfe21f2b11ff0832977415ce525df2a49034d9",
+    "circle_lagrangian_f_summary.txt": "73f1a8079307043c36a7be83c54cf05a5f60f63f7cdd945a7c6d7beefe39ad2d",
+    "circle_lagrangian_f_trajectory.csv": "5fc97622a660843b010f8ede7128301f55ebdd51a863a3848644b08570896831",
     "falling_particle_g_summary.txt": "59da89ea2462d41e1d0ff6c4f46354147c510c6b3773bf74b38dcdcefe34714c",
     "falling_particle_g_trajectory.csv": "fc11f1357ff027fd8cdddac042606ef8379953c579d2de7824bddc98960606f0",
-    "harmonic_oscillator_fstar_summary.txt": "45f7d37b1bfd51f2cf800fda86a2c0b6414fcec9bc0177243eadf4eeab6c521d",
-    "harmonic_oscillator_fstar_trajectory.csv": "b62f92e38b1bf97d6441f86a2eccc5dab16066ef050bdf918984b177a781cced",
-    "harmonic_oscillator_gstar_summary.txt": "45b8c2c382fcc18f63287ac5ac89f243ff9209366d092c12075d1b36d54e5d59",
-    "harmonic_oscillator_gstar_trajectory.csv": "d9e340d1436c751d7b7056d6beb84aef7839c38c03e1aaaf31d2ee298c26477b",
-    "harmonic_oscillator_hstar_summary.txt": "20676b5fa6469f05c613c4e0175ea9c0fbb306b8acc458093ad899619b5f7ea3",
-    "harmonic_oscillator_hstar_trajectory.csv": "6b5634014cd0346e74e01de46722a3e34962700cda24f652bd81c6ff0fba8c28",
+    "harmonic_oscillator_fstar_summary.txt": "74297cfdcce1820104c25c8ce891fa669b4952dbfc35b7c8b6d683acc93e978f",
+    "harmonic_oscillator_fstar_trajectory.csv": "e92486d3c9a8d2e43230ea42aadcc2f7c883aef76bd6fec1fcb7c11a0f4c9d46",
+    "harmonic_oscillator_gstar_summary.txt": "25d238b8bfc754d3d80efebc3ae3d47ba8d5edfc5794c328eb88efdf3b174114",
+    "harmonic_oscillator_gstar_trajectory.csv": "80535c265a8162a445d1613b94c8e600da495b7b974fa2ddec018aaf7620b68f",
+    "harmonic_oscillator_hstar_summary.txt": "45ccfcff65a7a537f6b0c257461ba25df6d1c4834833165d43777ef56a73f61c",
+    "harmonic_oscillator_hstar_trajectory.csv": "9b2f2cde08a7f4a3f8075ab8f2933657dd8cd00b8a977d283ccb77de14696322",
     "quartic_hstar_summary.txt": "4b408364cec6b32af0952a9da47e9b89bf71ccc01e706843c22a20dd550c33cd",
     "quartic_hstar_trajectory.csv": "f26f1616d5732c7b9e198a2b0f4c08b19ebe2d5ab1e19e93b4f387852cd8e478",
 }
-RUN_STDOUT_DIGEST = "027d75ca724ab3f5373da3e7ad5ac9add7e98e8db066c8c17b9cc02305daa98d"
+RUN_STDOUT_DIGEST = "07fc059480690e8727b26ab839fa66738ac210cff50b164a436e082cb03e80f1"
 VERIFY_3_DIGEST = "c2a0f0af8406177a8e4c2e2c624dfb5f6616b72cc280f7dc481aee46e7302dac"
 VERIFY_5_DIGEST = "5a7b19da737974d63dc399448b318ee53dd1f1f1b805417cac274307c7ae7441"
 

@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -5,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import paramech.hamiltonian as hamiltonian
 import paramech.integrators as integrators
+import paramech.lagrangian as lagrangian
 from paramech.errors import ConvergenceError, SingularSystemError
 from paramech.fields import kinetic_minus_potential_field
 from paramech.hamiltonian import canonical_two_form
@@ -18,7 +21,7 @@ from paramech.integrators import (
     step_explicit,
 )
 from paramech.lagrangian import canonical_rhs
-from paramech.scenario import build_field, load_scenario
+from paramech.scenario import build_field, execute_scenario, load_scenario
 from paramech.structures import G, build_structure
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -541,3 +544,167 @@ def test_stacked_recording_fails_in_sample_order(singular_sample):
         assert errors[1][0] is ConvergenceError and "stepping from t = 1.25" in errors[1][1]
     else:
         assert errors[1] == (SingularSystemError, "field at (4,) is singular at x_1 = 0.875")
+
+
+def test_stages_under_integrate_field_enter_no_overflow_policy_of_their_own(monkeypatch):
+    # The driver holds the policy for the whole run; a direct caller's stage
+    # enters it itself, once per step.
+    plain, entered = np.errstate, []
+
+    def errstate(**kwargs):
+        entered.append(kwargs)
+        return plain(**kwargs)
+
+    monkeypatch.setattr(np, "errstate", errstate)
+    cfg = StepperConfig(method="implicit_midpoint", dt=0.01)
+    traj = integrate_field(pendulum_field, np.array([1.2, 0.0, 0.5, -0.3]), 0.5, cfg)
+    assert len(traj) == 51 and len(entered) == 1
+    entered.clear()
+    step_explicit(pendulum_field, traj.states[-1], cfg)
+    assert entered == [{"over": "ignore", "invalid": "ignore"}]
+
+
+BLOCK = integrators._BLOCK
+AFFINE_SAMPLES = (
+    "audit_lagrangian_f_printed",
+    "circle_lagrangian_f",
+    "harmonic_oscillator_fstar",
+    "harmonic_oscillator_gstar",
+    "harmonic_oscillator_hstar",
+)
+
+
+def affine_sample_run(monkeypatch, name, method=None, steps=None):
+    """The sample's trajectory, and the arguments (f, x0, t_end, cfg) of the
+    formalism's ``integrate_field`` call; method and t_end / dt as given."""
+    scenario = load_scenario(SCENARIOS / f"{name}.scn")
+    scenario = replace(scenario, method=method or scenario.method)
+    if steps is not None:
+        scenario = replace(scenario, t_end=steps * scenario.dt)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return integrate_field(*args)
+
+    for module in (hamiltonian, lagrangian):
+        monkeypatch.setattr(module, "integrate_field", spy)
+    traj = execute_scenario(scenario)[0]
+    (args,) = calls
+    assert args[3].jacobian is not None and args[3].rowwise
+    return traj, args
+
+
+def stepped_run(f, x0, t_end, cfg):
+    """The same run with every sample stepped: rowwise off maps no block."""
+    return integrate_field(f, x0, t_end, replace(cfg, rowwise=False))
+
+
+@pytest.mark.parametrize("steps", [BLOCK - 0.5, BLOCK, BLOCK + 0.5], ids=lambda s: f"{s}dt")
+@pytest.mark.parametrize(
+    "name, method",
+    [("harmonic_oscillator_fstar", m) for m in METHODS]
+    + [("circle_lagrangian_f", m) for m in ("rk4", "implicit_midpoint")],
+)
+def test_affine_runs_of_at_most_one_block_step_every_sample(monkeypatch, name, method, steps):
+    traj, (f, x0, t_end, cfg) = affine_sample_run(monkeypatch, name, method, steps)
+    assert len(traj) == math.ceil(steps) + 1
+    stepped = stepped_run(f, x0, t_end, cfg)
+    assert np.array_equal(traj.times, stepped.times)
+    assert np.array_equal(traj.states, stepped.states)
+    assert np.array_equal(traj.derivatives, stepped.derivatives)
+
+
+def longdouble_steps(f, x0, times, cfg):
+    """The per-step map x + M f(x) of the run, iterated in np.longdouble."""
+    full, remainder = integrators._plan_steps(times[-1], cfg.dt)
+    jacobian = np.asarray(cfg.jacobian, dtype=np.longdouble)
+    offset = np.asarray(f(np.zeros(len(x0))), dtype=np.longdouble)
+    increments = [np.asarray(cfg.increment, dtype=np.longdouble)] * (full + 1)
+    if remainder:
+        increments.append(np.asarray(replace(cfg, dt=remainder).increment, dtype=np.longdouble))
+    states = [np.asarray(x0, dtype=np.longdouble)]
+    for increment in increments[1:]:
+        x = states[-1]
+        states.append(x + increment @ (offset + jacobian @ x))
+    return np.array(states)
+
+
+@pytest.mark.parametrize("name", AFFINE_SAMPLES)
+def test_block_map_keeps_the_affine_samples_on_their_per_step_map(monkeypatch, name):
+    # Each mapped row stays as close to the longdouble iteration of the same
+    # per-step map as the stepped row, and records f of itself bit for bit.
+    traj, (f, x0, t_end, cfg) = affine_sample_run(monkeypatch, name)
+    assert len(traj) > 2 * BLOCK + 2
+    stepped = stepped_run(f, x0, t_end, cfg)
+    assert np.array_equal(traj.states[: BLOCK + 1], stepped.states[: BLOCK + 1])
+    assert not np.array_equal(traj.states, stepped.states)
+    reference = longdouble_steps(f, x0, traj.times, cfg)
+    mapped_error = np.abs(traj.states - reference).max()
+    stepped_error = np.abs(stepped.states - reference).max()
+    assert mapped_error <= stepped_error
+    for x, xdot in zip(traj.states, traj.derivatives):
+        assert np.array_equal(xdot, f(x))
+
+
+def test_long_affine_run_steps_its_first_block_and_the_shortened_step(monkeypatch):
+    plain, seen = integrators.step_explicit, []
+
+    def step_explicit(f, x, cfg):
+        seen.append(cfg.dt)
+        return plain(f, x, cfg)
+
+    monkeypatch.setattr(integrators, "step_explicit", step_explicit)
+    traj, (_, _, t_end, cfg) = affine_sample_run(monkeypatch, "harmonic_oscillator_fstar")
+    assert len(traj) == 6285 and traj.times[-1] == t_end
+    assert seen[:BLOCK] == [cfg.dt] * BLOCK
+    assert seen[BLOCK:] == [t_end - 6283 * cfg.dt]
+
+
+ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def test_unstable_affine_run_diverges_at_its_own_step():
+    # rk4 at dt = 3 amplifies a rotation by |R(3i)| ~ 1.505 per step: the
+    # 1024-step map is finite (~1e181), and the states overflow in the second
+    # block, near step 1736.  The mapped block is stepped again, so the run
+    # raises what the stepped run raises.
+    cfg = StepperConfig(method="rk4", dt=3.0, jacobian=ROTATION, rowwise=True)
+
+    def field(x):
+        return integrators._matvec(ROTATION, x)
+
+    assert integrators._block_map(field, 2, cfg) is not None
+    errors = []
+    for run in (integrate_field, stepped_run):
+        with pytest.raises(ConvergenceError, match="rk4 step diverged") as excinfo:
+            run(field, np.array([1.0, 0.0]), 6000.0, cfg)
+        errors.append((str(excinfo.value), excinfo.value.iterations))
+    assert errors[0] == errors[1]
+    t = float(errors[0][0].rsplit("t = ", 1)[1].rstrip(")"))
+    assert BLOCK * cfg.dt < t < 2 * BLOCK * cfg.dt
+
+
+def test_run_whose_block_map_is_not_finite_steps_every_sample(monkeypatch):
+    # x0 lies on the decaying mode of diag(1, -1); the growing mode's factor
+    # e^1024 overflows the block map, so no block is mapped.
+    jacobian = np.diag([1.0, -1.0])
+    cfg = StepperConfig(method="rk4", dt=1.0, jacobian=jacobian, rowwise=True)
+
+    def field(x):
+        return integrators._matvec(jacobian, x)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert integrators._block_map(field, 2, cfg) is None
+    plain, seen = integrators.step_explicit, []
+
+    def step_explicit(f, x, cfg):
+        seen.append(1)
+        return plain(f, x, cfg)
+
+    monkeypatch.setattr(integrators, "step_explicit", step_explicit)
+    traj = integrate_field(field, np.array([0.0, 1.0]), 2000.5, cfg)
+    assert len(seen) == len(traj) - 1 == 2001
+    stepped = stepped_run(field, np.array([0.0, 1.0]), 2000.5, cfg)
+    assert np.array_equal(traj.states, stepped.states)
+    assert np.array_equal(traj.derivatives, stepped.derivatives)
