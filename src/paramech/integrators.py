@@ -37,19 +37,25 @@ step has its own config and so its own M.  Every other field takes the staged
 rk4 step or the fixed-point implicit stage.
 
 A long affine run goes block by block.  With ``StepperConfig.rowwise`` (see
-below), no invariant functions and more than B = 1024 full steps, samples
-1..B are stepped one at a time as above.  Each later block of up to B samples,
-up to the last full step, is the block before it mapped by the exact B-step
-map x -> x + (D x + e): one stacked product per block, and one stacked call
-of f for the block's derivatives, so each is bitwise f of its state.  (D, e)
-is derived once per run by squaring the one-step map x + (D_1 x + e_1), with
-D_1 = M J and e_1 = M f(0), in this deviation form, which never rounds the
-small D_1 into I + D_1: D_2m = 2 D_m + D_m D_m and e_2m = 2 e_m + D_m e_m.  A
-shortened last step is still one step.  If D or e is not finite, no block is
-mapped; a mapped block with a non-finite state or derivative is stepped again
-one sample at a time, so a divergence is raised by the step that produces it,
-with its usual type and message.  A run of at most B full steps, and a run
-without the flag or with invariant functions, steps every sample.
+below), no invariant functions and more than B = 1024 full steps, no full
+step is taken one at a time.  The exact 2^i-step maps x -> x + (D x + e),
+2^i = 1, 2, 4, ..., B, are derived once per run by squaring the one-step map
+x + (D_1 x + e_1), with D_1 = M J and e_1 = M f(0), in this deviation form,
+which never rounds the small D_1 into I + D_1: D_2m = 2 D_m + D_m D_m and
+e_2m = 2 e_m + D_m e_m.  The first block, samples 1..B-1, doubles a prefix
+from sample 0: for m = 1, 2, 4, ..., B/2, samples m..2m-1 are samples
+0..m-1 mapped by the m-step map.  Each later block of up to B samples, up to
+the last full step, is the B samples before it mapped by the B-step map.
+The prefix takes one stacked product per level and a later block one, and
+each block takes one stacked call of f for its derivatives, so each is
+bitwise f of its state.  A shortened last step is still one step.  If the
+maps are not finite, no block is mapped; a mapped block with a non-finite
+state or derivative is stepped again one sample at a time (the prefix from
+sample 1), so a divergence is raised by the step that produces it, with its
+usual type, message and time.  Only sample 0 of such a run is bitwise the
+stepped run's.  A run of at most B full steps, and a run without the flag or
+with invariant functions, steps every sample, and its samples are bitwise
+those of the per-step map.
 
 The implicit midpoint stage of a full step k >= 5 starts from the quartic
 extrapolation of the last five samples, x_k ~ x_{k-1} + D with
@@ -112,8 +118,9 @@ _CONDITION_LIMIT = 1e12
 _POLICY_HELD: ContextVar[bool] = ContextVar("paramech_overflow_policy_held", default=False)
 
 # Samples per block of a long affine run (a power of two), independent of
-# POSTPASS_ROWS: after the first block, each block is the previous one mapped
-# by the exact _BLOCK-step map, derived by _BLOCK_SQUARINGS squarings.
+# POSTPASS_ROWS: the first block doubles a prefix from sample 0 over the
+# 1-, 2-, ..., _BLOCK/2-step maps, and each later block is the previous one
+# mapped by the exact _BLOCK-step map, derived by _BLOCK_SQUARINGS squarings.
 _BLOCK_SQUARINGS = 10
 _BLOCK = 1 << _BLOCK_SQUARINGS
 
@@ -347,6 +354,8 @@ def _plan_steps(t_end: float, dt: float) -> tuple[int, float]:
     # A few ulps of slack absorb the rounding of t_end / dt (0.3 / 0.1 is
     # 2.9999999999999996), and no more: a shortened step covers the rest.
     ratio = t_end / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"t_end / dt is not finite (t_end = {t_end!r}, dt = {dt!r})")
     full = math.floor(ratio + 4 * math.ulp(ratio))
     remainder = t_end - full * dt
     if remainder <= 1e-12 * max(1.0, t_end):
@@ -371,33 +380,45 @@ def _record_rows(f, states, derivatives, start: int, stop: int) -> None:
 
 
 def _block_map(f, dim: int, cfg: StepperConfig):
-    """(D, e) of the exact _BLOCK-step map x -> x + (D x + e), or None if not finite.
+    """The exact 2^i-step maps x -> x + (D x + e) as (D, e) at index i, for
+    2^i = 1, 2, 4, ..., _BLOCK, or None if they are not finite.
 
     One step is x + M f(x) = x + (D_1 x + e_1) with D_1 = M J and
     e_1 = M f(0); two steps of a map in this deviation form are
-    D_2m = 2 D_m + D_m D_m and e_2m = 2 e_m + D_m e_m.
+    D_2m = 2 D_m + D_m D_m and e_2m = 2 e_m + D_m e_m.  A non-finite entry of
+    one level stays non-finite in the next, so the last level is checked.
     """
     increment = cfg.increment
     deviation = increment.dot(np.asarray(cfg.jacobian, dtype=float))
     offset = increment.dot(np.asarray(f(np.zeros(dim)), dtype=float))
+    levels = [(deviation, offset)]
     for _ in range(_BLOCK_SQUARINGS):
         offset = 2.0 * offset + deviation.dot(offset)
         deviation = 2.0 * deviation + deviation.dot(deviation)
+        levels.append((deviation, offset))
     if not (np.isfinite(deviation).all() and np.isfinite(offset).all()):
         return None
-    return deviation, offset
+    return levels
 
 
-def _map_block(block_map, f, states, derivatives, start: int, stop: int) -> bool:
-    """Map samples start-_BLOCK..stop-_BLOCK-1 to start..stop-1, and record
-    their derivatives by one stacked call.
+def _map_block(levels, f, states, derivatives, start: int, stop: int) -> bool:
+    """Map samples start..stop-1 from earlier samples, and record their
+    derivatives by one stacked call.
 
-    False if a mapped state or derivative is not finite: the caller then
-    steps those samples one at a time, which overwrites them.
+    The first block (start 1, stop _BLOCK) doubles the prefix: for
+    m = 1, 2, 4, ..., _BLOCK/2, samples m..2m-1 are samples 0..m-1 mapped by
+    the m-step map.  A later block is the _BLOCK samples before it mapped by
+    the _BLOCK-step map.  False if a mapped state or derivative is not
+    finite: the caller then steps those samples one at a time, which
+    overwrites them.
     """
-    deviation, offset = block_map
-    rows = states[start - _BLOCK : stop - _BLOCK]
-    states[start:stop] = rows + (_matvec(deviation, rows) + offset)
+    if start == 1:
+        moves = [(levels[i], 0, 1 << i, 2 << i) for i in range(_BLOCK_SQUARINGS)]
+    else:
+        moves = [(levels[-1], start - _BLOCK, start, stop)]
+    for (deviation, offset), source, lo, hi in moves:
+        rows = states[source : source + hi - lo]
+        states[lo:hi] = rows + (_matvec(deviation, rows) + offset)
     _record_rows(f, states, derivatives, start, stop)
     mapped = np.isfinite(states[start:stop]).all() and np.isfinite(derivatives[start:stop]).all()
     return bool(mapped)
@@ -415,13 +436,14 @@ def integrate_field(
     Each invariant function is called as fn(x, xdot) at every sample.  With
     ``cfg.rowwise`` and no invariant functions, an extrapolated midpoint run
     records the derivatives that no step reads by stacked calls of f.  An
-    affine run (``cfg.jacobian``) of more than 1024 full steps steps its first
-    1024 samples, then maps each later block of up to 1024 samples from the
-    block before it by the exact 1024-step map and records the block's
-    derivatives by one stacked call; a block that maps to a non-finite value
-    is stepped instead, and the shortened last step is one step.  Every other
-    run, each one of at most 1024 full steps included, steps every sample
-    (see the module docstring).
+    affine run (``cfg.jacobian``) of more than 1024 full steps maps samples
+    1..1023 from sample 0 by prefix doubling over the 1-, 2-, ..., 512-step
+    maps, then each later block of up to 1024 samples from the block before
+    it by the exact 1024-step map, and records each block's derivatives by
+    one stacked call; a block that maps to a non-finite value is stepped
+    instead, and the shortened last step is one step.  Every other run, each
+    one of at most 1024 full steps included, steps every sample and stays
+    bitwise the per-step map (see the module docstring).
     """
     invariant_fns = dict(invariant_fns or {})
     full, remainder = _plan_steps(t_end, cfg.dt)
@@ -448,9 +470,9 @@ def integrate_field(
     defer = extrapolate and cfg.rowwise and not invariant_fns
     defer_from, defer_last = (history - 1, count - 1) if defer else (count, 0)
     with _overflow_policy():
-        block_map = None
+        levels = None
         if cfg.jacobian is not None and cfg.rowwise and not invariant_fns and full > _BLOCK:
-            block_map = _block_map(f, dim, cfg)
+            levels = _block_map(f, dim, cfg)
         fx = np.asarray(f(x), dtype=float)
         states[0] = x
         derivatives[0] = fx
@@ -462,9 +484,10 @@ def integrate_field(
             while k < count:
                 # Samples k..stop-1: a block of a mapped run, else the rest.
                 stop = count
-                if block_map is not None and k <= full:
-                    stop = min(k + _BLOCK, full + 1)
-                    if k > _BLOCK and _map_block(block_map, f, states, derivatives, k, stop):
+                if levels is not None and k <= full:
+                    # Blocks end at multiples of _BLOCK: the first one is the prefix.
+                    stop = min((k // _BLOCK + 1) * _BLOCK, full + 1)
+                    if _map_block(levels, f, states, derivatives, k, stop):
                         k = lo = stop
                         x, fx = states[k - 1], derivatives[k - 1]
                         continue

@@ -20,7 +20,10 @@ Coefficients accept both "1/2" and "0.5" and are stored exactly.  Output files
 are written atomically (temp file, then rename) and deterministically: floats
 are printed with 17 significant digits.  The trajectory table is streamed into
 the temp file: the header, then blocks of ``integrators.POSTPASS_ROWS`` rows,
-so no whole-table string is built.
+so no whole-table string is built.  A column that holds one bit pattern
+throughout a block (a zero residual, a constant coordinate) is formatted once
+per block and written into that block's row template; 0.0 and -0.0 keep their
+own text.  The bytes are those of formatting every cell.
 """
 
 from __future__ import annotations
@@ -406,14 +409,21 @@ def _trajectory_table(traj: Trajectory, residuals: np.ndarray) -> Iterator[str]:
         + ["energy"]
         + [f"res_{a + 1}" for a in range(dim)]
     )
-    # '%.17g' % v is format_float(v) for every float, inf and nan included.
-    row = ",".join(["%.17g"] * len(header)) + "\n"
     columns = (traj.times, traj.states, traj.invariants["energy"], residuals)
     yield ",".join(header) + "\n"
     rows = integrators.POSTPASS_ROWS
     for start in range(0, len(traj), rows):
         block = np.column_stack([c[start : start + rows] for c in columns])
-        yield "".join([row % tuple(cells) for cells in block.tolist()])
+        # A column holding one bit pattern (so 0.0 and -0.0 differ) is
+        # formatted once, into the row template; '%.17g' % v is format_float(v)
+        # for every float, inf and nan included, and never contains '%'.
+        bits = block.view(np.int64)
+        constant = (bits == bits[0]).all(axis=0)
+        first = zip(block[0].tolist(), constant.tolist())
+        cells = ["%.17g" % v if same else "%.17g" for v, same in first]
+        row = ",".join(cells) + "\n"
+        assert row.count("%") == len(cells) - constant.sum()
+        yield "".join([row % tuple(values) for values in block[:, ~constant].tolist()])
 
 
 def execute_scenario(scenario: Scenario) -> tuple[Trajectory, np.ndarray, dict[str, float]]:

@@ -261,6 +261,15 @@ def test_run_unstorable_sample_plan_exit_code(tmp_path, capsys):
     assert not (tmp_path / "huge_trajectory.csv").exists()
 
 
+def test_run_infinite_step_count_exit_code(tmp_path, capsys):
+    # t_end / dt = 1 / 5e-324 is inf: a validation error, not a traceback.
+    scenario = write(tmp_path, "tiny.scn", HARMONIC.replace("dt = 0.001", "dt = 5e-324"))
+    assert main(["run", scenario, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "t_end / dt is not finite" in err and "Traceback" not in err
+    assert not (tmp_path / "tiny_summary.txt").exists()
+
+
 def test_run_missing_file_exit_code(tmp_path):
     assert main(["run", str(tmp_path / "absent.scn")]) == 5
 

@@ -408,6 +408,13 @@ def test_non_finite_t_end_rejected():
             integrate_field(rotation_field, [1.0, 0.0, 0.0, 0.0], t_end, cfg)
 
 
+def test_infinite_step_count_is_a_value_error():
+    # 1 / 5e-324 overflows to inf, which has no floor.
+    cfg = StepperConfig(method="rk4", dt=5e-324)
+    with pytest.raises(ValueError, match="t_end / dt is not finite"):
+        integrate_field(rotation_field, [1.0, 0.0, 0.0, 0.0], 1.0, cfg)
+
+
 def test_unstorable_sample_plan_is_a_value_error(monkeypatch):
     calls = []
 
@@ -632,22 +639,24 @@ def longdouble_steps(f, x0, times, cfg):
 
 @pytest.mark.parametrize("name", AFFINE_SAMPLES)
 def test_block_map_keeps_the_affine_samples_on_their_per_step_map(monkeypatch, name):
-    # Each mapped row stays as close to the longdouble iteration of the same
-    # per-step map as the stepped row, and records f of itself bit for bit.
+    # Every row, of the doubled prefix and of the mapped blocks alike, is no
+    # farther from the longdouble iteration of the same per-step map than the
+    # stepped run has been by then, and records f of itself bit for bit.
     traj, (f, x0, t_end, cfg) = affine_sample_run(monkeypatch, name)
     assert len(traj) > 2 * BLOCK + 2
     stepped = stepped_run(f, x0, t_end, cfg)
-    assert np.array_equal(traj.states[: BLOCK + 1], stepped.states[: BLOCK + 1])
-    assert not np.array_equal(traj.states, stepped.states)
+    assert np.array_equal(traj.states[0], stepped.states[0])
+    assert not np.array_equal(traj.states[1:BLOCK], stepped.states[1:BLOCK])
     reference = longdouble_steps(f, x0, traj.times, cfg)
-    mapped_error = np.abs(traj.states - reference).max()
-    stepped_error = np.abs(stepped.states - reference).max()
-    assert mapped_error <= stepped_error
+    mapped_error = np.abs(traj.states - reference).max(axis=1)
+    stepped_error = np.abs(stepped.states - reference).max(axis=1)
+    assert np.all(mapped_error <= np.maximum.accumulate(stepped_error))
+    assert mapped_error.max() <= stepped_error.max()
     for x, xdot in zip(traj.states, traj.derivatives):
         assert np.array_equal(xdot, f(x))
 
 
-def test_long_affine_run_steps_its_first_block_and_the_shortened_step(monkeypatch):
+def test_long_affine_run_steps_only_its_shortened_step(monkeypatch):
     plain, seen = integrators.step_explicit, []
 
     def step_explicit(f, x, cfg):
@@ -657,8 +666,7 @@ def test_long_affine_run_steps_its_first_block_and_the_shortened_step(monkeypatc
     monkeypatch.setattr(integrators, "step_explicit", step_explicit)
     traj, (_, _, t_end, cfg) = affine_sample_run(monkeypatch, "harmonic_oscillator_fstar")
     assert len(traj) == 6285 and traj.times[-1] == t_end
-    assert seen[:BLOCK] == [cfg.dt] * BLOCK
-    assert seen[BLOCK:] == [t_end - 6283 * cfg.dt]
+    assert seen == [t_end - 6283 * cfg.dt]
 
 
 ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -683,6 +691,33 @@ def test_unstable_affine_run_diverges_at_its_own_step():
     assert errors[0] == errors[1]
     t = float(errors[0][0].rsplit("t = ", 1)[1].rstrip(")"))
     assert BLOCK * cfg.dt < t < 2 * BLOCK * cfg.dt
+
+
+def test_affine_run_whose_prefix_overflows_steps_from_sample_one(monkeypatch):
+    # The rotation of the unstable run above, from |x0| = 1e300: the block
+    # map is finite, but the doubled prefix overflows, so samples 1..B-1 are
+    # stepped and the run diverges where the stepped run does, from t = 138.
+    cfg = StepperConfig(method="rk4", dt=3.0, jacobian=ROTATION, rowwise=True)
+
+    def field(x):
+        return integrators._matvec(ROTATION, x)
+
+    plain, mapped = integrators._map_block, []
+
+    def map_block(levels, f, states, derivatives, start, stop):
+        mapped.append((start, plain(levels, f, states, derivatives, start, stop)))
+        return mapped[-1][1]
+
+    monkeypatch.setattr(integrators, "_map_block", map_block)
+    errors = []
+    for run in (integrate_field, stepped_run):
+        with pytest.raises(ConvergenceError, match="rk4 step diverged") as excinfo:
+            run(field, np.array([1e300, 0.0]), 6000.0, cfg)
+        errors.append((str(excinfo.value), excinfo.value.iterations))
+    assert mapped == [(1, False)]
+    assert errors[0] == errors[1]
+    t = float(errors[0][0].rsplit("t = ", 1)[1].rstrip(")"))
+    assert 0 < t < BLOCK * cfg.dt
 
 
 def test_run_whose_block_map_is_not_finite_steps_every_sample(monkeypatch):

@@ -302,6 +302,42 @@ def test_trajectory_table_cells_are_format_float():
     assert len(rows) == 9 and table.endswith("\n")
 
 
+def constant_column_cases():
+    # Columns x_1, x_2, energy, res_1, res_2 of 9 rows, written in blocks of 4.
+    rng = np.random.default_rng(43)
+    varying = rng.standard_normal((9, 5))
+    signed_zeros = varying.copy()
+    signed_zeros[:, 0], signed_zeros[:, 1] = 0.0, -0.0
+    signed_zeros[:, 2] = np.where(np.arange(9) % 2, -0.0, 0.0)  # equal, not constant
+    specials = varying.copy()
+    specials[:, 2], specials[:, 3], specials[:, 4] = np.inf, np.nan, -np.inf
+    constant_then_varying = varying.copy()
+    constant_then_varying[:4, 1] = 0.25
+    all_constant = np.tile([1.5, -0.0, np.nan, 0.0, np.inf], (9, 1))
+    all_constant[:8] = varying[:8]
+    return {
+        "zero_next_to_negative_zero": signed_zeros,
+        "constant_inf_and_nan": specials,
+        "constant_in_one_block_then_varying": constant_then_varying,
+        "one_row_all_constant_last_block": all_constant,
+        "no_constant_column": varying,
+    }
+
+
+@pytest.mark.parametrize("case", constant_column_cases().items(), ids=lambda c: c[0])
+def test_constant_table_columns_keep_the_per_cell_bytes(case, monkeypatch):
+    cells = case[1]
+    monkeypatch.setattr(integrators, "POSTPASS_ROWS", 4)
+    times = np.arange(9) / 7
+    traj = Trajectory(times, cells[:, :2], np.zeros((9, 2)), {"energy": cells[:, 2]})
+    blocks = list(_trajectory_table(traj, cells[:, 3:]))
+    assert len(blocks) == 4
+    expected = "".join(
+        ",".join(format_float(v) for v in [t, *row]) + "\n" for t, row in zip(times, cells)
+    )
+    assert "".join(blocks[1:]) == expected
+
+
 @pytest.mark.parametrize("path", SAMPLES, ids=lambda p: p.stem)
 def test_postpass_is_bitwise_independent_of_the_chunk_size(path, monkeypatch, tmp_path):
     # 1,100 samples: two chunks at the default size.  Each stacked row must be
