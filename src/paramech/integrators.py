@@ -36,26 +36,25 @@ the closed form of symplectic Euler's masked linear stage.  A shortened last
 step has its own config and so its own M.  Every other field takes the staged
 rk4 step or the fixed-point implicit stage.
 
-A long affine run goes block by block.  With ``StepperConfig.rowwise`` (see
-below), no invariant functions and more than B = 1024 full steps, no full
-step is taken one at a time.  The exact 2^i-step maps x -> x + (D x + e),
-2^i = 1, 2, 4, ..., B, are derived once per run by squaring the one-step map
-x + (D_1 x + e_1), with D_1 = M J and e_1 = M f(0), in this deviation form,
-which never rounds the small D_1 into I + D_1: D_2m = 2 D_m + D_m D_m and
-e_2m = 2 e_m + D_m e_m.  The first block, samples 1..B-1, doubles a prefix
-from sample 0: for m = 1, 2, 4, ..., B/2, samples m..2m-1 are samples
-0..m-1 mapped by the m-step map.  Each later block of up to B samples, up to
-the last full step, is the B samples before it mapped by the B-step map.
-The prefix takes one stacked product per level and a later block one, and
-each block takes one stacked call of f for its derivatives, so each is
-bitwise f of its state.  A shortened last step is still one step.  If the
-maps are not finite, no block is mapped; a mapped block with a non-finite
-state or derivative is stepped again one sample at a time (the prefix from
-sample 1), so a divergence is raised by the step that produces it, with its
-usual type, message and time.  Only sample 0 of such a run is bitwise the
-stepped run's.  A run of at most B full steps, and a run without the flag or
-with invariant functions, steps every sample, and its samples are bitwise
-those of the per-step map.
+``integrate_field`` is one loop over blocks.  The full steps are cut at
+multiples of B = 1024 samples (``_BLOCK``), so the first block is samples
+1..B-1, and a shortened last step is one more block of one sample.  Each
+block is either mapped or stepped, and every run, mapped or not, records each
+sample's derivative as f of its state.
+
+A stepped block takes one ``step_explicit(f, x, cfg)`` call per sample.  The
+derivative of a sample is recorded at once if the next step of the block
+reads it.  With ``StepperConfig.rowwise``, a caller's promise that f maps a
+stack (m, dim) row by row, each row bitwise its one-point value, the other
+derivatives of the block are recorded by one stacked call of f at its end;
+both formalisms set it for all their fields, affine ones included, while the
+mass-matrix field above handles one point only and keeps the default False.
+Failures keep their order: a step's error is re-raised, with the time of the
+step appended to a SingularSystemError or ConvergenceError, only after the
+block's pending derivatives are recorded, and a stacked call that raises is
+redone one sample at a time, so the first failing sample raises what it
+raises without the flag.  The samples of a stepped block are bitwise those of
+the per-step map.
 
 The implicit midpoint stage of a full step k >= 5 starts from the quartic
 extrapolation of the last five samples, x_k ~ x_{k-1} + D with
@@ -66,23 +65,31 @@ the tolerance.  ``step_explicit(f, x, cfg)`` stays the one call per step: the
 start reaches it through the first evaluation at x, which ``integrate_field``
 answers with D / dt.  The first four steps and a shortened last step keep the
 Euler start; the tolerance and the iteration limit are the same either way.
+An extrapolated step reads no derivative, so a row-wise midpoint run records
+all but those of samples 0 to 3 stacked.
 
-Such a run reads no recorded derivative of samples 4 to full-1 (their next
-step extrapolates) nor of the last sample.  With ``StepperConfig.rowwise``, a
-caller's promise that f maps a stack (m, dim) row by row, each row bitwise
-its one-point value, ``integrate_field`` records those derivatives by stacked
-calls of f over blocks of ``POSTPASS_ROWS`` samples instead of one call per
-sample.  Both formalisms set it for all their fields, affine ones included;
-the mass-matrix field above handles one point only and keeps the default
-False.  Failures keep their order: the pending rows are recorded before a
-step's error is re-raised, and a stacked block that raises is redone one
-sample at a time, so the first failing sample raises what it raises without
-the flag.
+A block is mapped in a long affine run: one with ``StepperConfig.rowwise``
+and more than B full steps.  The exact 2^i-step maps x -> x + (D x + e),
+2^i = 1, 2, 4, ..., B, are derived once per run by squaring the one-step map
+x + (D_1 x + e_1), with D_1 = M J and e_1 = M f(0), in this deviation form,
+which never rounds the small D_1 into I + D_1: D_2m = 2 D_m + D_m D_m and
+e_2m = 2 e_m + D_m e_m.  The first block doubles a prefix from sample 0: for
+m = 1, 2, 4, ..., B/2, samples m..2m-1 are samples 0..m-1 mapped by the
+m-step map.  Each later block of up to B samples, up to the last full step,
+is the B samples before it mapped by the B-step map.  The prefix takes one
+stacked product per level and a later block one, and each block takes one
+stacked call of f for its derivatives.  If the maps are not finite, no block
+is mapped; a mapped block with a non-finite state or derivative is stepped
+instead, so a divergence is raised by the step that produces it, with its
+usual type, message and time.  Only sample 0 of a mapped run is bitwise the
+stepped run's.
 
-What is computed from the samples afterwards (energy, residuals) is one
-stacked call per ``POSTPASS_ROWS`` rows through ``map_rows``, under the same
-overflow policy; the optional per-sample ``invariant_fns`` hook of
-``integrate_field`` is no longer used by the package.
+The optional ``invariant_fns`` of ``integrate_field``, unused by the package,
+are read after the loop, fn(x, xdot) at every sample, and change no sample.
+What the formalisms compute from the samples afterwards (energy, residuals)
+is one stacked call per ``POSTPASS_ROWS`` rows through ``map_rows``, under
+the same overflow policy; ``POSTPASS_ROWS`` is only the chunk size of that
+post-pass and of the table writer.
 """
 
 from __future__ import annotations
@@ -117,14 +124,15 @@ _CONDITION_LIMIT = 1e12
 # True while a caller holds the overflow policy (``_overflow_policy``).
 _POLICY_HELD: ContextVar[bool] = ContextVar("paramech_overflow_policy_held", default=False)
 
-# Samples per block of a long affine run (a power of two), independent of
-# POSTPASS_ROWS: the first block doubles a prefix from sample 0 over the
-# 1-, 2-, ..., _BLOCK/2-step maps, and each later block is the previous one
-# mapped by the exact _BLOCK-step map, derived by _BLOCK_SQUARINGS squarings.
+# Samples per block of a run (a power of two), independent of POSTPASS_ROWS.
+# In a long affine run the first block doubles a prefix from sample 0 over
+# the 1-, 2-, ..., _BLOCK/2-step maps, and each later block is the previous
+# one mapped by the exact _BLOCK-step map, derived by _BLOCK_SQUARINGS squarings.
 _BLOCK_SQUARINGS = 10
 _BLOCK = 1 << _BLOCK_SQUARINGS
 
-# Rows per stacked post-pass call: bounds its temporaries on long runs.
+# Rows per stacked post-pass call and per block of the table writer: bounds
+# their temporaries on long runs.
 POSTPASS_ROWS = 1024
 
 # The increment x_{k+1} - x_k of the quartic through the last five states,
@@ -202,10 +210,11 @@ class StepperConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.newton_tol <= 0 or self.newton_max_iters < 1:
-            raise ValueError("tolerances must be positive")
+        # A nan fails both comparisons.
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        if not 0 < self.newton_tol < math.inf or self.newton_max_iters < 1:
+            raise ValueError("tolerances must be positive and finite")
         if self.jacobian is not None:
             shape = np.shape(self.jacobian)
             if len(shape) != 2 or shape[0] != shape[1]:
@@ -433,17 +442,13 @@ def integrate_field(
 ) -> Trajectory:
     """Integrate xdot = f(x) on the grid t_k = k*dt; the last sample is t_end.
 
-    Each invariant function is called as fn(x, xdot) at every sample.  With
-    ``cfg.rowwise`` and no invariant functions, an extrapolated midpoint run
-    records the derivatives that no step reads by stacked calls of f.  An
-    affine run (``cfg.jacobian``) of more than 1024 full steps maps samples
-    1..1023 from sample 0 by prefix doubling over the 1-, 2-, ..., 512-step
-    maps, then each later block of up to 1024 samples from the block before
-    it by the exact 1024-step map, and records each block's derivatives by
-    one stacked call; a block that maps to a non-finite value is stepped
-    instead, and the shortened last step is one step.  Every other run, each
-    one of at most 1024 full steps included, steps every sample and stays
-    bitwise the per-step map (see the module docstring).
+    The full steps go in blocks that end at multiples of 1024, the first one
+    samples 1..1023.  An affine run (``cfg.jacobian``) with ``cfg.rowwise``
+    and more than 1024 full steps maps each block from the samples before it;
+    every other block, and a mapped block that comes out non-finite, is
+    stepped one sample at a time.  A shortened last step is one more stepped
+    block.  Each invariant function is called as fn(x, xdot) at every sample
+    once the run is done (see the module docstring).
     """
     invariant_fns = dict(invariant_fns or {})
     full, remainder = _plan_steps(t_end, cfg.dt)
@@ -461,81 +466,65 @@ def integrate_field(
         ) from exc
     if steps:
         times[-1] = t_end
-    dt, history = cfg.dt, len(_EXTRAPOLATION)
-    last_cfg = replace(cfg, dt=remainder) if remainder else cfg
+    history = len(_EXTRAPOLATION)
     extrapolate = cfg.method == "implicit_midpoint" and cfg.jacobian is None
-    # A full step from here on starts from the extrapolation, not from fx.
-    extrapolate_from = history if extrapolate else count
-    # Deferred samples: defer_from <= k < full, and defer_last.
-    defer = extrapolate and cfg.rowwise and not invariant_fns
-    defer_from, defer_last = (history - 1, count - 1) if defer else (count, 0)
+
+    def step_block(start: int, stop: int, step_cfg: StepperConfig) -> None:
+        """Step samples start..stop-1; with ``cfg.rowwise``, the derivatives
+        that no later step of the block reads are one stacked call at its end."""
+        x, fx = states[start - 1], derivatives[start - 1]
+        # The step to sample k reads the derivative of sample k-1 if k < read_until.
+        read_until = min(stop, history) if extrapolate else stop
+        lo = start  # samples lo..k-1 await their derivatives
+        for k in range(start, stop):
+            first = fx
+            if extrapolate and history <= k <= full:
+                first = _EXTRAPOLATION.dot(states[k - history : k]) / cfg.dt
+
+            # The steppers evaluate the start point x itself first: ``first``
+            # answers, the derivative at x or, for an extrapolated stage, the
+            # increment over dt.
+            def first_same_as_last(y, x=x, first=first):
+                return first if y is x else f(y)
+
+            try:
+                x = step_explicit(first_same_as_last, x, step_cfg)
+                # x.dot(x) is finite for a finite x unless it overflows.
+                if not math.isfinite(x.dot(x)) and not np.isfinite(x).all():
+                    raise ConvergenceError(
+                        f"{step_cfg.method} step diverged to a non-finite state", 0
+                    )
+            except Exception as exc:
+                # Earlier samples fail first: a pending derivative that raises
+                # replaces exc.
+                _record_rows(f, states, derivatives, lo, k)
+                if not isinstance(exc, (SingularSystemError, ConvergenceError)):
+                    raise
+                message = f"{exc} (while stepping from t = {times[k - 1]:.9g})"
+                if isinstance(exc, ConvergenceError):
+                    raise ConvergenceError(message, exc.iterations) from exc
+                raise type(exc)(message) from exc
+            states[k] = x
+            if not cfg.rowwise or k + 1 < read_until:
+                fx = derivatives[k] = f(x)
+                lo = k + 1
+        _record_rows(f, states, derivatives, lo, stop)
+
     with _overflow_policy():
         levels = None
-        if cfg.jacobian is not None and cfg.rowwise and not invariant_fns and full > _BLOCK:
+        if cfg.jacobian is not None and cfg.rowwise and full > _BLOCK:
             levels = _block_map(f, dim, cfg)
-        fx = np.asarray(f(x), dtype=float)
         states[0] = x
-        derivatives[0] = fx
+        derivatives[0] = f(x)
+        for block in range(0, full + 1, _BLOCK):
+            start, stop = max(block, 1), min(block + _BLOCK, full + 1)
+            if levels is None or not _map_block(levels, f, states, derivatives, start, stop):
+                step_block(start, stop, cfg)
+        if remainder:
+            step_block(count - 1, count, replace(cfg, dt=remainder))
         for name, fn in invariant_fns.items():
-            invariants[name][0] = fn(x, fx)
-        # The samples lo..k-1 await their derivatives at the top of step k.
-        k, lo, stepping = 1, 1, False
-        try:
-            while k < count:
-                # Samples k..stop-1: a block of a mapped run, else the rest.
-                stop = count
-                if levels is not None and k <= full:
-                    # Blocks end at multiples of _BLOCK: the first one is the prefix.
-                    stop = min((k // _BLOCK + 1) * _BLOCK, full + 1)
-                    if _map_block(levels, f, states, derivatives, k, stop):
-                        k = lo = stop
-                        x, fx = states[k - 1], derivatives[k - 1]
-                        continue
-                for k in range(k, stop):
-                    step_cfg, first = cfg, fx
-                    if k > full:
-                        step_cfg = last_cfg
-                    elif k >= extrapolate_from:
-                        first = _EXTRAPOLATION.dot(states[k - history : k]) / dt
-
-                    # The steppers evaluate the start point x itself first:
-                    # ``first`` answers, the derivative at x or, for an
-                    # extrapolated stage, the increment over dt.
-                    def first_same_as_last(y, x=x, first=first):
-                        return first if y is x else f(y)
-
-                    stepping = True
-                    x = step_explicit(first_same_as_last, x, step_cfg)
-                    # x.dot(x) is finite for a finite x unless it overflows.
-                    if not math.isfinite(x.dot(x)) and not np.isfinite(x).all():
-                        raise ConvergenceError(
-                            f"{step_cfg.method} step diverged to a non-finite state", 0
-                        )
-                    stepping = False
-                    states[k] = x
-                    if defer_from <= k < full or k == defer_last:
-                        if k + 1 - lo == POSTPASS_ROWS:
-                            start, lo = lo, k + 1
-                            _record_rows(f, states, derivatives, start, lo)
-                        continue
-                    start, lo = lo, k + 1
-                    _record_rows(f, states, derivatives, start, k)
-                    fx = f(x)
-                    derivatives[k] = fx
-                    for name, fn in invariant_fns.items():
-                        invariants[name][k] = fn(x, fx)
-                k = stop
-        except Exception as exc:
-            # Earlier samples fail first: a pending derivative that raises
-            # replaces exc.
-            _record_rows(f, states, derivatives, lo, k)
-            if not stepping or not isinstance(exc, (SingularSystemError, ConvergenceError)):
-                raise
-            message = f"{exc} (while stepping from t = {times[k - 1]:.9g})"
-            if isinstance(exc, ConvergenceError):
-                raise ConvergenceError(message, exc.iterations) from exc
-            raise type(exc)(message) from exc
-        _record_rows(f, states, derivatives, lo, count)
+            for k in range(count):
+                invariants[name][k] = fn(states[k], derivatives[k])
     return Trajectory(times, states, derivatives, invariants)
 
 

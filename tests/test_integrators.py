@@ -222,20 +222,51 @@ def test_deterministic_trajectories():
     assert np.array_equal(a.derivatives, b.derivatives)
 
 
-def test_invariant_series_recorded():
-    cfg = StepperConfig(method="rk4", dt=0.01)
-    seen = []
+# The Jacobian of rotation_field.
+ROTATION_4 = np.zeros((4, 4))
+ROTATION_4[0, 1], ROTATION_4[1, 0] = -1.0, 1.0
+
+
+def rowwise_rotation_field(x):
+    return integrators._matvec(ROTATION_4, x)
+
+
+@pytest.mark.parametrize(
+    "field, t_end, cfg, blocks",
+    [
+        (rotation_field, 1.0, StepperConfig(method="rk4", dt=0.01), []),
+        # 1234 full steps of an affine rowwise run: two mapped blocks.
+        (
+            rowwise_rotation_field,
+            12.345,
+            StepperConfig(dt=0.01, jacobian=ROTATION_4, rowwise=True),
+            [(1, True), (integrators._BLOCK, True)],
+        ),
+    ],
+    ids=["rk4", "affine-block-map"],
+)
+def test_invariant_series_recorded(monkeypatch, field, t_end, cfg, blocks):
+    plain, mapped, seen = integrators._map_block, [], []
+
+    def map_block(levels, f, states, derivatives, start, stop):
+        mapped.append((start, plain(levels, f, states, derivatives, start, stop)))
+        return mapped[-1][1]
 
     def radius(x, xdot):
         seen.append((x.copy(), xdot.copy()))
         return float(np.hypot(x[0], x[1]))
 
-    traj = integrate_field(rotation_field, [1.0, 0.0, 0.0, 0.0], 1.0, cfg, {"radius": radius})
+    monkeypatch.setattr(integrators, "_map_block", map_block)
+    x0 = [1.0, 0.0, 0.0, 0.0]
+    traj = integrate_field(field, x0, t_end, cfg, {"radius": radius})
+    assert mapped == blocks
     assert len(traj.invariants["radius"]) == len(traj)
     assert np.allclose(traj.invariants["radius"], 1.0, atol=1e-9)
     # The hook receives each sample and its recorded derivative.
     assert np.array_equal([x for x, _ in seen], traj.states)
     assert np.array_equal([xdot for _, xdot in seen], traj.derivatives)
+    # The hook changes no sample.
+    assert np.array_equal(traj.states, integrate_field(field, x0, t_end, cfg).states)
 
 
 def test_symplectic_euler_requires_mask():
@@ -254,6 +285,11 @@ def test_config_validation():
         StepperConfig(method="rk4", dt=-0.1)
     with pytest.raises(ValueError):
         StepperConfig(method="rk4", dt=0.1, newton_tol=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            StepperConfig(method="rk4", dt=bad)
+        with pytest.raises(ValueError, match="tolerances must be positive and finite"):
+            StepperConfig(method="rk4", dt=0.1, newton_tol=bad)
     for jacobian in (np.ones((2, 3)), np.ones(4)):
         with pytest.raises(ValueError, match="square"):
             StepperConfig(method="rk4", dt=0.1, jacobian=jacobian)
@@ -518,19 +554,31 @@ def test_stacked_derivative_recording_is_bitwise_neutral(make_field, steps):
     assert off_stacked == 0 and on_stacked >= 1
     if steps > integrators.POSTPASS_ROWS:
         assert on_stacked >= 2 and on_calls <= off_calls - integrators.POSTPASS_ROWS
-    # Invariant functions see every derivative as it is taken: nothing stacked.
-    hooked, hooked_stacked, _ = run(True, {"zero": lambda x, xdot: 0.0})
-    assert hooked_stacked == 0
-    assert np.array_equal(hooked.derivatives, off.derivatives)
+    # Invariant functions are read after the run: a hooked run stacks its
+    # recordings as the unhooked one does, and each series is fn per sample.
+    fns = {"first": lambda x, xdot: x[0], "rate": lambda x, xdot: xdot[0]}
+    hooked, hooked_stacked, _ = run(True, fns)
+    assert hooked_stacked == on_stacked
+    assert np.array_equal(hooked.states, on.states)
+    assert np.array_equal(hooked.derivatives, on.derivatives)
+    for name, fn in fns.items():
+        expected = [fn(x, xdot) for x, xdot in zip(hooked.states, hooked.derivatives)]
+        assert np.array_equal(hooked.invariants[name], expected)
 
 
-@pytest.mark.parametrize("singular_sample", [7, None])
-def test_stacked_recording_fails_in_sample_order(singular_sample):
+@pytest.mark.parametrize(
+    "singular_sample, limit, t_end",
+    [(7, 1.2, 2.0), (2047, 256.2, 300.0), (None, 1.2, 2.0)],
+    ids=["7", "2047", "None"],
+)
+def test_stacked_recording_fails_in_sample_order(singular_sample, limit, t_end):
     # x_1 is a clock, exact at dt = 1/8, and every stage evaluates midpoints
-    # x_k + 1/16 only.  The field is singular at sample 7 (x_1 = 7/8), whose
-    # derivative a row-wise run defers, and infinite past x_1 = 1.2, so the
-    # step from t = 1.25 diverges.  Either way the run raises what the plain
-    # run raises: the sample-7 error, or the divergence when there is none.
+    # x_k + 1/16 only.  The field is singular at sample singular_sample,
+    # whose derivative a row-wise run defers, and infinite past x_1 = limit,
+    # so the step from t = 1.25 or from t = 256.25 diverges.  Sample 2047 is
+    # still pending when its block (samples 1024..2047) closes.  Either way
+    # the run raises what the plain run raises: the singular sample's error,
+    # or the divergence when there is none.
     dt = 0.125
     velocity = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -538,19 +586,20 @@ def test_stacked_recording_fails_in_sample_order(singular_sample):
         clock = x[..., :1]
         if singular_sample is not None and (clock == singular_sample * dt).any():
             raise SingularSystemError(f"field at {x.shape} is singular at x_1 = {singular_sample * dt}")
-        return np.where(clock < 1.2, velocity, np.inf)
+        return np.where(clock < limit, velocity, np.inf)
 
     errors = []
     for rowwise in (False, True):
         cfg = StepperConfig(dt=dt, rowwise=rowwise)
         with pytest.raises((SingularSystemError, ConvergenceError)) as excinfo:
-            integrate_field(field, np.zeros(4), 2.0, cfg)
+            integrate_field(field, np.zeros(4), t_end, cfg)
         errors.append((type(excinfo.value), str(excinfo.value)))
     assert errors[0] == errors[1]
     if singular_sample is None:
         assert errors[1][0] is ConvergenceError and "stepping from t = 1.25" in errors[1][1]
     else:
-        assert errors[1] == (SingularSystemError, "field at (4,) is singular at x_1 = 0.875")
+        message = f"field at (4,) is singular at x_1 = {singular_sample * dt}"
+        assert errors[1] == (SingularSystemError, message)
 
 
 def test_stages_under_integrate_field_enter_no_overflow_policy_of_their_own(monkeypatch):
