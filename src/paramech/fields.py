@@ -14,8 +14,9 @@ is the ``m = 1`` case of the same numpy expression.  Matrix-vector products
 go through ``_matvec``: a stack is one batched matmul, which runs BLAS gemv
 on each row, and one point is ``ndarray.dot``, the same gemv without the
 batching overhead; never a 2-D matmul of a whole stack, which would round
-differently.  Polynomial specs keep one analytically differentiated
-term table per order; the built-in fields carry closed forms.
+differently.  A quadratic polynomial carries the constants of its closed
+form, read off its terms; any other polynomial keeps one analytically
+differentiated term table per order; the built-in fields carry closed forms.
 ``evaluate_via_jets`` (second-order forward propagation, numbers carrying a
 gradient row and a Hessian block, exact to roundoff) is the fallback of a
 field that defines only ``_apply`` and the tests' reference.
@@ -285,32 +286,37 @@ class _StackedPolys:
 class PolynomialField(ScalarField):
     """Field backed by an exact PolyScalar; derivatives taken analytically.
 
-    Numeric evaluation runs over flattened float term tables, one per order;
-    the Hessian table holds the upper triangle.  A polynomial of degree at
-    most two has a constant Hessian Q and the closed-form gradient b + Q x,
-    with b the gradient at the origin; both are precomputed.
+    A polynomial of degree at most two has a constant Hessian Q and the
+    closed-form gradient b + Q x, with b the gradient at the origin; both are
+    read off its terms in one pass, each exact coefficient converted once.
+    Any other polynomial runs over flattened float term tables, one per
+    order, built from its exact derivative polynomials; the Hessian table
+    holds the upper triangle.  Those polynomials exist only there and, for
+    any degree, on demand in ``exact_evaluate``.  A coefficient of a table
+    outside float range raises ValueError.
     """
 
     def __init__(self, poly: PolyScalar):
         super().__init__(poly.dim)
         self.poly = poly
-        self._grad = poly_gradient(poly)
-        self._hess = poly_hessian(poly)
-        self._value_rep = _StackedPolys.from_polys([poly])
         self._hess_const = None
-        if poly.total_degree() <= 2:
-            # The value at the origin is the constant coefficient.
-            origin = (0,) * poly.dim
-            self._grad_origin = np.array([float(p.terms.get(origin, 0)) for p in self._grad])
-            self._hess_const = np.array(
-                [[float(p.terms.get(origin, 0)) for p in row] for row in self._hess]
-            )
-        else:
-            self._grad_rep = _StackedPolys.from_polys(self._grad)
-            self._upper = np.triu_indices(poly.dim)
-            self._hess_rep = _StackedPolys.from_polys(
-                [self._hess[a][b] for a, b in zip(*self._upper)]
-            )
+        try:
+            self._value_rep = _StackedPolys.from_polys([poly])
+            if poly.total_degree() <= 2:
+                self._grad_origin, self._hess_const = np.zeros(poly.dim), np.zeros((poly.dim,) * 2)
+                # c x_a gives b_a = c; c x_a x_b (a <= b) gives Q_ab = Q_ba = exps[a] c, exact.
+                for exps, coeff in poly.terms.items():
+                    axes = tuple(a for a, e in enumerate(exps) for _ in range(e))
+                    table = self._grad_origin if len(axes) == 1 else self._hess_const
+                    if axes:
+                        table[axes] = table[axes[::-1]] = float(exps[axes[0]] * coeff)
+            else:
+                grad, hess = poly_gradient(poly), poly_hessian(poly)
+                self._grad_rep = _StackedPolys.from_polys(grad)
+                self._upper = np.triu_indices(poly.dim)
+                self._hess_rep = _StackedPolys.from_polys([hess[a][b] for a, b in zip(*self._upper)])
+        except OverflowError as exc:
+            raise ValueError(f"{poly!r} does not fit the float term tables: {exc}") from None
 
     def _apply(self, xs):
         return self.poly.evaluate(xs)
@@ -349,10 +355,9 @@ class PolynomialField(ScalarField):
 
     def exact_evaluate(self, point):
         """Exact value/gradient/Hessian at a rational point (Fractions)."""
-        value = self.poly.evaluate(point)
-        gradient = [p.evaluate(point) for p in self._grad]
-        hessian = [[p.evaluate(point) for p in row] for row in self._hess]
-        return value, gradient, hessian
+        gradient = [p.evaluate(point) for p in poly_gradient(self.poly)]
+        hessian = [[p.evaluate(point) for p in row] for row in poly_hessian(self.poly)]
+        return self.poly.evaluate(point), gradient, hessian
 
 
 class KineticField(ScalarField):
@@ -360,8 +365,8 @@ class KineticField(ScalarField):
 
     def __init__(self, masses: Sequence[float]):
         masses = tuple(float(m) for m in masses)
-        if any(m <= 0 for m in masses):
-            raise ValueError("masses must be positive")
+        if not all(0 < m < math.inf for m in masses):
+            raise ValueError("masses must be positive and finite")
         super().__init__(4 * len(masses))
         self.masses = masses
         self._weights = np.tile(np.asarray(masses), 4)
@@ -436,12 +441,14 @@ class PotentialField(ScalarField):
 
     def __init__(self, masses: Sequence[float], g_const: float, height: ScalarField | None = None, n: int | None = None):
         masses = tuple(float(m) for m in masses)
-        if any(m <= 0 for m in masses):
-            raise ValueError("masses must be positive")
+        if not all(0 < m < math.inf for m in masses):
+            raise ValueError("masses must be positive and finite")
         if height is None:
             if n is None:
                 n = len(masses)
             height = DistanceFromOrigin(4 * n)
+        if not math.isfinite(g_const):
+            raise ValueError("g_const must be finite")
         super().__init__(height.dim)
         self.masses = masses
         self.g_const = float(g_const)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .exterior import KForm, PolyScalar
 from .fields import ScalarField, _matvec
-from .integrators import StepperConfig, Trajectory, integrate_field, map_rows
+from .integrators import StepperConfig, Trajectory, integrate_field, map_rows, solve_linear
 from .structures import SignedPermutation, StructureKind, build_structure
 
 __all__ = [
@@ -131,7 +131,7 @@ def generic_field_from_form(kind: StructureKind, H: ScalarField, x) -> np.ndarra
     _require_dual(kind)
     grad = H.gradient(x)
     form = canonical_two_form(kind, len(grad) // 4)
-    return np.linalg.solve(form.matrix.T.astype(float), grad)
+    return solve_linear(form.matrix.T, grad, error="two-form system")
 
 
 def position_mask(form: CanonicalSymplecticForm) -> np.ndarray:

@@ -156,6 +156,18 @@ def test_run_rejects_unrepresentable_terms(tmp_path, capsys, term):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.scn", "good.scn"]
 
 
+@pytest.mark.parametrize("exponents", ["2 0 0 0", "4 0 0 0"], ids=["quadratic", "quartic"])
+def test_run_rejects_derivative_coefficient_overflow(tmp_path, capsys, exponents):
+    # 1e308 is a float, but its derivative coefficient 2e308 (4e308, 12e308) is not.
+    polynomial = f"function = polynomial\nterm = 1e308 : {exponents}"
+    scenario = write(tmp_path, "huge.scn", HARMONIC.replace("function = harmonic", polynomial))
+    assert main(["run", scenario, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: PolyScalar(")
+    assert f"*x0^{exponents[0]})" in err and "float" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.scn"]
+
+
 def test_run_singular_exit_code(tmp_path, capsys):
     scenario = write(tmp_path, "degenerate.scn", LINEAR_DEGENERATE)
     assert main(["run", scenario, "--out", str(tmp_path)]) == 3

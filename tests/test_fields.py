@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import fd_gradient, fd_hessian
+from paramech import fields
 from paramech.errors import SingularPointError
 from paramech.exterior import PolyScalar
 from paramech.fields import (
@@ -132,6 +133,30 @@ def test_kinetic_rejects_nonpositive_mass():
         KineticField([0.0])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: KineticField([float("nan")]),
+        lambda: KineticField([1.0, float("inf")]),
+        lambda: PotentialField([float("nan")], 1.0),
+        lambda: PotentialField([1.0], float("nan")),
+        lambda: PotentialField([1.0], -float("inf")),
+        lambda: kinetic_minus_potential_field([1.0], float("nan")),
+    ],
+    ids=[
+        "kinetic-nan",
+        "kinetic-inf",
+        "potential-nan-mass",
+        "potential-nan-g",
+        "potential-inf-g",
+        "composite-nan-g",
+    ],
+)
+def test_energy_fields_reject_non_finite_parameters(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 def test_potential_energy_values():
     assert potential_energy([1.0], 9.81, None, [3.0, 4.0, 0.0, 0.0]) == pytest.approx(49.05)
     assert potential_energy([1.0], 0.0, None, [3.0, 4.0, 0.0, 0.0]) == 0.0
@@ -210,6 +235,70 @@ def test_constant_hessian_only_for_constant_cases():
     cubic = PolynomialField(PolyScalar.monomial(DIM, Fraction(1), (3, 0, 0, 0)))
     assert cubic.constant_hessian() is None
     assert kinetic_minus_potential_field([1.0], 9.81).constant_hessian() is None
+
+
+def _count_derivative_calls(monkeypatch):
+    """Count PolyScalar.partial calls and the fields module's poly_gradient/poly_hessian calls."""
+    calls = {"partial": 0, "poly_gradient": 0, "poly_hessian": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(PolyScalar, "partial", counted("partial", PolyScalar.partial))
+    for name in ("poly_gradient", "poly_hessian"):
+        monkeypatch.setattr(fields, name, counted(name, getattr(fields, name)))
+    return calls
+
+
+def test_quadratic_field_reads_constants_off_its_terms(monkeypatch):
+    dim = 5
+    terms = {}
+    for coeff, powers in [
+        (Fraction(7, 3), {}),
+        (Fraction(-2, 7), {0: 1}),
+        (Fraction(1, 3), {4: 1}),
+        (Fraction(5, 11), {1: 2}),
+        (Fraction(-1, 10), {4: 2}),
+        (Fraction(3, 13), {0: 1, 3: 1}),
+        (Fraction(-9, 17), {2: 1, 4: 1}),
+    ]:
+        exponents = [0] * dim
+        for a, e in powers.items():
+            exponents[a] = e
+        terms[tuple(exponents)] = coeff
+    calls = _count_derivative_calls(monkeypatch)
+    field = PolynomialField(PolyScalar(dim, terms))
+    assert calls == {"partial": 0, "poly_gradient": 0, "poly_hessian": 0}
+
+    value, gradient, hessian = field.exact_evaluate([Fraction(0)] * dim)
+    assert value == Fraction(7, 3)
+    exact_gradient = np.array([float(g) for g in gradient])
+    exact_hessian = np.array([[float(h) for h in row] for row in hessian])
+    assert field.gradient(np.zeros(dim)).tobytes() == exact_gradient.tobytes()
+    assert field.constant_hessian().tobytes() == exact_hessian.tobytes()
+    assert exact_hessian[1, 1] == float(Fraction(10, 11))
+    assert exact_hessian[0, 3] == exact_hessian[3, 0] == float(Fraction(3, 13))
+
+
+def test_cubic_field_builds_its_derivative_polynomials_once(monkeypatch):
+    calls = _count_derivative_calls(monkeypatch)
+    PolynomialField(PolyScalar.monomial(DIM, Fraction(1, 3), (1, 2, 0, 0)))
+    assert calls["poly_gradient"] == calls["poly_hessian"] == 1
+
+
+@pytest.mark.parametrize("exponents", [(2, 0, 0, 0), (4, 0, 0, 0)], ids=["square", "quartic"])
+def test_derivative_coefficient_overflow_is_a_value_error(exponents):
+    # 1e308 is a float; the derivative coefficient 2e308 (4e308) is not, and
+    # must not be taken as float(c) + float(c) = inf.
+    poly = PolyScalar.monomial(DIM, Fraction(10**308), exponents)
+    with pytest.raises(ValueError, match=r"x0\^.*does not fit the float term tables"):
+        PolynomialField(poly)
+    cross = PolynomialField(PolyScalar.monomial(DIM, Fraction(10**308), (1, 1, 0, 0)))
+    assert cross.constant_hessian()[0, 1] == cross.constant_hessian()[1, 0] == 1e308
 
 
 def test_quadratic_gradient_overflow_is_inf():

@@ -528,7 +528,7 @@ def kinetic_minus_potential_g():
 
 
 @pytest.mark.parametrize(
-    "steps", [3, 4.5, 20.5, integrators.POSTPASS_ROWS + 40], ids=lambda s: f"{s}dt"
+    "steps", [3, 4.5, 20.5, integrators._BLOCK + 40], ids=lambda s: f"{s}dt"
 )
 @pytest.mark.parametrize("make_field", [quartic_hstar_rowwise, kinetic_minus_potential_g])
 def test_stacked_derivative_recording_is_bitwise_neutral(make_field, steps):
@@ -552,8 +552,8 @@ def test_stacked_derivative_recording_is_bitwise_neutral(make_field, steps):
     assert np.array_equal(on.states, off.states)
     assert np.array_equal(on.derivatives, off.derivatives)
     assert off_stacked == 0 and on_stacked >= 1
-    if steps > integrators.POSTPASS_ROWS:
-        assert on_stacked >= 2 and on_calls <= off_calls - integrators.POSTPASS_ROWS
+    if steps > integrators._BLOCK:
+        assert on_stacked >= 2 and on_calls <= off_calls - integrators._BLOCK
     # Invariant functions are read after the run: a hooked run stacks its
     # recordings as the unhooked one does, and each series is fn per sample.
     fns = {"first": lambda x, xdot: x[0], "rate": lambda x, xdot: xdot[0]}
