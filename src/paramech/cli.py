@@ -3,7 +3,8 @@
 Subcommands:
   run       integrate one or more scenario files in order, writing
             trajectory tables and summaries
-  verify    run the exact identity audit and print/write the report
+  verify    run the exact identity audit and print the report; --report
+            also writes it to a file, atomically like the run outputs
   audit-el  compare derived- and printed-convention Euler-Lagrange residuals
             along the derived flow of one Lagrangian scenario (the maxima
             that ``run`` writes to its summary)
@@ -29,7 +30,9 @@ from .errors import (
     ScenarioError,
     SingularSystemError,
 )
+from .lagrangian import printed_deviates
 from .scenario import (
+    _atomic_write,
     execute_scenario,
     format_float,
     load_scenario,
@@ -107,7 +110,7 @@ def _cmd_verify(args) -> int:
     text = report.render()
     print(text)
     if args.report:
-        Path(args.report).write_text(text + "\n", encoding="utf-8")
+        _atomic_write(Path(args.report), [text, "\n"])
     return EXIT_OK
 
 
@@ -127,7 +130,7 @@ def _cmd_audit_el(args) -> int:
     )
     print(f"derived convention: max |residual| = {format_float(derived_max)}")
     print(f"printed convention: max |residual| = {format_float(printed_max)}")
-    if printed_max > max(1e-6, 1e3 * derived_max):
+    if printed_deviates(derived_max, printed_max):
         print(
             "printed system deviates from the derived flow for structure "
             f"{scenario.structure} (documented sign discrepancy)"

@@ -454,6 +454,11 @@ class PotentialField(ScalarField):
         self.g_const = float(g_const)
         self.height = height
         self._scale = sum(masses) * float(g_const)
+        if not math.isfinite(self._scale):
+            raise ValueError(
+                f"potential scale sum(masses) * g_const = {self._scale} is not finite "
+                f"(masses = {masses}, g_const = {self.g_const})"
+            )
 
     def _apply(self, xs):
         return self._scale * self.height._apply(xs)

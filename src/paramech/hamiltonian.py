@@ -127,11 +127,15 @@ def hamiltonian_vector_field(kind: StructureKind, H: ScalarField, x) -> np.ndarr
 
 
 def generic_field_from_form(kind: StructureKind, H: ScalarField, x) -> np.ndarray:
-    """Field recovered from sum_a X_a M[a, b] = dH_b with the two-form matrix."""
+    """Field recovered from sum_a X_a M[a, b] = dH_b with the two-form matrix.
+
+    x is one point (dim,) or a stack of points (m, dim); a stack is one
+    guarded solve with the gradients as columns.
+    """
     _require_dual(kind)
     grad = H.gradient(x)
-    form = canonical_two_form(kind, len(grad) // 4)
-    return solve_linear(form.matrix.T, grad, error="two-form system")
+    form = canonical_two_form(kind, grad.shape[-1] // 4)
+    return solve_linear(form.matrix.T, grad.T, error="two-form system").T
 
 
 def position_mask(form: CanonicalSymplecticForm) -> np.ndarray:

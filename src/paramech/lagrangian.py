@@ -18,7 +18,8 @@ Two residual conventions are supported when auditing trajectories:
     and H these coincide with the derived system; for F the boxed system
     carries the opposite sign on the gradient terms (equivalent to A -> -A),
     so its residuals do not vanish along derived flows.  The audit machinery
-    reports this as a documented discrepancy rather than hiding it.
+    reports this as a documented discrepancy rather than hiding it;
+    ``printed_deviates`` is the verdict that ``run`` and ``audit-el`` print.
 
 ``convention_residuals`` is the one place that takes both along a
 trajectory; where the two systems coincide it computes the residuals once.  The
@@ -52,6 +53,7 @@ __all__ = [
     "el_residuals",
     "convention_residuals",
     "printed_sign",
+    "printed_deviates",
 ]
 
 CONVENTIONS = ("derived", "printed")
@@ -148,6 +150,16 @@ def printed_sign(op: StructureOperator) -> np.ndarray:
     if op.kind.tag == "F":
         return -op.sign
     return op.sign
+
+
+def printed_deviates(derived_max: float, printed_max: float) -> bool:
+    """Whether the printed system deviates from the derived flow it was run along.
+
+    Takes the residual maxima of both conventions along one derived flow; the
+    printed one deviates when it exceeds both 1e-6 and 1e3 times the derived
+    one.  Where the two conventions share one array (G and H) it never does.
+    """
+    return printed_max > max(1e-6, 1e3 * derived_max)
 
 
 def integrate_lagrangian(

@@ -16,21 +16,25 @@ exact rational coefficient and one exponent per coordinate:
     dt = 0.001
     method = implicit_midpoint
 
-Coefficients accept both "1/2" and "0.5" and are stored exactly.  Output files
-are written atomically (temp file, then rename) and deterministically: floats
-are printed with 17 significant digits.  The trajectory table is streamed into
-the temp file: the header, then blocks of ``integrators.POSTPASS_ROWS`` rows,
-so no whole-table string is built.  A column that holds one bit pattern
-throughout a block (a zero residual, a constant coordinate) is formatted once
-per block and written into that block's row template; 0.0 and -0.0 keep their
-own text.  The bytes are those of formatting every cell.
+Coefficients accept both "1/2" and "0.5" and are stored exactly.  Every file
+paramech writes (trajectory tables, summaries and the ``verify --report``
+file) goes through one writer, ``_atomic_write``: it creates missing
+directories, writes a new temp file beside the target, created with mode
+0o666 less the umask as ``open`` would create it, and renames it over the
+target; a failed write removes the temp file.  Outputs are deterministic:
+floats are printed with 17 significant digits.  The trajectory table is
+streamed into the temp file: the header, then blocks of
+``integrators.POSTPASS_ROWS`` rows, so no whole-table string is built.  A
+column that holds one bit pattern throughout a block (a zero residual, a
+constant coordinate) is formatted once per block and written into that
+block's row template; 0.0 and -0.0 keep their own text.  The bytes are those
+of formatting every cell.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import tempfile
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,6 +63,7 @@ from .lagrangian import (
     LagrangianSystem,
     convention_residuals,
     integrate_lagrangian,
+    printed_deviates,
 )
 from .structures import StructureKind, build_structure
 
@@ -383,17 +388,22 @@ class RunResult:
 
 
 def _atomic_write(path: Path, blocks: Iterable[str]) -> None:
-    """Write the text blocks in order to a temporary file, then rename it."""
+    """Write the text blocks in order to a new file beside ``path``, then rename it.
+
+    The one writer of every output file.  Missing directories are created.
+    The temporary file is named from the pid and a random token and created
+    exclusively with mode 0o666, so the kernel applies the umask as ``open``
+    would; on any failure it is removed and ``path`` is left as it was.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    handle = tempfile.NamedTemporaryFile(
-        "w", dir=path.parent, prefix=path.name + ".", suffix=".tmp", delete=False
-    )
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with handle:
+        with open(fd, "w", encoding="utf-8") as handle:
             handle.writelines(blocks)
-        os.replace(handle.name, path)
+        os.replace(tmp, path)
     except BaseException:
-        os.unlink(handle.name)
+        os.unlink(tmp)
         raise
 
 
@@ -465,14 +475,13 @@ def run_scenario(
     endpoint = float(np.linalg.norm(traj.states[-1] - np.asarray(scenario.x0)))
 
     warnings: list[str] = []
-    if (
-        scenario.formalism == "lagrangian"
-        and scenario.structure == "F"
-        and maxima["printed_residual_max"] > 1e-6
+    if scenario.formalism == "lagrangian" and printed_deviates(
+        maxima["derived_residual_max"], maxima["printed_residual_max"]
     ):
         warnings.append(
-            "boxed first-order system for structure F deviates from the derived "
-            "flow (opposite sign on the gradient terms); see 'paramech audit-el'"
+            f"boxed first-order system for structure {scenario.structure} deviates "
+            "from the derived flow (opposite sign on the gradient terms); "
+            "see 'paramech audit-el'"
         )
 
     out_dir = Path(out_dir) if out_dir is not None else Path.cwd()

@@ -1,4 +1,6 @@
+import os
 import re
+import stat
 
 import pytest
 
@@ -168,6 +170,20 @@ def test_run_rejects_derivative_coefficient_overflow(tmp_path, capsys, exponents
     assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.scn"]
 
 
+def test_run_rejects_overflowing_potential_scale(tmp_path, capsys):
+    # Both masses are finite, but sum(masses) * g_const is not.
+    text = KINETIC_MINUS_POTENTIAL.replace("n = 1", "n = 2")
+    text = text.replace("masses = 1.0", "masses = 1e308 1e308")
+    text = text.replace("g_const = 0.5", "g_const = 1")
+    text = text.replace("x0 = 3 4 0 0", "x0 = 3 4 0 0 0 1 0 0")
+    scenario = write(tmp_path, "heavy.scn", text)
+    assert main(["run", scenario, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "finite" in err and "masses" in err and "g_const" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["heavy.scn"]
+
+
 def test_run_singular_exit_code(tmp_path, capsys):
     scenario = write(tmp_path, "degenerate.scn", LINEAR_DEGENERATE)
     assert main(["run", scenario, "--out", str(tmp_path)]) == 3
@@ -287,14 +303,35 @@ def test_run_missing_file_exit_code(tmp_path):
 
 
 def test_verify_report(tmp_path, capsys):
-    report_path = tmp_path / "report.txt"
+    # The report's directory does not exist yet: the writer creates it.
+    report_path = tmp_path / "reports" / "report.txt"
     assert main(["verify", "--n", "1", "--report", str(report_path)]) == 0
     out = capsys.readouterr().out
     assert "identities" in out
     assert "discrepancy (documented)" in out
     assert "0 fail" in out
-    assert report_path.exists()
     assert report_path.read_text().splitlines()[0].startswith("identity audit")
+    assert report_path.read_text() == out
+    assert list(report_path.parent.iterdir()) == [report_path]
+
+
+@pytest.mark.parametrize(
+    "umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"]
+)
+def test_output_files_take_the_umask_mode(tmp_path, capsys, umask, mode):
+    scenario = write(tmp_path, "circle.scn", HARMONIC)
+    old_umask = os.umask(umask)
+    try:
+        assert main(["run", scenario, "--out", str(tmp_path / "out")]) == 0
+        assert main(["verify", "--n", "1", "--report", str(tmp_path / "report.txt")]) == 0
+    finally:
+        os.umask(old_umask)
+    written = [
+        tmp_path / "out" / "circle_trajectory.csv",
+        tmp_path / "out" / "circle_summary.txt",
+        tmp_path / "report.txt",
+    ]
+    assert [stat.S_IMODE(path.stat().st_mode) for path in written] == [mode] * 3
 
 
 def test_one_parser_serves_a_sequence_of_calls(tmp_path, capsys):

@@ -142,6 +142,7 @@ def test_kinetic_rejects_nonpositive_mass():
         lambda: PotentialField([1.0], float("nan")),
         lambda: PotentialField([1.0], -float("inf")),
         lambda: kinetic_minus_potential_field([1.0], float("nan")),
+        lambda: kinetic_minus_potential_field([1e308, 1e308], 1.0, n=2),
     ],
     ids=[
         "kinetic-nan",
@@ -150,6 +151,7 @@ def test_kinetic_rejects_nonpositive_mass():
         "potential-nan-g",
         "potential-inf-g",
         "composite-nan-g",
+        "composite-overflowing-scale",
     ],
 )
 def test_energy_fields_reject_non_finite_parameters(build):

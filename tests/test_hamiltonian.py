@@ -147,12 +147,16 @@ def test_generic_solve_matches_closed_form():
     )
     for kind in DUAL_KINDS:
         for H, n in ((harmonic_field(1), 1), (random_quartic, 2)):
-            for _ in range(10):
-                x = rng.uniform(-2, 2, size=4 * n)
+            xs = rng.uniform(-2, 2, size=(10, 4 * n))
+            for x in xs:
                 closed = hamiltonian_vector_field(kind, H, x)
                 generic = generic_field_from_form(kind, H, x)
                 scale = max(1.0, np.max(np.abs(closed)))
                 assert np.max(np.abs(closed - generic)) / scale <= 1e-12
+            # A stack is one solve, each row bitwise its one-point field.
+            stacked = generic_field_from_form(kind, H, xs)
+            assert stacked.shape == xs.shape
+            assert np.array_equal(stacked, [generic_field_from_form(kind, H, x) for x in xs])
 
 
 def test_generic_solve_single_gradient_slot():

@@ -15,6 +15,7 @@ from paramech.lagrangian import (
     intrinsic_solve,
     lagrangian_energy,
     liouville_field,
+    printed_deviates,
     printed_sign,
 )
 from paramech.structures import F, F_STAR, G, H, PRIMAL_KINDS, build_structure
@@ -213,6 +214,19 @@ def test_printed_sign():
     assert np.array_equal(printed_sign(op(F)), -op(F).sign)
     assert np.array_equal(printed_sign(op(G)), op(G).sign)
     assert np.array_equal(printed_sign(op(H)), op(H).sign)
+
+
+@pytest.mark.parametrize("value", [0.0, 1e-9, 1e-3, 1.0, np.inf, np.nan])
+def test_printed_deviates_never_for_one_shared_array(value):
+    # G and H give both conventions one array, so their maxima are equal.
+    assert not printed_deviates(value, value)
+
+
+def test_printed_deviates_needs_both_margins():
+    assert printed_deviates(0.0, 2e-6)
+    assert not printed_deviates(0.0, 1e-6)
+    assert printed_deviates(1e-9, 0.5)
+    assert not printed_deviates(1e-3, 0.5)
 
 
 def test_reduced_flow_matrix_is_rotational_for_f():

@@ -15,6 +15,7 @@ from paramech.hamiltonian import hamiltonian_vector_field
 from paramech.integrators import Trajectory
 from paramech.lagrangian import printed_sign
 from paramech.scenario import (
+    _atomic_write,
     _trajectory_table,
     build_field,
     execute_scenario,
@@ -267,6 +268,27 @@ def test_custom_output_paths(tmp_path):
     assert result.trajectory_path == tmp_path / "a/b.csv"
     assert result.trajectory_path.exists()
     assert result.summary_path.exists()
+
+
+def failing_blocks():
+    yield "t,x_1\n"
+    raise RuntimeError("block failed")
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    target = tmp_path / "new" / "table.csv"
+    with pytest.raises(RuntimeError, match="block failed"):
+        _atomic_write(target, failing_blocks())
+    assert list(target.parent.iterdir()) == []
+
+
+def test_failed_write_keeps_the_old_file(tmp_path):
+    target = tmp_path / "table.csv"
+    target.write_text("old\n")
+    with pytest.raises(RuntimeError, match="block failed"):
+        _atomic_write(target, failing_blocks())
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_text() == "old\n"
 
 
 def test_sample_time_grid_lands_on_t_end(tmp_path):
