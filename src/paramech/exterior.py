@@ -366,12 +366,6 @@ class KForm:
 
     __rmul__ = __mul__
 
-    def wedge(self, other: "KForm") -> "KForm":
-        return wedge(self, other)
-
-    def d(self) -> "KForm":
-        return ext_d(self)
-
     def __repr__(self) -> str:
         if self.is_zero:
             return f"KForm(degree={self.degree}, 0)"
@@ -402,11 +396,6 @@ class SymVectorField:
     @property
     def dim(self) -> int:
         return len(self.components)
-
-    @classmethod
-    def constant(cls, values) -> "SymVectorField":
-        dim = len(values)
-        return cls(tuple(PolyScalar.constant(dim, v) for v in values))
 
     @classmethod
     def basis(cls, dim: int, index: int) -> "SymVectorField":

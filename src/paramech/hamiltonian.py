@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exterior import KForm, PolyScalar
-from .fields import ScalarField, _matvec
+from .fields import ScalarField
 from .integrators import StepperConfig, Trajectory, integrate_field, map_rows, solve_linear
 from .structures import SignedPermutation, StructureKind, build_structure
 
@@ -155,15 +155,14 @@ def integrate_hamiltonian(
     S is the kind's two-form matrix M, antisymmetric and orthogonal, so the
     solution X = M^{-T} grad H of (i_X M)_b = dH_b is M grad H: one gather
     and sign flip, which reproduces ``hamiltonian_vector_field`` bit for bit.
-    The field evaluates that signed gradient in one go
-    (``ScalarField.signed_gradient``; one term table for a polynomial H).
-    A quadratic H, grad H = b + Q x, makes the field affine, c + J x with
-    c = S b and J = S Q; it is built here next to its Jacobian as one matvec,
-    and every step is then exact (``StepperConfig.jacobian``).  Both fields
-    map a stack of points row by row (``StepperConfig.rowwise``), so a long
-    affine run maps block after block and records each block's derivatives
-    by one stacked call.  The energy is evaluated after the loop, stacked
-    over the samples.
+    The field is that signed gradient for every H
+    (``ScalarField.signed_gradient``; one term table for a non-quadratic
+    polynomial H).  A quadratic H, grad H = b + Q x, makes it affine with the
+    constant Jacobian J = S Q, which is passed along so that every step is
+    exact (``StepperConfig.jacobian``).  The field maps a stack of points row
+    by row (``StepperConfig.rowwise``), so a long affine run maps block after
+    block and records each block's derivatives by one stacked call.  The
+    energy is evaluated after the loop, stacked over the samples.
     """
     if method not in HAMILTONIAN_METHODS:
         raise ValueError(f"method must be one of {HAMILTONIAN_METHODS}")
@@ -171,18 +170,8 @@ def integrate_hamiltonian(
     form = canonical_two_form(system.kind, system.n)
     index, sign = form.index, form.sign
     hessian = H.constant_hessian()
-    if hessian is None:
-        jacobian = None
-        field = H.signed_gradient(index, sign)
-    else:
-        jacobian = sign[:, None] * hessian[index]
-        offset = sign * H.gradient(np.zeros(H.dim))[index]
-        # The steps keep x0's dimension, so it is checked once, here.
-        H._point(x0)
-
-        def field(x):
-            return offset + _matvec(jacobian, x)
-
+    jacobian = None if hessian is None else sign[:, None] * hessian[index]
+    field = H.signed_gradient(index, sign)
     mask = position_mask(form) if method == "symplectic_euler" else None
     cfg = StepperConfig(
         method=method, dt=dt, position_mask=mask, jacobian=jacobian, rowwise=True

@@ -34,7 +34,10 @@ h^3/24) with h = dt J, the midpoint's dt (I - h/2)^{-1} (for a quadratic
 Hamiltonian the Cayley transform, which keeps the energy to roundoff), and
 the closed form of symplectic Euler's masked linear stage.  A shortened last
 step has its own config and so its own M.  Every other field takes the staged
-rk4 step or the fixed-point implicit stage.
+rk4 step or the fixed-point implicit stage.  That stage stops once two
+iterates are within 1e-12 (1 + |x|) of each other and fails after 50
+iterations; the tolerance and the limit are module constants (``_STAGE_TOL``,
+``_STAGE_MAX_ITERS``), not settings of a config.
 
 ``integrate_field`` is one loop over blocks.  The full steps are cut at
 multiples of B = 1024 samples (``_BLOCK``), so the first block is samples
@@ -88,7 +91,8 @@ The optional ``invariant_fns`` of ``integrate_field``, unused by the package,
 are read after the loop, fn(x, xdot) at every sample, and change no sample.
 What the formalisms compute from the samples afterwards (energy, residuals)
 is one stacked call per ``POSTPASS_ROWS`` rows through ``map_rows``, under
-the same overflow policy; ``POSTPASS_ROWS`` is only the chunk size of that
+the same overflow policy, as are a run's energy drift and endpoint distance
+(``scenario.run_scenario``); ``POSTPASS_ROWS`` is only the chunk size of that
 post-pass and of the table writer.
 """
 
@@ -120,6 +124,11 @@ __all__ = [
 METHODS = ("rk4", "symplectic_euler", "implicit_midpoint")
 
 _CONDITION_LIMIT = 1e12
+
+# The fixed-point stage of the implicit methods stops once two iterates are
+# within _STAGE_TOL * (1 + |x|), and fails after _STAGE_MAX_ITERS iterations.
+_STAGE_TOL = 1e-12
+_STAGE_MAX_ITERS = 50
 
 # True while a caller holds the overflow policy (``_overflow_policy``).
 _POLICY_HELD: ContextVar[bool] = ContextVar("paramech_overflow_policy_held", default=False)
@@ -197,8 +206,6 @@ def _max_column_sum(matrix: np.ndarray):
 class StepperConfig:
     method: str = "implicit_midpoint"
     dt: float = 1e-3
-    newton_tol: float = 1e-12
-    newton_max_iters: int = 50
     # Required by symplectic Euler: True marks position-like coordinates.
     position_mask: np.ndarray | None = field(default=None, repr=False)
     # The constant Jacobian J of an affine field f(x) = c + J x, if known.
@@ -213,8 +220,6 @@ class StepperConfig:
         # A nan fails both comparisons.
         if not 0 < self.dt < math.inf:
             raise ValueError("dt must be positive and finite")
-        if not 0 < self.newton_tol < math.inf or self.newton_max_iters < 1:
-            raise ValueError("tolerances must be positive and finite")
         if self.jacobian is not None:
             shape = np.shape(self.jacobian)
             if len(shape) != 2 or shape[0] != shape[1]:
@@ -288,8 +293,8 @@ def _step_rk4(f, x, dt):
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _solve_stage(stage, update, y, x, tol, max_iters):
-    """Iterate y <- update(y) until two iterates are within tol*(1+|x|).
+def _solve_stage(stage, update, y, x):
+    """Iterate y <- update(y) until two iterates are within _STAGE_TOL*(1+|x|).
 
     A finite step from a finite iterate is finite, so the iterate itself is
     scanned only when the squared step is not.  The overflow policy is
@@ -297,9 +302,9 @@ def _solve_stage(stage, update, y, x, tol, max_iters):
     """
     if not _POLICY_HELD.get():
         with _overflow_policy():
-            return _solve_stage(stage, update, y, x, tol, max_iters)
-    scale = tol * (1.0 + math.sqrt(x.dot(x)))
-    for iteration in range(1, max_iters + 1):
+            return _solve_stage(stage, update, y, x)
+    scale = _STAGE_TOL * (1.0 + math.sqrt(x.dot(x)))
+    for iteration in range(1, _STAGE_MAX_ITERS + 1):
         y_next = update(y)
         d = y_next - y
         err = d.dot(d)
@@ -312,18 +317,19 @@ def _solve_stage(stage, update, y, x, tol, max_iters):
             return y_next
         y = y_next
     raise ConvergenceError(
-        f"{stage} stage did not converge after {max_iters} iterations", max_iters
+        f"{stage} stage did not converge after {_STAGE_MAX_ITERS} iterations",
+        _STAGE_MAX_ITERS,
     )
 
 
-def _step_implicit_midpoint(f, x, dt, tol, max_iters):
+def _step_implicit_midpoint(f, x, dt):
     def update(y):
         return x + dt * f(0.5 * (x + y))
 
-    return _solve_stage("implicit midpoint", update, x + dt * f(x), x, tol, max_iters)
+    return _solve_stage("implicit midpoint", update, x + dt * f(x), x)
 
 
-def _step_symplectic_euler(f, x, dt, mask, tol, max_iters):
+def _step_symplectic_euler(f, x, dt, mask):
     mask = _position_mask(mask)
 
     # Momenta implicit, positions explicit in the updated momenta.  The stage
@@ -331,7 +337,7 @@ def _step_symplectic_euler(f, x, dt, mask, tol, max_iters):
     def update(z):
         return np.where(mask, x, x + dt * f(z))
 
-    z = _solve_stage("symplectic Euler", update, x, x, tol, max_iters)
+    z = _solve_stage("symplectic Euler", update, x, x)
     return np.where(mask, x + dt * f(z), z)
 
 
@@ -348,10 +354,8 @@ def step_explicit(f: Callable[[np.ndarray], np.ndarray], x, cfg: StepperConfig) 
     if cfg.method == "rk4":
         return _step_rk4(f, x, cfg.dt)
     if cfg.method == "implicit_midpoint":
-        return _step_implicit_midpoint(f, x, cfg.dt, cfg.newton_tol, cfg.newton_max_iters)
-    return _step_symplectic_euler(
-        f, x, cfg.dt, cfg.position_mask, cfg.newton_tol, cfg.newton_max_iters
-    )
+        return _step_implicit_midpoint(f, x, cfg.dt)
+    return _step_symplectic_euler(f, x, cfg.dt, cfg.position_mask)
 
 
 def _plan_steps(t_end: float, dt: float) -> tuple[int, float]:

@@ -471,8 +471,10 @@ def run_scenario(
     """Integrate one scenario and write its trajectory table and summary."""
     traj, residuals, maxima = execute_scenario(scenario)
     energy = traj.invariants["energy"]
-    drift = float(np.max(np.abs(energy - energy[0])))
-    endpoint = float(np.linalg.norm(traj.states[-1] - np.asarray(scenario.x0)))
+    # A finite run may still overflow here: inf energy or a far endpoint.
+    with integrators._overflow_policy():
+        drift = float(np.max(np.abs(energy - energy[0])))
+        endpoint = float(np.linalg.norm(traj.states[-1] - np.asarray(scenario.x0)))
 
     warnings: list[str] = []
     if scenario.formalism == "lagrangian" and printed_deviates(

@@ -2,10 +2,13 @@
 
 B is the four-dimensional real algebra with basis {1, i, s, t} subject to the
 generator relations i*i = -1, s*s = t*t = +1, is = t = -si.  The remaining
-basis products (st, ts, it, ti, ...) are not free choices: they follow from the
-three relations by associativity.  The full 16-entry table is derived once at
-import time by normalising words in the generators, so there is a single source
-of truth that can be tested against the relations.
+basis products (st = -i, ts = i, it = -s, ti = s, ...) are not free choices:
+they follow from the three relations by associativity.  The 16 basis products
+are written out once, as the literal table ``_MUL_TABLE``, the one product
+table of the package.  The tests check it against the generator relations,
+and the tests and the ``verify`` audit check associativity and, through
+``structures``, the relations of F, G and H: the table's i, s and t rows are
+that triple, left multiplication by i, s and t on each quaternion of B^n.
 
 Coefficients may be any ordered-field scalar (``fractions.Fraction`` for exact
 verification, ``float`` for numerics); every operation is generic in the
@@ -38,51 +41,14 @@ __all__ = [
 ]
 
 
-def _reduce_word(word: str) -> tuple[int, str]:
-    """Normalise a word in the generators {i, s} to +-(i^a s^b), a,b in {0,1}.
-
-    Rewrite rules: "si" -> -"is" (anticommutation), "ii" -> -1, "ss" -> +1.
-    Returns (sign, canonical word).
-    """
-    sign = 1
-    letters = list(word)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(letters) - 1):
-            a, b = letters[k], letters[k + 1]
-            if a == "s" and b == "i":
-                letters[k], letters[k + 1] = "i", "s"
-                sign = -sign
-                changed = True
-                break
-            if a == b:
-                if a == "i":
-                    sign = -sign
-                del letters[k : k + 2]
-                changed = True
-                break
-    return sign, "".join(letters)
-
-
-# Basis order 1, i, s, t; t is the word "is".
-_BASIS_WORDS = ("", "i", "s", "is")
-_WORD_TO_BASIS = {w: k for k, w in enumerate(_BASIS_WORDS)}
-
-
-def _build_table() -> tuple[tuple[tuple[int, int], ...], ...]:
-    table = []
-    for a in range(4):
-        row = []
-        for b in range(4):
-            sign, word = _reduce_word(_BASIS_WORDS[a] + _BASIS_WORDS[b])
-            row.append((sign, _WORD_TO_BASIS[word]))
-        table.append(tuple(row))
-    return tuple(table)
-
-
-#: _MUL_TABLE[a][b] = (sign, basis index) of the product of basis elements a, b.
-_MUL_TABLE = _build_table()
+# _MUL_TABLE[a][b] = (sign, basis index) of the product of basis elements a, b,
+# in the basis order 1, i, s, t.
+_MUL_TABLE = (
+    ((1, 0), (1, 1), (1, 2), (1, 3)),
+    ((1, 1), (-1, 0), (1, 3), (-1, 2)),
+    ((1, 2), (-1, 3), (1, 0), (-1, 1)),
+    ((1, 3), (1, 2), (1, 1), (1, 0)),
+)
 
 
 class SquareClass(enum.Enum):
@@ -162,7 +128,7 @@ T = SplitQuaternion.basis(3)
 
 
 def sq_mul(p: SplitQuaternion, q: SplitQuaternion) -> SplitQuaternion:
-    """Bilinear product under the derived 16-entry basis table."""
+    """Bilinear product under the 16-entry basis table."""
     out = [0, 0, 0, 0]
     pc = p.coefficients
     qc = q.coefficients

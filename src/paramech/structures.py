@@ -1,12 +1,14 @@
 """Constant structure operators F, G, H and their duals on R^{4n}.
 
 Coordinates are ordered in four blocks of length n: indices 0..n-1 play the
-role of x_i, then x_{n+i}, x_{2n+i}, x_{3n+i}.  Each operator is a signed
-permutation, stored as the pair (index, sign) with (A v)[a] = sign[a] *
-v[index[a]] and built once from a block table; the exact integer ``.matrix``
-is a read-only view derived from the pair.  The tangent and cotangent tables
-have identical entries, so dual operators carry the same pair and differ only
-in their kind tag.
+role of x_i, then x_{n+i}, x_{2n+i}, x_{3n+i}, so (x_k, x_{n+k}, x_{2n+k},
+x_{3n+k}) are the coefficients on 1, i, s, t of the k-th quaternion of B^n.
+F, G, H are left multiplication by i, s and t on each quaternion, read off
+the one product table (``split_quaternions``) at import.  Each operator is a
+signed permutation, stored as the pair (index, sign) with (A v)[a] = sign[a]
+* v[index[a]]; the exact integer ``.matrix`` is a read-only view derived from
+the pair.  The tangent and cotangent tables have identical entries, so dual
+operators carry the same pair and differ only in their kind tag.
 
 Composition convention throughout: (A o B)(x) = A(B(x)), i.e. plain matrix
 products.  Under this convention FG = H and GF = -H hold exactly.
@@ -18,6 +20,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+
+from .split_quaternions import _MUL_TABLE
 
 __all__ = [
     "StructureKind",
@@ -71,12 +75,12 @@ DUAL_KINDS = (F_STAR, G_STAR, H_STAR)
 
 # Block action (source block, destination block, sign): basis column in block
 # `src` maps to +-(basis row in block `dst`), i.e. row dst*n + k of the matrix
-# holds `sign` in column src*n + k.  The cotangent tables produce the same
-# entries, so primal and dual share this data.
+# holds `sign` in column src*n + k.  The product "basis src -> sign * basis
+# dst" of the i, s or t row gives the entry.  The cotangent tables produce the
+# same entries, so primal and dual share this data.
 _BLOCK_ACTION = {
-    "F": ((0, 1, 1), (1, 0, -1), (2, 3, 1), (3, 2, -1)),
-    "G": ((0, 2, 1), (1, 3, -1), (2, 0, 1), (3, 1, -1)),
-    "H": ((0, 3, 1), (1, 2, 1), (2, 1, 1), (3, 0, 1)),
+    tag: tuple((src, dst, sign) for src, (sign, dst) in enumerate(row))
+    for tag, row in zip("FGH", _MUL_TABLE[1:])
 }
 
 

@@ -280,6 +280,23 @@ def test_run_long_unstable_affine_run_exit_code(tmp_path, capsys):
     assert not (tmp_path / "unstable_summary.txt").exists()
 
 
+def test_run_overflowing_energy_is_summarised_without_warnings(tmp_path, capsys):
+    # The states stay finite, but H = |x|^2 / 2 overflows to inf at every
+    # sample, so the drift is inf - inf and the endpoint distance overflows.
+    text = (
+        HARMONIC.replace("x0 = 1 0 0 0", "x0 = 1e308 1e308 0 0")
+        .replace("dt = 0.001", "dt = 0.1")
+        .replace("implicit_midpoint", "rk4")
+    )
+    scenario = write(tmp_path, "huge_energy.scn", text)
+    assert main(["run", scenario, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    summary = (tmp_path / "huge_energy_summary.txt").read_text().splitlines()
+    assert "energy_initial = inf" in summary
+    assert "energy_drift_max = nan" in summary
+    assert "endpoint_distance_from_start = inf" in summary
+
+
 def test_run_unstorable_sample_plan_exit_code(tmp_path, capsys):
     # 1e21 samples: the sample arrays cannot be allocated, so nothing is run.
     scenario = write(tmp_path, "huge.scn", HARMONIC.replace("t_end = 1.0", "t_end = 1e18"))

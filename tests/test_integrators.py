@@ -130,8 +130,8 @@ def test_overflowing_squared_step_is_not_a_non_finite_state():
     def flip(y):
         return np.where(y > 0, -1e202, 1e202)
 
-    cfg = StepperConfig(method="implicit_midpoint", dt=1e-3, newton_max_iters=5)
-    with pytest.raises(ConvergenceError, match="did not converge after 5 iterations"):
+    cfg = StepperConfig(method="implicit_midpoint", dt=1e-3)
+    with pytest.raises(ConvergenceError, match="did not converge after 50 iterations"):
         step_explicit(flip, np.zeros(4), cfg)
 
 
@@ -146,12 +146,10 @@ def test_state_whose_square_overflows_is_still_finite(method):
 @pytest.mark.parametrize("method", ["implicit_midpoint", "symplectic_euler"])
 def test_midpoint_nonconvergence_reports_iterations(method):
     stiff = lambda y: 1e8 * y
-    cfg = StepperConfig(
-        method=method, dt=1e-3, newton_max_iters=10, position_mask=np.array([True, False])
-    )
-    with pytest.raises(ConvergenceError, match="did not converge after 10 iterations") as excinfo:
+    cfg = StepperConfig(method=method, dt=1e-3, position_mask=np.array([True, False]))
+    with pytest.raises(ConvergenceError, match="did not converge after 50 iterations") as excinfo:
         step_explicit(stiff, np.ones(2), cfg)
-    assert excinfo.value.iterations == 10
+    assert excinfo.value.iterations == 50
 
 
 @pytest.mark.parametrize("method, rate", [("implicit_midpoint", 2.0), ("symplectic_euler", 1.0)])
@@ -283,13 +281,9 @@ def test_config_validation():
         StepperConfig(method="euler", dt=0.1)
     with pytest.raises(ValueError):
         StepperConfig(method="rk4", dt=-0.1)
-    with pytest.raises(ValueError):
-        StepperConfig(method="rk4", dt=0.1, newton_tol=0.0)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             StepperConfig(method="rk4", dt=bad)
-        with pytest.raises(ValueError, match="tolerances must be positive and finite"):
-            StepperConfig(method="rk4", dt=0.1, newton_tol=bad)
     for jacobian in (np.ones((2, 3)), np.ones(4)):
         with pytest.raises(ValueError, match="square"):
             StepperConfig(method="rk4", dt=0.1, jacobian=jacobian)
@@ -392,7 +386,7 @@ def test_stage_failure_at_an_extrapolated_step_reports_time():
     def field(x):
         return np.array([1.0, 0.0, 0.0, 0.0]) if x[0] < 0.0065 else 1e8 * x
 
-    cfg = StepperConfig(method="implicit_midpoint", dt=1e-3, newton_max_iters=10)
+    cfg = StepperConfig(method="implicit_midpoint", dt=1e-3)
     with pytest.raises(ConvergenceError, match="stepping from t = 0.006\\)") as excinfo:
         integrate_field(field, np.zeros(4), 0.02, cfg)
     assert "converge" in str(excinfo.value)

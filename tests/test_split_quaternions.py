@@ -23,8 +23,8 @@ from paramech.split_quaternions import (
     sq_square_class,
 )
 
-# Hand-derived basis table (row * column), written out independently of the
-# word-reduction used by the implementation.  Entries are (sign, basis index).
+# Hand-derived basis table (row * column), kept apart from the literal table
+# of the implementation.  Entries are (sign, basis index).
 EXPECTED_TABLE = {
     (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
     (1, 0): (1, 1), (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),

@@ -1,8 +1,11 @@
+import random
+
 import numpy as np
 import pytest
 
 from oracles import exact_determinant
 from paramech.hamiltonian import canonical_two_form
+from paramech.split_quaternions import I, S, T, random_rational_quaternion, sq_mul
 from paramech.structures import (
     DUAL_KINDS,
     F,
@@ -18,6 +21,15 @@ from paramech.structures import (
     relation_checks,
     verify_relations,
 )
+
+
+# F, G, H as (source block, destination block, sign), written out by hand,
+# independently of the split-quaternion product table they are read from.
+REFERENCE_BLOCKS = {
+    "F": ((0, 1, 1), (1, 0, -1), (2, 3, 1), (3, 2, -1)),
+    "G": ((0, 2, 1), (1, 3, -1), (2, 0, 1), (3, 1, -1)),
+    "H": ((0, 3, 1), (1, 2, 1), (2, 1, 1), (3, 0, 1)),
+}
 
 
 def basis(dim, index):
@@ -64,6 +76,31 @@ def test_dual_action_on_basis_covectors():
     # dx_2 -> -dx_1 in 1-indexed terms: column 1 holds -e_0.
     assert np.array_equal(f_star.matrix @ basis(4, 1), -basis(4, 0))
     assert np.array_equal(f_star.matrix @ basis(4, 0), basis(4, 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pairs_match_the_reference_block_table(n):
+    for kind in PRIMAL_KINDS + DUAL_KINDS:
+        index, sign = [None] * (4 * n), [None] * (4 * n)
+        for src, dst, entry in REFERENCE_BLOCKS[kind.tag]:
+            for k in range(n):
+                index[dst * n + k] = src * n + k
+                sign[dst * n + k] = entry
+        op = build_structure(kind, n)
+        assert op.index.tolist() == index
+        assert op.sign.tolist() == sign
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_structures_are_left_multiplication_by_i_s_t(n):
+    rng = random.Random(n)
+    for kind, unit in zip(PRIMAL_KINDS, (I, S, T)):
+        for _ in range(5):
+            xi = [random_rational_quaternion(rng) for _ in range(n)]
+            # Block b holds coefficient b (basis 1, i, s, t) of every quaternion.
+            v = np.array([q.coefficients[b] for b in range(4) for q in xi], dtype=object)
+            expected = [sq_mul(unit, q).coefficients[b] for b in range(4) for q in xi]
+            assert build_structure(kind, n).apply(v).tolist() == expected
 
 
 def test_signed_permutation_property():
