@@ -7,8 +7,9 @@ closed forms are kept independent of the matrix route: the generic solver
 recovers the field from (i_X Phi)_b = dH_b and the two must agree, which pins
 the sign conventions.
 
-The two-form's matrix is a signed permutation, stored as the (index, sign)
-pair of ``paramech.structures``, so the integrated field is the signed,
+The two-form's matrix is a signed permutation: the dual operator's (index,
+sign) pair, each sign times the base one-form's sign at its index.  The pair
+also gives the Liouville one-form, and the integrated field is the signed,
 permuted gradient, evaluated by the Hamiltonian as one table.  For
 a quadratic H that field is affine with the constant Jacobian S Q (Q the
 Hessian), and the integrator steps it exactly in the increment form, a long
@@ -27,6 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import integrators
 from .exterior import KForm, PolyScalar
 from .fields import ScalarField
 from .integrators import StepperConfig, Trajectory, integrate_field, map_rows, solve_linear
@@ -45,21 +47,13 @@ __all__ = [
     "position_mask",
 ]
 
-HAMILTONIAN_METHODS = ("rk4", "symplectic_euler", "implicit_midpoint")
+HAMILTONIAN_METHODS = integrators.METHODS
 
 # Sign of the x_a dx_a coefficient in the base one-form, per block of n.
 _BASE_FORM_BLOCK_SIGNS = {
     "F": (1, 1, 1, 1),
     "G": (1, 1, -1, -1),
     "H": (1, 1, -1, -1),
-}
-
-# The symplectic matrix M in the (source block, destination block, sign)
-# format of ``structures._BLOCK_ACTION``: M[dst*n + k, src*n + k] = sign.
-_TWO_FORM_BLOCKS = {
-    "F": ((0, 1, 1), (1, 0, -1), (2, 3, 1), (3, 2, -1)),
-    "G": ((0, 2, 1), (2, 0, -1), (3, 1, 1), (1, 3, -1)),
-    "H": ((0, 3, 1), (3, 0, -1), (1, 2, 1), (2, 1, -1)),
 }
 
 
@@ -88,24 +82,30 @@ class HamiltonianSystem:
 
 
 def liouville_one_form(kind: StructureKind, n: int) -> KForm:
-    """lambda = A*(base one-form), the dual operator applied to each dx factor."""
-    _require_dual(kind)
-    op = build_structure(kind, n)
-    dim = 4 * n
-    block_signs = _BASE_FORM_BLOCK_SIGNS[kind.tag]
+    """lambda = A*(base one-form): sign[c]/2 * x_{index[c]} on each dx_c.
+
+    (index, sign) is the pair of ``canonical_two_form``.
+    """
+    form = canonical_two_form(kind, n)
     half = Fraction(1, 2)
-    # Row c of A* moves the x_b dx_b term, b = index[c], of the base form to dx_c.
     terms = {
-        (c,): PolyScalar.variable(dim, b).scale(sign * block_signs[b // n] * half)
-        for c, (b, sign) in enumerate(zip(op.index.tolist(), op.sign.tolist()))
+        (c,): PolyScalar.variable(form.dim, b).scale(sign * half)
+        for c, (b, sign) in enumerate(zip(form.index.tolist(), form.sign.tolist()))
     }
-    return KForm(dim, 1, terms)
+    return KForm(form.dim, 1, terms)
 
 
 def canonical_two_form(kind: StructureKind, n: int) -> CanonicalSymplecticForm:
-    """The constant symplectic matrix; equals -d(liouville one-form) exactly."""
+    """The constant symplectic matrix; equals -d(liouville one-form) exactly.
+
+    It is A*'s pair, each sign times the base one-form's sign at its index.
+    """
     _require_dual(kind)
-    return CanonicalSymplecticForm.from_blocks(kind, n, _TWO_FORM_BLOCKS[kind.tag])
+    op = build_structure(kind, n)
+    base = np.repeat(_BASE_FORM_BLOCK_SIGNS[kind.tag], n)
+    sign = op.sign * base[op.index]
+    sign.setflags(write=False)
+    return CanonicalSymplecticForm(kind, n, op.index, sign)
 
 
 def hamiltonian_vector_field(kind: StructureKind, H: ScalarField, x) -> np.ndarray:

@@ -59,6 +59,7 @@ from .hamiltonian import (
 )
 from .integrators import Trajectory
 from .lagrangian import (
+    CONVENTIONS,
     LAGRANGIAN_METHODS,
     LagrangianSystem,
     convention_residuals,
@@ -125,10 +126,6 @@ class Scenario:
     convention: str | None = None
     out_trajectory: str | None = None
     out_summary: str | None = None
-
-    @property
-    def dim(self) -> int:
-        return 4 * self.n
 
     @property
     def kind(self) -> StructureKind:
@@ -279,7 +276,7 @@ def parse_scenario(text: str) -> Scenario:
                 lineno,
                 "convention",
             )
-        if convention not in ("derived", "printed"):
+        if convention not in CONVENTIONS:
             raise ScenarioError(
                 "convention must be derived or printed", lineno, "convention"
             )
@@ -446,7 +443,7 @@ def execute_scenario(scenario: Scenario) -> tuple[Trajectory, np.ndarray, dict[s
     """
     field = build_field(scenario.function, scenario.n)
     if scenario.formalism == "lagrangian":
-        op = build_structure(StructureKind(scenario.structure), scenario.n)
+        op = build_structure(scenario.kind, scenario.n)
         system = LagrangianSystem(op, field, convention=scenario.convention)
         traj = integrate_lagrangian(
             system, scenario.x0, scenario.t_end, scenario.dt, scenario.method
@@ -463,6 +460,22 @@ def execute_scenario(scenario: Scenario) -> tuple[Trajectory, np.ndarray, dict[s
     )
     residuals = hamilton_residuals(system, traj)
     return traj, residuals, {"residual_max": float(np.abs(residuals).max(initial=0.0))}
+
+
+def _output_paths(
+    scenario: Scenario, name: str, out_dir: str | Path | None
+) -> tuple[Path, Path]:
+    """The trajectory and summary paths of one run.
+
+    A relative path, the default ``<name>_trajectory.csv`` and
+    ``<name>_summary.txt`` included, lies in ``out_dir`` (default: the
+    working directory); an absolute one is kept.
+    """
+    out_dir = Path(out_dir) if out_dir is not None else Path.cwd()
+    return (
+        out_dir / (scenario.out_trajectory or f"{name}_trajectory.csv"),
+        out_dir / (scenario.out_summary or f"{name}_summary.txt"),
+    )
 
 
 def run_scenario(
@@ -486,13 +499,7 @@ def run_scenario(
             "see 'paramech audit-el'"
         )
 
-    out_dir = Path(out_dir) if out_dir is not None else Path.cwd()
-    trajectory_path = Path(scenario.out_trajectory or f"{name}_trajectory.csv")
-    summary_path = Path(scenario.out_summary or f"{name}_summary.txt")
-    if not trajectory_path.is_absolute():
-        trajectory_path = out_dir / trajectory_path
-    if not summary_path.is_absolute():
-        summary_path = out_dir / summary_path
+    trajectory_path, summary_path = _output_paths(scenario, name, out_dir)
 
     result = RunResult(
         name=name,
@@ -538,7 +545,28 @@ def render_summary(result: RunResult) -> str:
 
 
 def run_scenario_files(paths, out_dir: str | Path | None = None) -> list[RunResult]:
-    """Parse every scenario file first, then run them in order."""
+    """Parse every scenario file and plan every output first, then run them in order.
+
+    An output path that two outputs share (two files with one stem, or one
+    scenario's table and summary), or that is one of the scenario files, is
+    a ``ScenarioError`` raised before anything is written.  Paths are
+    compared lexically, after ``os.path.abspath``, so a symlink alias of a
+    path is not caught.
+    """
     paths = [Path(p) for p in paths]
     scenarios = [(p.stem, load_scenario(p)) for p in paths]
+    inputs = {os.path.abspath(p): p for p in paths}
+    writers: dict[str, Path] = {}
+    for path, (name, scenario) in zip(paths, scenarios):
+        for output in _output_paths(scenario, name, out_dir):
+            key = os.path.abspath(output)
+            if key in inputs:
+                raise ScenarioError(
+                    f"output {output} of {path} would overwrite scenario file {inputs[key]}"
+                )
+            if key in writers:
+                raise ScenarioError(
+                    f"output {output} is written twice, by {writers[key]} and {path}"
+                )
+            writers[key] = path
     return [run_scenario(s, name, out_dir) for name, s in scenarios]

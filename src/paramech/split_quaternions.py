@@ -73,11 +73,6 @@ class SplitQuaternion:
         return (self.x, self.y, self.u, self.v)
 
     @classmethod
-    def from_coefficients(cls, coeffs: Sequence) -> "SplitQuaternion":
-        x, y, u, v = coeffs
-        return cls(x, y, u, v)
-
-    @classmethod
     def basis(cls, index: int) -> "SplitQuaternion":
         coeffs = [0, 0, 0, 0]
         coeffs[index] = 1
@@ -107,12 +102,6 @@ class SplitQuaternion:
 
     def scale(self, c) -> "SplitQuaternion":
         return SplitQuaternion(c * self.x, c * self.y, c * self.u, c * self.v)
-
-    def conjugate(self) -> "SplitQuaternion":
-        return sq_conj(self)
-
-    def norm_squared(self):
-        return sq_norm_sq(self)
 
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0 and self.u == 0 and self.v == 0

@@ -319,6 +319,47 @@ def test_run_missing_file_exit_code(tmp_path):
     assert main(["run", str(tmp_path / "absent.scn")]) == 5
 
 
+def files_under(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def assert_run_refused(tmp_path, capsys, argv, *named):
+    # Exit 2 with one error line naming the scenario files and the path,
+    # and nothing written: the inputs stay as they were.
+    before = files_under(tmp_path)
+    assert main(["run", *argv]) == 2
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and all(name in line for name in named)
+    assert captured.out == ""
+    assert files_under(tmp_path) == before
+
+
+def test_run_refuses_two_files_with_one_stem(tmp_path, capsys):
+    for folder in ("a", "b"):
+        (tmp_path / folder).mkdir()
+    first = write(tmp_path, "a/x.scn", HARMONIC)
+    second = write(tmp_path, "b/x.scn", HARMONIC)
+    out = tmp_path / "o"
+    argv = [first, second, "--out", str(out)]
+    assert_run_refused(tmp_path, capsys, argv, first, second, str(out / "x_trajectory.csv"))
+    assert not out.exists()
+
+
+def test_run_refuses_a_table_and_summary_on_one_path(tmp_path, capsys):
+    text = HARMONIC + "out_trajectory = same.txt\nout_summary = same.txt\n"
+    scenario = write(tmp_path, "same.scn", text)
+    argv = [scenario, "--out", str(tmp_path)]
+    assert_run_refused(tmp_path, capsys, argv, scenario, str(tmp_path / "same.txt"))
+
+
+def test_run_refuses_to_overwrite_its_scenario_file(tmp_path, capsys):
+    (tmp_path / "ow").mkdir()
+    scenario = write(tmp_path, "ow/self.scn", HARMONIC + "out_summary = self.scn\n")
+    argv = [scenario, "--out", str(tmp_path / "ow")]
+    assert_run_refused(tmp_path, capsys, argv, scenario)
+
+
 def test_verify_report(tmp_path, capsys):
     # The report's directory does not exist yet: the writer creates it.
     report_path = tmp_path / "reports" / "report.txt"

@@ -6,6 +6,7 @@ import pytest
 from paramech.exterior import KForm, PolyScalar, ext_d, form_from_constant_matrix
 from paramech.fields import PolynomialField, harmonic_field
 from paramech.hamiltonian import (
+    CanonicalSymplecticForm,
     HamiltonianSystem,
     canonical_two_form,
     generic_field_from_form,
@@ -16,7 +17,7 @@ from paramech.hamiltonian import (
     position_mask,
 )
 from paramech.integrators import StepperConfig, step_explicit
-from paramech.structures import DUAL_KINDS, F, F_STAR, G_STAR, H_STAR
+from paramech.structures import DUAL_KINDS, F, F_STAR, G_STAR, H_STAR, SignedPermutation
 
 DIM = 4
 
@@ -88,6 +89,40 @@ def test_canonical_two_form_entries():
     assert g[0, 2] == -1 and g[3, 1] == -1
     h = canonical_two_form(H_STAR, 1).matrix
     assert h[3, 0] == 1 and h[2, 1] == 1
+
+
+# The two-form matrices as a hand-written (source block, destination block,
+# sign) table, M[dst*n + k, src*n + k] = sign: the reference for the pair read
+# off the dual operator and the base one-form.
+TWO_FORM_BLOCKS = {
+    "F": ((0, 1, 1), (1, 0, -1), (2, 3, 1), (3, 2, -1)),
+    "G": ((0, 2, 1), (2, 0, -1), (3, 1, 1), (1, 3, -1)),
+    "H": ((0, 3, 1), (3, 0, -1), (1, 2, 1), (2, 1, -1)),
+}
+
+
+@pytest.mark.parametrize("kind", DUAL_KINDS, ids=lambda k: k.name)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_canonical_two_form_matches_block_table(kind, n):
+    form = canonical_two_form(kind, n)
+    reference = SignedPermutation.from_blocks(kind, n, TWO_FORM_BLOCKS[kind.tag])
+    assert type(form) is CanonicalSymplecticForm
+    assert (form.kind, form.n) == (kind, n)
+    assert np.array_equal(form.index, reference.index)
+    assert np.array_equal(form.sign, reference.sign)
+    assert form.sign.dtype == np.int64
+    assert not form.index.flags.writeable and not form.sign.flags.writeable
+
+
+@pytest.mark.parametrize("kind", DUAL_KINDS, ids=lambda k: k.name)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_liouville_coefficients_are_the_two_form_pair(kind, n):
+    form = canonical_two_form(kind, n)
+    expected = {
+        (c,): x_var(b, 4 * n).scale(Fraction(s, 2))
+        for c, (b, s) in enumerate(zip(form.index.tolist(), form.sign.tolist()))
+    }
+    assert liouville_one_form(kind, n) == KForm(4 * n, 1, expected)
 
 
 def test_two_form_is_minus_d_liouville():
