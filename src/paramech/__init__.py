@@ -57,7 +57,6 @@ from .integrators import StepperConfig, Trajectory, integrate_field, step_explic
 from .lagrangian import (
     LagrangianSystem,
     canonical_rhs,
-    convention_residuals,
     el_residuals,
     integrate_lagrangian,
     intrinsic_solve,

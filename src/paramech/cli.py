@@ -10,8 +10,10 @@ Subcommands:
             that ``run`` writes to its summary)
   plotdata  extract named columns from a trajectory table as plot-ready CSV
 
-Exit codes: 0 success, 2 parse/validation error, 3 singular system,
-4 integrator non-convergence, 5 I/O failure.
+Exit codes: 0 success, 2 parse/validation error or a run too large for
+memory (MemoryError), 3 singular system, 4 integrator non-convergence, 5 I/O
+failure.  A failure prints one ``error:`` line on stderr; in ``run`` it ends
+with the scenario file it came from, as ``(in FILE)``.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ def _exit_code(exc: BaseException) -> int:
         return EXIT_NO_CONVERGENCE
     if isinstance(exc, OSError):
         return EXIT_IO
-    if isinstance(exc, (ValueError, ParamechError)):
+    if isinstance(exc, (ValueError, ParamechError, MemoryError)):
         return EXIT_VALIDATION
     raise exc
 
@@ -188,7 +190,9 @@ def main(argv=None) -> int:
         if isinstance(exc, (KeyboardInterrupt, SystemExit)):
             raise
         code = _exit_code(exc)
-        print(f"error: {exc}", file=sys.stderr)
+        # A bare MemoryError() names its class; notes (the file of a run) follow.
+        words = [str(exc) or type(exc).__name__, *getattr(exc, "__notes__", ())]
+        print("error:", *words, file=sys.stderr)
         return code
 
 

@@ -17,6 +17,8 @@ batching overhead; never a 2-D matmul of a whole stack, which would round
 differently.  A quadratic polynomial carries the constants of its closed
 form, read off its terms; any other polynomial keeps one analytically
 differentiated term table per order; the built-in fields carry closed forms.
+A constant Hessian (quadratic polynomial, ``KineticField``) is one read-only
+matrix: one point gets the matrix itself, a stack a read-only broadcast view.
 ``evaluate_via_jets`` (second-order forward propagation, numbers carrying a
 gradient row and a Hessian block, exact to roundoff) is the fallback of a
 field that defines only ``_apply`` and the tests' reference.
@@ -173,13 +175,6 @@ def _per_point(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
-def _per_row(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """One writable copy of a constant matrix per point of x."""
-    copies = np.empty(x.shape[:-1] + matrix.shape)
-    copies[...] = matrix
-    return copies
-
-
 class ScalarField:
     """Base class; the primitives default to the jets of ``_apply``."""
 
@@ -310,6 +305,7 @@ class PolynomialField(ScalarField):
                     table = self._grad_origin if len(axes) == 1 else self._hess_const
                     if axes:
                         table[axes] = table[axes[::-1]] = float(exps[axes[0]] * coeff)
+                self._hess_const.flags.writeable = False
             else:
                 grad, hess = poly_gradient(poly), poly_hessian(poly)
                 self._grad_rep = _StackedPolys.from_polys(grad)
@@ -336,7 +332,8 @@ class PolynomialField(ScalarField):
     def hessian(self, x) -> np.ndarray:
         x = self._point(x)
         if self._hess_const is not None:
-            return _per_row(self._hess_const, x)
+            hessian = self._hess_const
+            return hessian if x.ndim == 1 else np.broadcast_to(hessian, x.shape + (self.dim,))
         rows, cols = self._upper
         hessian = np.empty(x.shape + (self.dim,))
         hessian[..., rows, cols] = hessian[..., cols, rows] = self._hess_rep.evaluate(x)
@@ -371,6 +368,7 @@ class KineticField(ScalarField):
         self.masses = masses
         self._weights = np.tile(np.asarray(masses), 4)
         self._hessian = np.diag(self._weights)
+        self._hessian.flags.writeable = False
 
     def _apply(self, xs):
         n = len(self.masses)
@@ -389,7 +387,8 @@ class KineticField(ScalarField):
         return self._weights * self._point(x)
 
     def hessian(self, x) -> np.ndarray:
-        return _per_row(self._hessian, self._point(x))
+        x, hessian = self._point(x), self._hessian
+        return hessian if x.ndim == 1 else np.broadcast_to(hessian, x.shape + (self.dim,))
 
 
 class DistanceFromOrigin(ScalarField):

@@ -21,12 +21,12 @@ Two residual conventions are supported when auditing trajectories:
     reports this as a documented discrepancy rather than hiding it;
     ``printed_deviates`` is the verdict that ``run`` and ``audit-el`` print.
 
-``convention_residuals`` is the one place that takes both along a
-trajectory; where the two systems coincide it computes the residuals once.  The
-energy and the residuals are stacked calls over the samples, made after the
-integration loop (``integrators.map_rows``).  A quadratic L has a constant
-Hessian Q, so its flow Q^{-1} A grad L is affine and is stepped exactly in
-the increment form, a long run block by block (``integrators``).
+``el_residuals`` takes both along a trajectory in one pass, one array where
+the two systems coincide.  The energy and the residuals are stacked calls
+over the samples, made after the integration loop (``integrators.map_rows``).
+A quadratic L has a constant Hessian Q, so its flow Q^{-1} A grad L is affine
+and is stepped exactly in the increment form, a long run block by block
+(``integrators``).
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ __all__ = [
     "intrinsic_solve",
     "integrate_lagrangian",
     "el_residuals",
-    "convention_residuals",
     "printed_sign",
     "printed_deviates",
 ]
@@ -64,13 +63,10 @@ LAGRANGIAN_METHODS = ("rk4", "implicit_midpoint")
 class LagrangianSystem:
     operator: StructureOperator
     lagrangian: ScalarField
-    convention: str = "derived"
 
     def __post_init__(self):
         if self.operator.kind.dual:
             raise ValueError("Lagrangian dynamics use a tangent-side operator")
-        if self.convention not in CONVENTIONS:
-            raise ValueError(f"convention must be one of {CONVENTIONS}")
         if self.lagrangian.dim != self.operator.dim:
             raise ValueError("Lagrangian dimension does not match the operator")
 
@@ -212,33 +208,24 @@ def integrate_lagrangian(
     return replace(traj, invariants={"energy": map_rows(energy, traj.states, traj.derivatives)})
 
 
-def el_residuals(system: LagrangianSystem, traj: Trajectory) -> np.ndarray:
-    """Residuals of the system's convention, one row per sample.
+def el_residuals(system: LagrangianSystem, traj: Trajectory) -> dict[str, np.ndarray]:
+    """Residuals of both conventions, one row per sample, keyed by convention.
 
     The time derivative d/dt (dL/dx_a) is expanded by the chain rule as
     Hess . xdot using the trajectory's recorded derivatives, so integrator
-    error is not folded into the residual.
+    error is not folded into the residual.  Each chunk takes Hess . xdot and
+    the permuted gradient once; for G and H "printed" is the derived array.
     """
     op, L = system.operator, system.lagrangian
-    sign = op.sign if system.convention == "derived" else printed_sign(op)
+    signs = [op.sign, printed_sign(op)]
+    if np.array_equal(*signs):
+        del signs[1]
 
     def rows(x, xdot):
-        return _matvec(L.hessian(x), xdot) - sign * L.gradient(x)[..., op.index]
+        hv = _matvec(L.hessian(x), xdot)
+        gradient = L.gradient(x)[..., op.index]
+        return np.stack([hv - sign * gradient for sign in signs], axis=1)
 
-    return map_rows(rows, traj.states, traj.derivatives)
-
-
-def convention_residuals(system: LagrangianSystem, traj: Trajectory) -> dict[str, np.ndarray]:
-    """Residuals of both conventions along a trajectory, keyed by convention.
-
-    The system's own convention is ignored.  Where the printed sign pattern
-    equals A (G and H) the two systems are one, and both keys map to the
-    same array.
-    """
-    derived = el_residuals(replace(system, convention="derived"), traj)
-    op = system.operator
-    if np.array_equal(printed_sign(op), op.sign):
-        printed = derived
-    else:
-        printed = el_residuals(replace(system, convention="printed"), traj)
-    return {"derived": derived, "printed": printed}
+    series = map_rows(rows, traj.states, traj.derivatives)
+    derived = series[:, 0]
+    return {"derived": derived, "printed": series[:, 1] if len(signs) > 1 else derived}

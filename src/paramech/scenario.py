@@ -62,7 +62,7 @@ from .lagrangian import (
     CONVENTIONS,
     LAGRANGIAN_METHODS,
     LagrangianSystem,
-    convention_residuals,
+    el_residuals,
     integrate_lagrangian,
     printed_deviates,
 )
@@ -444,11 +444,11 @@ def execute_scenario(scenario: Scenario) -> tuple[Trajectory, np.ndarray, dict[s
     field = build_field(scenario.function, scenario.n)
     if scenario.formalism == "lagrangian":
         op = build_structure(scenario.kind, scenario.n)
-        system = LagrangianSystem(op, field, convention=scenario.convention)
+        system = LagrangianSystem(op, field)
         traj = integrate_lagrangian(
             system, scenario.x0, scenario.t_end, scenario.dt, scenario.method
         )
-        residuals = convention_residuals(system, traj)
+        residuals = el_residuals(system, traj)
         maxima = {
             f"{name}_residual_max": float(np.abs(r).max(initial=0.0))
             for name, r in residuals.items()
@@ -551,14 +551,15 @@ def run_scenario_files(paths, out_dir: str | Path | None = None) -> list[RunResu
     scenario's table and summary), or that is one of the scenario files, is
     a ``ScenarioError`` raised before anything is written.  Paths are
     compared lexically, after ``os.path.abspath``, so a symlink alias of a
-    path is not caught.
+    path is not caught.  An error parsing or running one file gains the note
+    "(in FILE)", which the CLI prints at the end of its error line.
     """
     paths = [Path(p) for p in paths]
-    scenarios = [(p.stem, load_scenario(p)) for p in paths]
+    scenarios = [(p, _noting_file(p, load_scenario, p)) for p in paths]
     inputs = {os.path.abspath(p): p for p in paths}
     writers: dict[str, Path] = {}
-    for path, (name, scenario) in zip(paths, scenarios):
-        for output in _output_paths(scenario, name, out_dir):
+    for path, scenario in scenarios:
+        for output in _output_paths(scenario, path.stem, out_dir):
             key = os.path.abspath(output)
             if key in inputs:
                 raise ScenarioError(
@@ -569,4 +570,13 @@ def run_scenario_files(paths, out_dir: str | Path | None = None) -> list[RunResu
                     f"output {output} is written twice, by {writers[key]} and {path}"
                 )
             writers[key] = path
-    return [run_scenario(s, name, out_dir) for name, s in scenarios]
+    return [_noting_file(p, run_scenario, s, p.stem, out_dir) for p, s in scenarios]
+
+
+def _noting_file(path: Path, fn, *args):
+    """fn(*args); an exception it raises keeps its type and gains the note "(in path)"."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # BaseException.add_note is Python 3.11+
+        exc.__notes__ = [*getattr(exc, "__notes__", ()), f"(in {path})"]
+        raise

@@ -4,6 +4,7 @@ import stat
 
 import pytest
 
+from paramech import scenario as scenario_module
 from paramech.cli import _build_parser, main
 
 HARMONIC = """n = 1
@@ -317,6 +318,47 @@ def test_run_infinite_step_count_exit_code(tmp_path, capsys):
 
 def test_run_missing_file_exit_code(tmp_path):
     assert main(["run", str(tmp_path / "absent.scn")]) == 5
+
+
+def assert_one_error_line(capsys, *ending):
+    """The captured stderr is one error line, without a traceback, ending as given."""
+    err = capsys.readouterr().err
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and line.endswith("".join(ending))
+    assert "Traceback" not in err
+    return line
+
+
+def test_run_names_the_file_of_a_parse_error(tmp_path, capsys):
+    good = write(tmp_path, "good.scn", HARMONIC)
+    broken = write(tmp_path, "broken.scn", HARMONIC.replace("structure = F\n", ""))
+    assert main(["run", good, broken, "--out", str(tmp_path)]) == 2
+    line = assert_one_error_line(capsys, f" (in {broken})")
+    assert line == f"error: [structure] missing required key 'structure' (in {broken})"
+    # Every file is parsed before anything runs.
+    assert not (tmp_path / "good_trajectory.csv").exists()
+
+
+def test_run_names_the_file_of_a_singular_hessian(tmp_path, capsys):
+    good = write(tmp_path, "good.scn", HARMONIC)
+    degenerate = write(tmp_path, "degenerate.scn", LINEAR_DEGENERATE)
+    assert main(["run", good, degenerate, "--out", str(tmp_path)]) == 3
+    line = assert_one_error_line(capsys, f" (in {degenerate})")
+    assert "Hessian" in line and good not in line
+
+
+def test_run_out_of_memory_exit_code(tmp_path, capsys, monkeypatch):
+    # An allocation failure is a run too large for this machine: exit 2
+    # with one line, not a traceback.
+    def no_memory(scenario):
+        raise MemoryError()
+
+    monkeypatch.setattr(scenario_module, "execute_scenario", no_memory)
+    path = write(tmp_path, "h.scn", HARMONIC)
+    assert main(["run", path, "--out", str(tmp_path)]) == 2
+    line = assert_one_error_line(capsys, f" (in {path})")
+    assert line == f"error: MemoryError (in {path})"
+    assert not (tmp_path / "h_summary.txt").exists()
 
 
 def files_under(root):

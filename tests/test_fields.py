@@ -239,6 +239,25 @@ def test_constant_hessian_only_for_constant_cases():
     assert kinetic_minus_potential_field([1.0], 9.81).constant_hessian() is None
 
 
+@pytest.mark.parametrize(
+    "make_field",
+    [lambda: harmonic_field(2), lambda: KineticField([1.0, 3.0])],
+    ids=["quadratic", "kinetic"],
+)
+def test_constant_hessian_is_shared_and_read_only(make_field):
+    # One point gets the constant itself, a stack a broadcast view of it: no
+    # row is copied, and no caller can write into the constant.
+    field = make_field()
+    constant = field.hessian(np.zeros(field.dim))
+    assert not constant.flags.writeable
+    if field.constant_hessian() is not None:
+        assert constant is field.constant_hessian()
+    stack = field.hessian(np.ones((1024, field.dim)))
+    assert stack.shape == (1024, field.dim, field.dim)
+    assert not stack.flags.writeable and np.shares_memory(stack, constant)
+    assert np.array_equal(stack, np.stack([constant] * 1024))
+
+
 def _count_derivative_calls(monkeypatch):
     """Count PolyScalar.partial calls and the fields module's poly_gradient/poly_hessian calls."""
     calls = {"partial": 0, "poly_gradient": 0, "poly_hessian": 0}
@@ -440,6 +459,14 @@ def test_one_point_gemv_is_each_batched_row(dim, rows):
             assert np.array_equal(shared[row], _matvec(matrix, x), equal_nan=True)
             assert np.array_equal(own[row], _matvec(per_row[row], x), equal_nan=True)
     assert not np.isfinite(shared[rows // 2]).any() and np.isnan(shared[-1]).all()
+
+
+@pytest.mark.parametrize("dim", [4, 8, 12, 40, 100, 400])
+def test_batched_matmul_over_a_broadcast_view_is_the_per_row_copies(dim):
+    rng = np.random.default_rng(dim)
+    view = np.broadcast_to(rng.standard_normal((dim, dim)), (5, dim, dim))
+    points = rng.standard_normal((5, dim))
+    assert np.array_equal(_matvec(view, points), _matvec(view.copy(), points))
 
 
 DIMENSION_CASES = {

@@ -9,7 +9,6 @@ from paramech.fields import PolynomialField, harmonic_field, kinetic_minus_poten
 from paramech.lagrangian import (
     LagrangianSystem,
     canonical_rhs,
-    convention_residuals,
     el_residuals,
     integrate_lagrangian,
     intrinsic_solve,
@@ -172,20 +171,20 @@ def test_derived_residuals_vanish_all_kinds():
     for kind in PRIMAL_KINDS:
         system = LagrangianSystem(op(kind), harmonic_field(1))
         traj = integrate_lagrangian(system, [1.0, 0, 0, 0], 1.0, 1e-2)
-        assert np.abs(el_residuals(system, traj)).max() <= 1e-6
+        assert np.abs(el_residuals(system, traj)["derived"]).max() <= 1e-6
 
 
 def test_printed_residuals_vanish_for_g_and_h():
     for kind in (G, H):
-        printed = LagrangianSystem(op(kind), harmonic_field(1), convention="printed")
-        traj = integrate_lagrangian(printed, [1.0, 0, 0, 0], 1.0, 1e-2)
-        assert np.abs(el_residuals(printed, traj)).max() <= 1e-6
+        system = LagrangianSystem(op(kind), harmonic_field(1))
+        traj = integrate_lagrangian(system, [1.0, 0, 0, 0], 1.0, 1e-2)
+        assert np.abs(el_residuals(system, traj)["printed"]).max() <= 1e-6
 
 
 def test_printed_residuals_f_circle():
-    printed = LagrangianSystem(op(F), harmonic_field(1), convention="printed")
-    traj = integrate_lagrangian(printed, [1.0, 0, 0, 0], 2 * np.pi, 5e-3)
-    residuals = el_residuals(printed, traj)
+    system = LagrangianSystem(op(F), harmonic_field(1))
+    traj = integrate_lagrangian(system, [1.0, 0, 0, 0], 2 * np.pi, 5e-3)
+    residuals = el_residuals(system, traj)["printed"]
     # Residual vector along the derived flow is 2 F x, so the first component
     # has magnitude 2 |x_{n+i}|.
     assert np.abs(residuals).max() == pytest.approx(2.0, abs=1e-6)
@@ -196,16 +195,20 @@ def test_printed_residuals_f_circle():
     assert np.abs(residuals).max() >= 0.1
 
 
-def test_convention_residuals_share_one_series_for_g_and_h():
+def test_el_residuals_are_each_conventions_row_expression():
+    # Each convention is Hess . xdot - sign * grad L[index] per sample, with
+    # A's signs or the printed ones; G and H share one array.
     for kind in PRIMAL_KINDS:
-        system = LagrangianSystem(op(kind), harmonic_field(1), convention="printed")
+        system = LagrangianSystem(op(kind), harmonic_field(1))
         traj = integrate_lagrangian(system, [1.0, 0, 0, 0], 1.0, 1e-2)
-        residuals = convention_residuals(system, traj)
+        residuals = el_residuals(system, traj)
         assert set(residuals) == {"derived", "printed"}
-        for convention in ("derived", "printed"):
-            reference = el_residuals(
-                LagrangianSystem(op(kind), harmonic_field(1), convention=convention), traj
-            )
+        o, L = system.operator, system.lagrangian
+        for convention, sign in (("derived", o.sign), ("printed", printed_sign(o))):
+            reference = [
+                L.hessian(x) @ xdot - sign * L.gradient(x)[o.index]
+                for x, xdot in zip(traj.states, traj.derivatives)
+            ]
             assert np.array_equal(residuals[convention], reference)
         assert (residuals["printed"] is residuals["derived"]) == (kind != F)
 
@@ -244,8 +247,6 @@ def test_reduced_flow_matrix_is_rotational_for_f():
 def test_system_validation():
     with pytest.raises(ValueError):
         LagrangianSystem(build_structure(F_STAR, 1), harmonic_field(1))
-    with pytest.raises(ValueError):
-        LagrangianSystem(op(F), harmonic_field(1), convention="boxed")
     with pytest.raises(ValueError):
         LagrangianSystem(op(F, 2), harmonic_field(1))
 

@@ -7,18 +7,25 @@ that ``PolyScalar`` sums like terms as ``+`` does; random rational polynomials
 and forms check the unvalidated derived polynomials and forms, the mirrored
 Hessian and the pruned exterior derivative against the public constructors
 and an unpruned reference; random valid scenarios
-check that serialization round-trips; random rational split quaternions check
+check that serialization round-trips; small runs of generated scenarios with
+extreme but parseable values check that ``paramech run`` exits with a
+documented code and one error line; random rational split quaternions check
 the algebra laws and the product against the hand-derived table; random finite vectors check that each structure operator and
 two-form applies as its dense matrix.  Example generation is derandomized, so
 every run sees the same inputs.
 """
 
+import contextlib
+import io
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paramech.cli import main
 from paramech.exterior import KForm, PolyScalar, ext_d, poly_hessian
 from paramech.fields import PolynomialField
 from paramech.hamiltonian import HAMILTONIAN_METHODS, canonical_two_form
@@ -255,6 +262,66 @@ def scenarios(draw):
 @given(scenarios())
 def test_serialized_scenario_parses_back(scenario):
     assert parse_scenario(serialize_scenario(scenario)) == scenario
+
+
+MAX_FLOAT = float(np.finfo(float).max)
+extreme_floats = st.floats(-2.0, 2.0) | st.sampled_from(
+    [-0.0, 5e-324, 1e-300, -1e-300, 1e150, -1e300, MAX_FLOAT, -MAX_FLOAT]
+)
+extreme_positive = st.sampled_from([0.01, 0.1, 1.0]) | st.sampled_from(
+    [5e-324, 1e-300, 1e-6, 1e6, 1e300, MAX_FLOAT]
+)
+
+
+@st.composite
+def extreme_scenario_texts(draw):
+    """Scenario text with n <= 3, at most 200 steps, and values near the float limits."""
+    n = draw(st.integers(1, 3))
+    dim = 4 * n
+    formalism = draw(st.sampled_from(("lagrangian", "hamiltonian")))
+    methods = LAGRANGIAN_METHODS if formalism == "lagrangian" else HAMILTONIAN_METHODS
+    kind = draw(st.sampled_from(("harmonic", "polynomial", "kinetic_minus_potential")))
+    lines = [
+        f"n = {n}",
+        f"formalism = {formalism}",
+        f"structure = {draw(st.sampled_from('FGH'))}",
+        f"function = {kind}",
+    ]
+    if kind == "polynomial":
+        exponents = st.lists(st.sampled_from([0, 0, 1, 2, 4, 40]), min_size=dim, max_size=dim)
+        coefficient = st.sampled_from(["1", "-1/3", "1e-300", "1e300", "-1e308", f"1/{10**400}"])
+        for _ in range(draw(st.integers(1, 4))):
+            lines.append(f"term = {draw(coefficient)} : {' '.join(map(str, draw(exponents)))}")
+    elif kind == "kinetic_minus_potential":
+        lines.append("masses = " + " ".join(repr(draw(extreme_positive)) for _ in range(n)))
+        lines.append(f"g_const = {draw(extreme_floats)!r}")
+    dt = draw(extreme_positive)
+    steps = draw(st.integers(0, 200))
+    lines += [
+        "x0 = " + " ".join(repr(draw(extreme_floats)) for _ in range(dim)),
+        f"t_end = {dt * steps!r}",
+        f"dt = {dt!r}",
+        f"method = {draw(st.sampled_from(methods))}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(extreme_scenario_texts())
+def test_run_exits_with_a_documented_code_and_one_error_line(text):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "extreme.scn"
+        path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", str(path), "--out", directory])
+    assert code in (0, 2, 3, 4, 5)
+    if code:
+        [line] = err.getvalue().splitlines()
+        assert line.startswith("error: ") and line.endswith(f" (in {path})")
+        assert "Traceback" not in err.getvalue()
+    else:
+        assert err.getvalue() == ""
 
 
 split_quaternions = st.builds(SplitQuaternion, coefficients, coefficients, coefficients, coefficients)

@@ -11,6 +11,7 @@ import pytest
 from paramech import integrators
 from paramech.errors import ScenarioError
 from paramech.exterior import PolyScalar
+from paramech.fields import PolynomialField
 from paramech.hamiltonian import hamiltonian_vector_field
 from paramech.integrators import Trajectory
 from paramech.lagrangian import printed_sign
@@ -201,6 +202,26 @@ def test_run_printed_f_warns(tmp_path):
     assert result.residual_maxima["printed_residual_max"] >= 0.1
     assert result.residual_maxima["derived_residual_max"] <= 1e-6
     assert "warning" in result.summary_path.read_text()
+
+
+@pytest.mark.parametrize("structure", "FGH")
+def test_residual_pass_takes_one_hessian_per_chunk(structure, monkeypatch):
+    # Both conventions come from one Hess . xdot per chunk of samples.  A
+    # quadratic L steps with its constant Hessian, so only the residual pass
+    # calls hessian.
+    scenario = parse_scenario(POLY_LAGRANGIAN.replace("structure = G", f"structure = {structure}"))
+    monkeypatch.setattr(integrators, "POSTPASS_ROWS", 10)
+    calls = []
+    hessian = PolynomialField.hessian
+
+    def counting(self, x):
+        calls.append(len(x))
+        return hessian(self, x)
+
+    monkeypatch.setattr(PolynomialField, "hessian", counting)
+    traj, _, _ = execute_scenario(scenario)
+    assert len(traj) == 101
+    assert calls == [10] * 10 + [1]
 
 
 def test_run_many(tmp_path):
