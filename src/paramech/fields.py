@@ -1,13 +1,11 @@
 """Numerically evaluatable scalar fields on R^{4n}.
 
 A field's numeric primitives are ``value``, ``gradient`` and ``hessian``,
-each implemented once per class and checking the point's dimension.  The
-composites ``value_and_gradient``, ``gradient_and_hessian``, ``evaluate`` and
-``signed_gradient`` combine them on ``ScalarField``; a class may override a
-composite for speed (``gradient_and_hessian`` on ``DistanceFromOrigin``,
-``PotentialField`` and ``SumField``, ``signed_gradient`` on a non-quadratic
-``PolynomialField``), and the override must equal the combination of the
-primitives bit for bit.  Every primitive
+each implemented once per class and checking the point's dimension.
+``evaluate`` and ``signed_gradient`` combine them on ``ScalarField``; the one
+override of a composite is ``signed_gradient`` on a non-quadratic
+``PolynomialField`` (one signed term table), and it equals the combination
+of the primitives bit for bit.  Every primitive
 takes one point ``(dim,)`` or a stack of points ``(m, dim)``, and each row of
 a stacked result is bitwise the result at that row alone: the one-point call
 is the ``m = 1`` case of the same numpy expression.  Matrix-vector products
@@ -17,8 +15,10 @@ batching overhead; never a 2-D matmul of a whole stack, which would round
 differently.  A quadratic polynomial carries the constants of its closed
 form, read off its terms; any other polynomial keeps one analytically
 differentiated term table per order; the built-in fields carry closed forms.
-A constant Hessian (quadratic polynomial, ``KineticField``) is one read-only
-matrix: one point gets the matrix itself, a stack a read-only broadcast view.
+A constant Hessian is declared once, by ``constant_hessian`` (quadratic
+polynomial, ``KineticField``), as one read-only matrix, and
+``ScalarField.hessian`` serves it: one point gets the matrix itself, a stack
+a read-only broadcast view.
 ``evaluate_via_jets`` (second-order forward propagation, numbers carrying a
 gradient row and a Hessian block, exact to roundoff) is the fallback of a
 field that defines only ``_apply`` and the tests' reference.
@@ -215,13 +215,12 @@ class ScalarField:
         return self.evaluate_via_jets(x).gradient
 
     def hessian(self, x) -> np.ndarray:
-        return self.evaluate_via_jets(x).hessian
-
-    def value_and_gradient(self, x) -> tuple[float, np.ndarray]:
-        return self.value(x), self.gradient(x)
-
-    def gradient_and_hessian(self, x) -> tuple[np.ndarray, np.ndarray]:
-        return self.gradient(x), self.hessian(x)
+        """A declared constant Hessian, itself or a read-only view per row; else jets."""
+        hessian = self.constant_hessian()
+        if hessian is None:
+            return self.evaluate_via_jets(x).hessian
+        x = self._point(x)
+        return hessian if x.ndim == 1 else np.broadcast_to(hessian, x.shape + (self.dim,))
 
     def signed_gradient(self, index: np.ndarray, sign: np.ndarray):
         """The map x -> sign * gradient(x)[index], for a signed permutation."""
@@ -235,7 +234,7 @@ class ScalarField:
         return EvalResult(self.value(x), self.gradient(x), self.hessian(x))
 
     def constant_hessian(self) -> np.ndarray | None:
-        """The Hessian where the field knows it to be constant, else None."""
+        """The Hessian where the field knows it to be constant, read-only, else None."""
         return None
 
 
@@ -330,10 +329,9 @@ class PolynomialField(ScalarField):
         return self._grad_origin + _matvec(self._hess_const, x)
 
     def hessian(self, x) -> np.ndarray:
-        x = self._point(x)
         if self._hess_const is not None:
-            hessian = self._hess_const
-            return hessian if x.ndim == 1 else np.broadcast_to(hessian, x.shape + (self.dim,))
+            return super().hessian(x)
+        x = self._point(x)
         rows, cols = self._upper
         hessian = np.empty(x.shape + (self.dim,))
         hessian[..., rows, cols] = hessian[..., cols, rows] = self._hess_rep.evaluate(x)
@@ -386,9 +384,8 @@ class KineticField(ScalarField):
     def gradient(self, x) -> np.ndarray:
         return self._weights * self._point(x)
 
-    def hessian(self, x) -> np.ndarray:
-        x, hessian = self._point(x), self._hessian
-        return hessian if x.ndim == 1 else np.broadcast_to(hessian, x.shape + (self.dim,))
+    def constant_hessian(self) -> np.ndarray:
+        return self._hessian
 
 
 class DistanceFromOrigin(ScalarField):
@@ -420,19 +417,13 @@ class DistanceFromOrigin(ScalarField):
             raise SingularPointError("distance to the origin is not differentiable at 0")
         return x / r, r
 
-    def _hessian(self, unit: np.ndarray, r: np.ndarray) -> np.ndarray:
-        outer = unit[..., :, None] * unit[..., None, :]
-        return (self._eye - outer) / r[..., None]
-
     def gradient(self, x) -> np.ndarray:
         return self._unit(x)[0]
 
     def hessian(self, x) -> np.ndarray:
-        return self._hessian(*self._unit(x))
-
-    def gradient_and_hessian(self, x) -> tuple[np.ndarray, np.ndarray]:
         unit, r = self._unit(x)
-        return unit, self._hessian(unit, r)
+        outer = unit[..., :, None] * unit[..., None, :]
+        return (self._eye - outer) / r[..., None]
 
 
 class PotentialField(ScalarField):
@@ -471,10 +462,6 @@ class PotentialField(ScalarField):
     def hessian(self, x) -> np.ndarray:
         return self._scale * self.height.hessian(x)
 
-    def gradient_and_hessian(self, x) -> tuple[np.ndarray, np.ndarray]:
-        gradient, hessian = self.height.gradient_and_hessian(x)
-        return self._scale * gradient, self._scale * hessian
-
 
 class SumField(ScalarField):
     """Linear combination of fields; derivatives combine termwise."""
@@ -507,10 +494,6 @@ class SumField(ScalarField):
     def hessian(self, x) -> np.ndarray:
         return self._combine(f.hessian(x) for _, f in self.parts)
 
-    def gradient_and_hessian(self, x) -> tuple[np.ndarray, np.ndarray]:
-        pairs = [f.gradient_and_hessian(x) for _, f in self.parts]
-        return self._combine(g for g, _ in pairs), self._combine(h for _, h in pairs)
-
 
 def harmonic_field(n: int) -> PolynomialField:
     """The quadratic (1/2) sum_a x_a^2 over all 4n coordinates."""
@@ -539,11 +522,6 @@ def lagrangian_from_energies(kinetic: ScalarField, potential: ScalarField) -> Sc
     return SumField([(1.0, kinetic), (-1.0, potential)])
 
 
-def kinetic_minus_potential_field(masses: Sequence[float], g_const: float, n: int | None = None) -> ScalarField:
-    if n is None:
-        n = len(masses)
-    if len(masses) != n:
-        raise ValueError("one mass per particle index is required")
-    return lagrangian_from_energies(
-        KineticField(masses), PotentialField(masses, g_const, n=n)
-    )
+def kinetic_minus_potential_field(masses: Sequence[float], g_const: float) -> ScalarField:
+    """T - P with one mass per particle; the height is the distance to the origin."""
+    return lagrangian_from_energies(KineticField(masses), PotentialField(masses, g_const))

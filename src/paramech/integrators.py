@@ -167,7 +167,8 @@ def solve_linear(matrix: np.ndarray, rhs: np.ndarray, error: str = "linear syste
     which must not exceed 1e12.  A stack of systems, matrices (m, d, d) with
     right-hand sides (m, d), is solved row by row, each row bitwise its
     one-point solve; the first row over the limit raises its one-point
-    message.
+    message.  A failing matrix with a non-finite entry is an overflow, not a
+    singular system: a ConvergenceError after 0 iterations.
     """
     matrix = np.asarray(matrix, dtype=float)
     stacked = matrix.ndim == 3
@@ -184,8 +185,13 @@ def solve_linear(matrix: np.ndarray, rhs: np.ndarray, error: str = "linear syste
         condition = _max_column_sum(matrix) * _max_column_sum(inverse)
         if stacked:
             failed = np.flatnonzero(~(condition <= _CONDITION_LIMIT))
-            condition = condition[failed[0]] if len(failed) else 0.0
+            if len(failed):
+                matrix, condition = matrix[failed[0]], condition[failed[0]]
+            else:
+                condition = 0.0
     if not condition <= _CONDITION_LIMIT:
+        if not np.isfinite(matrix).all():
+            raise ConvergenceError(f"{error}: the matrix is not finite (an overflow)", 0)
         raise SingularSystemError(f"{error}: condition estimate {condition:.3g} exceeds 1e12")
     rhs = np.asarray(rhs, dtype=float)
     if stacked:

@@ -24,7 +24,7 @@ Two residual conventions are supported when auditing trajectories:
 ``el_residuals`` takes both along a trajectory in one pass, one array where
 the two systems coincide.  The energy and the residuals are stacked calls
 over the samples, made after the integration loop (``integrators.map_rows``).
-A quadratic L has a constant Hessian Q, so its flow Q^{-1} A grad L is affine
+An L with a declared constant Hessian Q has the affine flow Q^{-1} A grad L,
 and is stepped exactly in the increment form, a long run block by block
 (``integrators``).
 """
@@ -83,16 +83,14 @@ def lagrangian_energy(op: StructureOperator, L: ScalarField, x, semispray) -> fl
 
     x and the semispray are one point (a float results) or stacked rows.
     """
-    value, gradient = L.value_and_gradient(x)
-    energy = np.vecdot(liouville_field(op, semispray), gradient) - value
+    energy = np.vecdot(liouville_field(op, semispray), L.gradient(x)) - L.value(x)
     return float(energy) if energy.ndim == 0 else energy
 
 
 def canonical_rhs(op: StructureOperator, L: ScalarField, x) -> np.ndarray:
     """Semispray solving Hess(L) . xdot = A . grad L at x, or at each row of x."""
     try:
-        gradient, hessian = L.gradient_and_hessian(x)
-        return solve_linear(hessian, op.apply(gradient), error="Hessian")
+        return solve_linear(L.hessian(x), op.apply(L.gradient(x)), error="Hessian")
     except SingularSystemError as exc:
         raise SingularHessianError(str(exc)) from exc
 
@@ -167,9 +165,10 @@ def integrate_lagrangian(
 ) -> Trajectory:
     """Integrate Hess . xdot = A . grad L; the energy series is E_L^A per sample.
 
-    A constant Hessian Q (quadratic L) is solved against A once per
-    trajectory, under the same conditioning guard, so each field evaluation
-    is one matvec with Q^{-1} A.  That field is affine, with the Jacobian
+    A constant Hessian Q that L declares (``constant_hessian``: a quadratic
+    polynomial, a ``KineticField``) is solved against A once per trajectory,
+    under the same conditioning guard, so each field evaluation is one matvec
+    with Q^{-1} A.  That field is affine, with the Jacobian
     Q^{-1} A Q, so every step is exact (``StepperConfig.jacobian``), and a
     long run maps block after block.  Otherwise every evaluation is
     ``canonical_rhs``: one guarded solve with the Hessian at that point.

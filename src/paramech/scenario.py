@@ -363,7 +363,7 @@ def build_field(spec: FieldSpec, n: int) -> ScalarField:
     if spec.kind == "polynomial":
         pairs = ((exponents, coeff) for coeff, exponents in spec.terms)
         return PolynomialField(PolyScalar(4 * n, pairs))
-    return kinetic_minus_potential_field(spec.masses, spec.g_const, n)
+    return kinetic_minus_potential_field(spec.masses, spec.g_const)
 
 
 @dataclass(frozen=True, eq=False)

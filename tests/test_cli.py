@@ -281,6 +281,46 @@ def test_run_long_unstable_affine_run_exit_code(tmp_path, capsys):
     assert not (tmp_path / "unstable_summary.txt").exists()
 
 
+# A G Lagrangian whose Hessian entry 1560 x_1^38 overflows for large x_1.
+STEEP_G = """n = 1
+formalism = lagrangian
+structure = G
+function = polynomial
+term = 1 : 40 0 0 0
+term = 1 : 0 2 0 0
+term = 1 : 0 0 2 0
+term = 1 : 0 0 0 2
+x0 = 1e300 0 0 0
+t_end = 1
+dt = 0.1
+method = rk4
+"""
+
+
+@pytest.mark.parametrize(
+    "x0, stepping",
+    [("1e300 0 0 0", False), ("0.5 100 100 100", True)],
+    ids=["at-the-start", "inside-a-step"],
+)
+def test_run_overflowing_hessian_exit_code(tmp_path, capsys, x0, stepping):
+    # A non-finite Hessian is an overflow, not a singular system: exit 4, and
+    # inside a step the message names the time it stepped from.
+    scenario = write(tmp_path, "steep.scn", STEEP_G.replace("1e300 0 0 0", x0))
+    assert main(["run", scenario, "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: Hessian: the matrix is not finite (an overflow)")
+    assert ("(while stepping from t = 0)" in err) == stepping
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["steep.scn"]
+
+
+def test_run_ill_conditioned_finite_hessian_stays_singular(tmp_path, capsys):
+    text = STEEP_G.replace("1e300 0 0 0", "1e7 0 0 0").replace("t_end = 1", "t_end = 5")
+    scenario = write(tmp_path, "steep.scn", text)
+    assert main(["run", scenario, "--out", str(tmp_path)]) == 3
+    assert "Hessian: condition estimate 7.8e+268 exceeds 1e12" in capsys.readouterr().err
+
+
 def test_run_overflowing_energy_is_summarised_without_warnings(tmp_path, capsys):
     # The states stay finite, but H = |x|^2 / 2 overflows to inf at every
     # sample, so the drift is inf - inf and the endpoint distance overflows.

@@ -142,7 +142,7 @@ def test_kinetic_rejects_nonpositive_mass():
         lambda: PotentialField([1.0], float("nan")),
         lambda: PotentialField([1.0], -float("inf")),
         lambda: kinetic_minus_potential_field([1.0], float("nan")),
-        lambda: kinetic_minus_potential_field([1e308, 1e308], 1.0, n=2),
+        lambda: kinetic_minus_potential_field([1e308, 1e308], 1.0),
     ],
     ids=[
         "kinetic-nan",
@@ -225,7 +225,6 @@ def test_quadratic_gradient_matches_exact_and_jets():
                 assert np.allclose(result.gradient, [float(g) for g in exact_gradient], atol=1e-12)
                 assert np.allclose(result.gradient, jets.gradient, atol=1e-12)
                 assert np.array_equal(field.gradient(x), result.gradient)
-                assert np.array_equal(field.value_and_gradient(x)[1], result.gradient)
                 assert np.array_equal(
                     result.hessian, [[float(h) for h in row] for row in exact_hessian]
                 )
@@ -381,45 +380,57 @@ PRIMITIVE_CASES = [
 @pytest.mark.parametrize("make_field", PRIMITIVE_CASES)
 def test_primitives_are_the_parts_of_every_combination(make_field):
     # value, gradient and hessian are the one numeric path of each order;
-    # evaluate and value_and_gradient only combine them, bit for bit.
+    # evaluate only combines them, bit for bit.
     field = make_field()
     rng = np.random.default_rng(31)
     points = rng.uniform(-1.5, 1.5, size=(25, field.dim))
     for x in points:
         result = field.evaluate(x)
-        value, gradient = field.value_and_gradient(x)
-        assert type(value) is float
-        assert field.value(x) == result.value == value
+        assert type(field.value(x)) is float
+        assert field.value(x) == result.value
         assert np.array_equal(field.gradient(x), result.gradient)
-        assert np.array_equal(field.gradient(x), gradient)
         assert np.array_equal(field.hessian(x), result.hessian)
     # A stack of points (m, dim): every row is bitwise that point alone,
     # whatever the stack height, empty stacks included.
     for stack in (points, points[:1], points[7:10], points[:0]):
         m, dim = stack.shape
         result = field.evaluate(stack)
-        values, gradients = field.value_and_gradient(stack)
-        assert result.value.shape == values.shape == (m,)
-        assert result.gradient.shape == gradients.shape == (m, dim)
+        assert result.value.shape == field.value(stack).shape == (m,)
+        assert result.gradient.shape == field.gradient(stack).shape == (m, dim)
         assert result.hessian.shape == (m, dim, dim)
-        assert np.array_equal(field.value(stack), values)
-        assert np.array_equal(field.gradient(stack), gradients)
+        assert np.array_equal(field.value(stack), result.value)
+        assert np.array_equal(field.gradient(stack), result.gradient)
         assert np.array_equal(field.hessian(stack), result.hessian)
         for row, x in enumerate(stack):
-            assert values[row] == result.value[row] == field.value(x)
-            assert np.array_equal(gradients[row], field.gradient(x))
+            assert result.value[row] == field.value(x)
             assert np.array_equal(result.gradient[row], field.gradient(x))
             assert np.array_equal(result.hessian[row], field.hessian(x))
 
 
 @pytest.mark.parametrize("make_field", PRIMITIVE_CASES)
-def test_gradient_and_hessian_is_the_pair_of_primitives(make_field):
+def test_a_declared_constant_hessian_is_the_hessian(make_field):
+    # constant_hessian() is None or, bit for bit, the Hessian at every point:
+    # one point gets the declared matrix itself, a stack a read-only view of it.
     field = make_field()
+    constant = field.constant_hessian()
+    if constant is None:
+        return
+    assert not constant.flags.writeable
     points = np.random.default_rng(32).uniform(-1.5, 1.5, size=(10, field.dim))
-    for x in (*points, points, points[:0]):
-        gradient, hessian = field.gradient_and_hessian(x)
-        assert np.array_equal(gradient, field.gradient(x))
-        assert np.array_equal(hessian, field.hessian(x))
+    for x in points:
+        assert field.hessian(x) is constant
+    for stack in (points, points[:1], points[:0]):
+        hessian = field.hessian(stack)
+        assert hessian.shape == stack.shape + (field.dim,)
+        assert not hessian.flags.writeable
+        assert np.array_equal(hessian, np.broadcast_to(constant, hessian.shape))
+        assert len(stack) == 0 or np.shares_memory(hessian, constant)
+
+
+def test_kinetic_field_declares_its_diagonal_hessian():
+    field = KineticField([1.0, 2.5])
+    assert np.array_equal(field.constant_hessian(), np.diag([1.0, 2.5] * 4))
+    assert np.array_equal(field.constant_hessian(), field.evaluate_via_jets(np.ones(8)).hessian)
 
 
 @pytest.mark.parametrize("make_field", PRIMITIVE_CASES)
@@ -482,8 +493,6 @@ NUMERIC_METHODS = (
     "value",
     "gradient",
     "hessian",
-    "value_and_gradient",
-    "gradient_and_hessian",
     "evaluate",
     "evaluate_via_jets",
 )

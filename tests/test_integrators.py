@@ -466,9 +466,14 @@ def test_solve_linear_guard():
     matrix = np.array([[4.0, 1.0], [2.0, 3.0]])
     assert np.allclose(matrix @ solve_linear(matrix, [1.0, 2.0]), [1.0, 2.0], atol=1e-15)
     assert np.allclose(matrix @ solve_linear(matrix, np.eye(2)), np.eye(2), atol=1e-15)
-    for singular in (np.diag([1.0, 1e-13]), np.zeros((2, 2)), np.full((2, 2), np.nan)):
+    for singular in (np.diag([1.0, 1e-13]), np.zeros((2, 2))):
         with pytest.raises(SingularSystemError, match="exceeds 1e12"):
             solve_linear(singular, [1.0, 1.0])
+    # A non-finite matrix is an overflow, not a singular system.
+    for overflowed in (np.full((2, 2), np.nan), np.diag([np.inf, 1.0])):
+        with pytest.raises(ConvergenceError, match="Hessian: the matrix is not finite") as caught:
+            solve_linear(overflowed, [1.0, 1.0], error="Hessian")
+        assert caught.value.iterations == 0
 
 
 @pytest.mark.parametrize("rows", [1, 7, 1025])
@@ -505,6 +510,14 @@ def test_stacked_solve_raises_the_message_of_the_first_failing_row(first, later)
         solve_linear(matrices, rhs, error="Hessian")
     assert str(stacked.value) == str(alone.value)
     assert ("condition estimate inf" in str(alone.value)) == (first is SINGULAR)
+
+
+def test_stacked_solve_raises_the_overflow_of_the_first_failing_row():
+    # Row 2 overflowed; row 4, only ill-conditioned, fails later in the stack.
+    matrices = np.stack([(1.0 + k) * np.eye(4) for k in range(6)])
+    matrices[2], matrices[4] = np.diag([np.inf, 1.0, 1.0, 1.0]), ILL
+    with pytest.raises(ConvergenceError, match="^Hessian: the matrix is not finite"):
+        solve_linear(matrices, np.ones((6, 4)), error="Hessian")
 
 
 def quartic_hstar_rowwise():

@@ -5,7 +5,14 @@ import pytest
 
 from paramech.errors import SingularFormError, SingularHessianError
 from paramech.exterior import PolyScalar, form_to_matrix, lagrangian_two_form
-from paramech.fields import PolynomialField, harmonic_field, kinetic_minus_potential_field
+import paramech.integrators as integrators
+import paramech.lagrangian as lagrangian
+from paramech.fields import (
+    KineticField,
+    PolynomialField,
+    harmonic_field,
+    kinetic_minus_potential_field,
+)
 from paramech.lagrangian import (
     LagrangianSystem,
     canonical_rhs,
@@ -263,6 +270,30 @@ def test_factored_field_matches_canonical_rhs(kind):
         traj = integrate_lagrangian(system, x0, 0.05, 0.01, "rk4")
         for x, xdot in zip(traj.states, traj.derivatives):
             assert np.max(np.abs(xdot - canonical_rhs(system.operator, L, x))) <= 1e-12
+
+
+def test_kinetic_lagrangian_solves_its_declared_hessian_once(monkeypatch):
+    # A bare KineticField declares diag(weights): one solve per trajectory and
+    # exact affine steps, where the staged run solves at every field evaluation.
+    calls, original = [], integrators.solve_linear
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(integrators, "solve_linear", counted)
+    monkeypatch.setattr(lagrangian, "solve_linear", counted)
+    system = LagrangianSystem(op(G), KineticField([1.5]))
+    x0 = [0.3, -1.2, 0.7, 2.0]
+    traj = integrate_lagrangian(system, x0, 1.0, 0.01, "rk4")
+    assert len(traj) == 101 and len(calls) == 1
+
+    staged = KineticField([1.5])
+    staged.constant_hessian = lambda: None
+    calls.clear()
+    reference = integrate_lagrangian(LagrangianSystem(op(G), staged), x0, 1.0, 0.01, "rk4")
+    assert len(calls) == 401
+    assert np.max(np.abs(traj.states - reference.states)) <= 1e-12
 
 
 def test_integrate_reports_constant_singular_hessian():
