@@ -512,10 +512,11 @@ def test_stacked_solve_raises_the_message_of_the_first_failing_row(first, later)
     assert ("condition estimate inf" in str(alone.value)) == (first is SINGULAR)
 
 
-def test_stacked_solve_raises_the_overflow_of_the_first_failing_row():
+@pytest.mark.parametrize("overflowed", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_stacked_solve_raises_the_overflow_of_the_first_failing_row(overflowed):
     # Row 2 overflowed; row 4, only ill-conditioned, fails later in the stack.
     matrices = np.stack([(1.0 + k) * np.eye(4) for k in range(6)])
-    matrices[2], matrices[4] = np.diag([np.inf, 1.0, 1.0, 1.0]), ILL
+    matrices[2], matrices[4] = np.diag([overflowed, 1.0, 1.0, 1.0]), ILL
     with pytest.raises(ConvergenceError, match="^Hessian: the matrix is not finite"):
         solve_linear(matrices, np.ones((6, 4)), error="Hessian")
 
