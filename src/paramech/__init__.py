@@ -34,14 +34,10 @@ from .fields import (
     EvalResult,
     KineticField,
     PolynomialField,
-    PotentialField,
     ScalarField,
     SumField,
     harmonic_field,
-    kinetic_energy,
     kinetic_minus_potential_field,
-    lagrangian_from_energies,
-    potential_energy,
 )
 from .hamiltonian import (
     CanonicalSymplecticForm,

@@ -15,6 +15,8 @@ batching overhead; never a 2-D matmul of a whole stack, which would round
 differently.  A quadratic polynomial carries the constants of its closed
 form, read off its terms; any other polynomial keeps one analytically
 differentiated term table per order; the built-in fields carry closed forms.
+A scaled field is a ``SumField`` term: ``kinetic_minus_potential_field``
+builds T - P from ``KineticField`` and a scaled ``DistanceFromOrigin``.
 A constant Hessian is declared once, by ``constant_hessian`` (quadratic
 polynomial, ``KineticField``), as one read-only matrix, and
 ``ScalarField.hessian`` serves it: one point gets the matrix itself, a stack
@@ -45,12 +47,8 @@ __all__ = [
     "PolynomialField",
     "KineticField",
     "DistanceFromOrigin",
-    "PotentialField",
     "SumField",
     "harmonic_field",
-    "kinetic_energy",
-    "potential_energy",
-    "lagrangian_from_energies",
     "kinetic_minus_potential_field",
 ]
 
@@ -426,43 +424,6 @@ class DistanceFromOrigin(ScalarField):
         return (self._eye - outer) / r[..., None]
 
 
-class PotentialField(ScalarField):
-    """P = (sum_i m_i) * g * h(x) for a height field h (default: distance)."""
-
-    def __init__(self, masses: Sequence[float], g_const: float, height: ScalarField | None = None, n: int | None = None):
-        masses = tuple(float(m) for m in masses)
-        if not all(0 < m < math.inf for m in masses):
-            raise ValueError("masses must be positive and finite")
-        if height is None:
-            if n is None:
-                n = len(masses)
-            height = DistanceFromOrigin(4 * n)
-        if not math.isfinite(g_const):
-            raise ValueError("g_const must be finite")
-        super().__init__(height.dim)
-        self.masses = masses
-        self.g_const = float(g_const)
-        self.height = height
-        self._scale = sum(masses) * float(g_const)
-        if not math.isfinite(self._scale):
-            raise ValueError(
-                f"potential scale sum(masses) * g_const = {self._scale} is not finite "
-                f"(masses = {masses}, g_const = {self.g_const})"
-            )
-
-    def _apply(self, xs):
-        return self._scale * self.height._apply(xs)
-
-    def value(self, x) -> float:
-        return self._scale * self.height.value(x)
-
-    def gradient(self, x) -> np.ndarray:
-        return self._scale * self.height.gradient(x)
-
-    def hessian(self, x) -> np.ndarray:
-        return self._scale * self.height.hessian(x)
-
-
 class SumField(ScalarField):
     """Linear combination of fields; derivatives combine termwise."""
 
@@ -506,22 +467,17 @@ def harmonic_field(n: int) -> PolynomialField:
     return PolynomialField(PolyScalar(dim, terms))
 
 
-def kinetic_energy(masses: Sequence[float], v) -> float:
-    """Quadratic kinetic energy of the component quadruples."""
-    return KineticField(masses).value(v)
+def kinetic_minus_potential_field(masses: Sequence[float], g_const: float) -> SumField:
+    """T - P with one mass per particle and P = (sum_i m_i) * g * |x|.
 
-
-def potential_energy(masses: Sequence[float], g_const: float, h: ScalarField | None, x) -> float:
-    """Mass-weighted potential (sum m_i) * g * h(x); h defaults to the distance."""
-    n = len(x) // 4
-    return PotentialField(masses, g_const, height=h, n=n).value(x)
-
-
-def lagrangian_from_energies(kinetic: ScalarField, potential: ScalarField) -> ScalarField:
-    """Lagrangian T - P as a composite field."""
-    return SumField([(1.0, kinetic), (-1.0, potential)])
-
-
-def kinetic_minus_potential_field(masses: Sequence[float], g_const: float) -> ScalarField:
-    """T - P with one mass per particle; the height is the distance to the origin."""
-    return lagrangian_from_energies(KineticField(masses), PotentialField(masses, g_const))
+    The potential is the distance to the origin as a ``SumField`` term with
+    the coefficient -(sum_i m_i) * g, which must be finite.
+    """
+    kinetic = KineticField(masses)
+    scale = sum(kinetic.masses) * float(g_const)
+    if not math.isfinite(scale):
+        raise ValueError(
+            f"potential scale sum(masses) * g_const = {scale} is not finite "
+            f"(masses = {kinetic.masses}, g_const = {float(g_const)})"
+        )
+    return SumField([(1.0, kinetic), (-scale, DistanceFromOrigin(kinetic.dim))])

@@ -163,40 +163,34 @@ def _overflow_policy():
 def solve_linear(matrix: np.ndarray, rhs: np.ndarray, error: str = "linear system") -> np.ndarray:
     """Dense solve of matrix @ X = rhs (a vector or a matrix of columns).
 
-    One inverse gives both the solution and the 1-norm condition number,
-    which must not exceed 1e12.  A stack of systems, matrices (m, d, d) with
-    right-hand sides (m, d), is solved row by row, each row bitwise its
-    one-point solve; the first row over the limit raises its one-point
-    message.  A failing matrix with a non-finite entry is an overflow, not a
-    singular system: a ConvergenceError after 0 iterations.
+    This is the package's one guarded solve.  One inverse gives both the
+    solution and the 1-norm condition number, which must not exceed 1e12.  A
+    stack of systems, matrices (m, d, d) with right-hand sides (m, d), is
+    solved row by row, each row bitwise its one-point solve; if any row fails
+    (singular or over the limit), the rows are solved one at a time, so the
+    first failing row raises its one-point error.  A failing matrix with a
+    non-finite entry is an overflow, not a singular system: a
+    ConvergenceError after 0 iterations.
     """
     matrix = np.asarray(matrix, dtype=float)
-    stacked = matrix.ndim == 3
     try:
         inverse = np.linalg.inv(matrix)
     except np.linalg.LinAlgError:
-        if stacked:
-            # One exactly singular row fails the whole stack; one row at a
-            # time, the first failing row raises.
-            for row_matrix, row_rhs in zip(matrix, rhs):
-                solve_linear(row_matrix, row_rhs, error)
         condition = math.inf
     else:
         condition = _max_column_sum(matrix) * _max_column_sum(inverse)
-        if stacked:
-            failed = np.flatnonzero(~(condition <= _CONDITION_LIMIT))
-            if len(failed):
-                matrix, condition = matrix[failed[0]], condition[failed[0]]
-            else:
-                condition = 0.0
+    if matrix.ndim == 3:
+        if not np.all(condition <= _CONDITION_LIMIT):
+            # One row at a time, the first failing row raises.
+            for row_matrix, row_rhs in zip(matrix, rhs):
+                solve_linear(row_matrix, row_rhs, error)
+            raise SingularSystemError(f"{error}: the stack fails, but none of its rows alone")
+        return np.matmul(inverse, np.asarray(rhs, dtype=float)[..., None])[..., 0]
     if not condition <= _CONDITION_LIMIT:
         if not np.isfinite(matrix).all():
             raise ConvergenceError(f"{error}: the matrix is not finite (an overflow)", 0)
         raise SingularSystemError(f"{error}: condition estimate {condition:.3g} exceeds 1e12")
-    rhs = np.asarray(rhs, dtype=float)
-    if stacked:
-        return np.matmul(inverse, rhs[..., None])[..., 0]
-    return inverse.dot(rhs)
+    return inverse.dot(np.asarray(rhs, dtype=float))
 
 
 def _max_column_sum(matrix: np.ndarray):

@@ -8,7 +8,8 @@ semispray components are collected, to the linear system
 which holds for all three structure kinds (canonical route).  The intrinsic
 route rebuilds that system from the two-form matrix and the frozen-velocity
 energy differential and must agree; it additionally demands the two-form be
-nondegenerate, matching the regularity hypothesis.
+nondegenerate, matching the regularity hypothesis, under the one guard of
+``integrators.solve_linear``.
 
 Two residual conventions are supported when auditing trajectories:
 
@@ -114,23 +115,22 @@ def intrinsic_solve(op: StructureOperator, L: ScalarField, x) -> np.ndarray:
 
     Builds the two-form matrix W = A^T Hess - Hess A and the frozen-velocity
     energy differential dE = Hess A X - grad L, then collects the X terms of
-    (i_X W)_b = dE_b into one linear system.  Nondegeneracy of W is required.
+    (i_X W)_b = dE_b into one linear system.  Nondegeneracy of W is required,
+    under ``solve_linear``'s guard: an ill-conditioned W is a
+    SingularFormError, a non-finite one the overflow ConvergenceError.
     """
     hess = L.hessian(x)
     two_form = two_form_matrix(op, hess)
+    gradient = L.gradient(x)
     try:
-        condition = np.linalg.cond(two_form)
-    except np.linalg.LinAlgError:
-        condition = np.inf
-    if not np.isfinite(condition) or condition > 1e12:
-        raise SingularFormError(
-            "the Lagrangian two-form is degenerate at this point"
-        )
+        solve_linear(two_form, gradient, error="Lagrangian two-form")
+    except SingularSystemError as exc:
+        raise SingularFormError(f"the Lagrangian two-form is degenerate at this point ({exc})") from exc
     # (i_X W)_b = sum_a X_a W[a, b] and dE_b = (Hess A X)_b - grad_b; moving
     # every X term left gives (W + Hess A) X = grad L.
     system = two_form + hess @ op.matrix
     try:
-        return solve_linear(system, L.gradient(x), error="collected intrinsic system")
+        return solve_linear(system, gradient, error="collected intrinsic system")
     except SingularSystemError as exc:
         raise SingularHessianError(str(exc)) from exc
 

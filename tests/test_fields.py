@@ -12,14 +12,11 @@ from paramech.fields import (
     DistanceFromOrigin,
     KineticField,
     PolynomialField,
-    PotentialField,
     ScalarField,
+    SumField,
     harmonic_field,
-    kinetic_energy,
     kinetic_minus_potential_field,
     _matvec,
-    lagrangian_from_energies,
-    potential_energy,
 )
 
 DIM = 4
@@ -115,16 +112,16 @@ def test_polynomial_exact_agreement_with_polyscalar():
 
 
 def test_kinetic_energy_values():
-    assert kinetic_energy([1.0], [1.0, 1.0, 1.0, 1.0]) == 2.0
-    assert kinetic_energy([1.0], [0.0, 0.0, 0.0, 0.0]) == 0.0
-    assert kinetic_energy([2.0], [1.0, 0.0, 0.0, 0.0]) == 1.0
+    assert KineticField([1.0]).value([1.0, 1.0, 1.0, 1.0]) == 2.0
+    assert KineticField([1.0]).value([0.0, 0.0, 0.0, 0.0]) == 0.0
+    assert KineticField([2.0]).value([1.0, 0.0, 0.0, 0.0]) == 1.0
 
 
 def test_kinetic_multi_particle_blocks():
     # Two particles: the weight of coordinate block slots follows the particle index.
-    value = kinetic_energy([1.0, 3.0], [1, 0, 0, 0, 0, 0, 0, 0])
+    value = KineticField([1.0, 3.0]).value([1, 0, 0, 0, 0, 0, 0, 0])
     assert value == 0.5
-    value = kinetic_energy([1.0, 3.0], [0, 1, 0, 0, 0, 0, 0, 0])
+    value = KineticField([1.0, 3.0]).value([0, 1, 0, 0, 0, 0, 0, 0])
     assert value == 1.5
 
 
@@ -138,9 +135,9 @@ def test_kinetic_rejects_nonpositive_mass():
     [
         lambda: KineticField([float("nan")]),
         lambda: KineticField([1.0, float("inf")]),
-        lambda: PotentialField([float("nan")], 1.0),
-        lambda: PotentialField([1.0], float("nan")),
-        lambda: PotentialField([1.0], -float("inf")),
+        lambda: kinetic_minus_potential_field([float("nan")], 1.0),
+        lambda: kinetic_minus_potential_field([1.0], float("nan")),
+        lambda: kinetic_minus_potential_field([1.0], -float("inf")),
         lambda: kinetic_minus_potential_field([1.0], float("nan")),
         lambda: kinetic_minus_potential_field([1e308, 1e308], 1.0),
     ],
@@ -159,14 +156,19 @@ def test_energy_fields_reject_non_finite_parameters(build):
         build()
 
 
+def potential(masses, g_const):
+    """P = (sum_i m_i) * g * |x| as a one-part SumField."""
+    return SumField([(sum(masses) * g_const, DistanceFromOrigin(4 * len(masses)))])
+
+
 def test_potential_energy_values():
-    assert potential_energy([1.0], 9.81, None, [3.0, 4.0, 0.0, 0.0]) == pytest.approx(49.05)
-    assert potential_energy([1.0], 0.0, None, [3.0, 4.0, 0.0, 0.0]) == 0.0
-    assert potential_energy([2.0], 1.0, None, [1.0, 0.0, 0.0, 0.0]) == pytest.approx(2.0)
+    assert potential([1.0], 9.81).value([3.0, 4.0, 0.0, 0.0]) == pytest.approx(49.05)
+    assert potential([1.0], 0.0).value([3.0, 4.0, 0.0, 0.0]) == 0.0
+    assert potential([2.0], 1.0).value([1.0, 0.0, 0.0, 0.0]) == pytest.approx(2.0)
 
 
 def test_potential_singular_at_origin():
-    field = PotentialField([1.0], 9.81, n=1)
+    field = kinetic_minus_potential_field([1.0], 9.81)
     with pytest.raises(SingularPointError):
         field.evaluate([0.0, 0.0, 0.0, 0.0])
 
@@ -182,15 +184,14 @@ def test_distance_closed_form_vs_finite_differences():
 
 
 def test_lagrangian_from_energies():
-    T = harmonic_field(1)
-    P = PotentialField([1.0], 1.0, n=1)
-    L = lagrangian_from_energies(T, P)
+    # T - P is the SumField [(1, T), (-1, P)].
+    L = SumField([(1.0, harmonic_field(1)), (-1.0, potential([1.0], 1.0))])
     assert L.value([3.0, 4.0, 0.0, 0.0]) == pytest.approx(12.5 - 5.0)
-    zero = lagrangian_from_energies(harmonic_field(1), PolynomialField(PolyScalar.constant(4, 0)))
+    zero = SumField([(1.0, harmonic_field(1)), (-1.0, PolynomialField(PolyScalar.constant(4, 0)))])
     assert zero.value([1.0, 0.0, 0.0, 0.0]) == 0.5
     const = PolynomialField(PolyScalar.constant(4, 3))
-    assert lagrangian_from_energies(
-        PolynomialField(PolyScalar.constant(4, 0)), const
+    assert SumField(
+        [(1.0, PolynomialField(PolyScalar.constant(4, 0))), (-1.0, const)]
     ).value([0.0, 0.0, 0.0, 0.0]) == -3.0
 
 
@@ -200,6 +201,33 @@ def test_kinetic_minus_potential_composite():
     assert L.value(x) == pytest.approx(12.5 - 5.0)
     result = L.evaluate(x)
     assert np.max(np.abs(result.gradient - fd_gradient(L.value, x))) < 1e-6
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("g_const", [9.81, 0.0, -2.5])
+@pytest.mark.parametrize("n", [1, 2])
+def test_kinetic_minus_potential_keeps_the_bits_of_a_scaled_potential(n, g_const):
+    # One SumField term -scale * D has the bits of the two-step T - (scale * D):
+    # rounding is symmetric in sign, signed zeros included.
+    masses = [1.0 + 0.25 * i for i in range(n)]
+    T, D = KineticField(masses), DistanceFromOrigin(4 * n)
+    scale = sum(masses) * g_const
+    L = kinetic_minus_potential_field(masses, g_const)
+    rng = np.random.default_rng(24 + n)
+    points = rng.uniform(-2.0, 2.0, size=(5, 4 * n))
+    points[::2, ::3] = -0.0
+    points[1] = 0.0
+    points[1, 0] = -0.0
+    points[1, -1] = 1.5
+    for method in ("value", "gradient", "hessian"):
+        t, d = getattr(T, method), getattr(D, method)
+        for x in (*points, points):
+            want = 0 + 1.0 * t(x) + (-1.0) * (scale * d(x))
+            assert same_bits(getattr(L, method)(x), want), (method, x)
 
 
 def test_dimension_mismatch():
@@ -372,7 +400,7 @@ PRIMITIVE_CASES = [
     ),
     pytest.param(lambda: KineticField([1.0, 2.5]), id="kinetic-n2"),
     pytest.param(lambda: DistanceFromOrigin(8), id="distance-n2"),
-    pytest.param(lambda: PotentialField([1.0, 0.5], 9.81, n=2), id="potential-n2"),
+    pytest.param(lambda: potential([1.0, 0.5], 9.81), id="potential-n2"),
     pytest.param(JetsOnlyField, id="jets_only"),
 ]
 
@@ -485,7 +513,7 @@ DIMENSION_CASES = {
     "quartic": lambda: mixed_quartic_field(1),
     "kinetic": lambda: KineticField([1.0]),
     "distance": lambda: DistanceFromOrigin(DIM),
-    "potential": lambda: PotentialField([1.0], 9.81, n=1),
+    "potential": lambda: potential([1.0], 9.81),
     "kinetic_minus_potential": lambda: kinetic_minus_potential_field([1.0], 9.81),
     "jets_only": JetsOnlyField,
 }

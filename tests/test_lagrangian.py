@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from paramech.errors import SingularFormError, SingularHessianError
+from paramech.errors import ConvergenceError, SingularFormError, SingularHessianError
 from paramech.exterior import PolyScalar, form_to_matrix, lagrangian_two_form
 import paramech.integrators as integrators
 import paramech.lagrangian as lagrangian
@@ -119,6 +119,34 @@ def test_intrinsic_singular_form():
     # The harmonic Lagrangian makes the G two-form vanish identically.
     with pytest.raises(SingularFormError):
         intrinsic_solve(op(G), harmonic_field(1), [1.0, 0, 0, 0])
+
+
+def with_stiff_x3_x4(terms):
+    """The polynomial of these terms plus (3/2) x_3^2 + (5/2) x_4^2 on R^4."""
+    return PolynomialField(
+        PolyScalar(4, {**terms, (0, 0, 2, 0): Fraction(3, 2), (0, 0, 0, 2): Fraction(5, 2)})
+    )
+
+
+def test_intrinsic_near_degenerate_form_meets_the_solve_guard():
+    # Hess = diag(1, -1 + eps, 3, 5): the F two-form has 1-norm condition 8 / eps.
+    x = [1.0, 0.5, 0.2, 0.1]
+    near, regular = (
+        with_stiff_x3_x4({(2, 0, 0, 0): Fraction(1, 2), (0, 2, 0, 0): (-1 + eps) / 2})
+        for eps in (Fraction(1, 10**13), Fraction(1, 10**10))
+    )
+    with pytest.raises(SingularFormError, match="condition estimate 8e\\+13") as caught:
+        intrinsic_solve(op(F), near, x)
+    assert str(caught.value).startswith("the Lagrangian two-form is degenerate at this point")
+    assert np.allclose(intrinsic_solve(op(F), regular, x), canonical_rhs(op(F), regular, x))
+
+
+def test_intrinsic_overflowing_form_is_an_overflow():
+    # x_1^4 / 4 at x_1 = 1e300: the Hessian entry 3 x_1^2 overflows, and W = inf - inf.
+    L = with_stiff_x3_x4({(4, 0, 0, 0): Fraction(1, 4), (0, 2, 0, 0): Fraction(1, 2)})
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConvergenceError, match="Lagrangian two-form: the matrix is not finite"):
+            intrinsic_solve(op(F), L, [1e300, 0.0, 0.0, 0.0])
 
 
 def test_intrinsic_two_form_matches_symbolic_route():
