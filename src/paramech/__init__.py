@@ -40,7 +40,6 @@ from .fields import (
     kinetic_minus_potential_field,
 )
 from .hamiltonian import (
-    CanonicalSymplecticForm,
     HamiltonianSystem,
     canonical_two_form,
     generic_field_from_form,
@@ -92,7 +91,6 @@ from .structures import (
     RelationCheck,
     SignedPermutation,
     StructureKind,
-    StructureOperator,
     build_structure,
     fundamental_form,
     metric_compatibility,

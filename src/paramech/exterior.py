@@ -44,7 +44,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .structures import StructureOperator
+from .structures import SignedPermutation
 
 __all__ = [
     "PolyScalar",
@@ -455,7 +455,7 @@ def interior(X: SymVectorField, a: KForm) -> KForm:
     return KForm._derived(a.dim, a.degree - 1, terms)
 
 
-def vertical_derivation(op: StructureOperator, a: KForm) -> KForm:
+def vertical_derivation(op: SignedPermutation, a: KForm) -> KForm:
     """Degree-preserving derivation replacing one argument at a time by its image.
 
     (i_A a)(X_1, ..., X_r) = sum_k a(X_1, ..., A X_k, ..., X_r); zero on 0-forms.
@@ -477,7 +477,7 @@ def vertical_derivation(op: StructureOperator, a: KForm) -> KForm:
     return KForm._derived(a.dim, a.degree, terms)
 
 
-def vertical_differential(op: StructureOperator, f: PolyScalar) -> KForm:
+def vertical_differential(op: SignedPermutation, f: PolyScalar) -> KForm:
     """Coordinate formula for the vertical differential: (d_A f)(v) = df(A v).
 
     The coefficient on dx_b is sum_a (d f / d x_a) A[a, b]: row a of the
@@ -494,7 +494,7 @@ def vertical_differential(op: StructureOperator, f: PolyScalar) -> KForm:
     return KForm._derived(f.dim, 1, terms)
 
 
-def vertical_differential_via_commutator(op: StructureOperator, f: PolyScalar) -> KForm:
+def vertical_differential_via_commutator(op: SignedPermutation, f: PolyScalar) -> KForm:
     """Same map through the graded commutator i_A d - d i_A; cross-check route."""
     zero_form = KForm.from_scalar(f)
     first = vertical_derivation(op, ext_d(zero_form))
@@ -502,7 +502,7 @@ def vertical_differential_via_commutator(op: StructureOperator, f: PolyScalar) -
     return first - second
 
 
-def lagrangian_two_form(op: StructureOperator, L: PolyScalar) -> KForm:
+def lagrangian_two_form(op: SignedPermutation, L: PolyScalar) -> KForm:
     """Closed two-form -d(d_A L) driving the structure's dynamics."""
     return -ext_d(vertical_differential(op, L))
 

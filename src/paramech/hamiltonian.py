@@ -7,15 +7,15 @@ closed forms are kept independent of the matrix route: the generic solver
 recovers the field from (i_X Phi)_b = dH_b and the two must agree, which pins
 the sign conventions.
 
-The two-form's matrix is a signed permutation: the dual operator's (index,
-sign) pair, each sign times the base one-form's sign at its index.  The pair
-also gives the Liouville one-form, and the integrated field is the signed,
-permuted gradient, evaluated by the Hamiltonian as one table.  For
-a quadratic H that field is affine with the constant Jacobian S Q (Q the
-Hessian), and the integrator steps it exactly in the increment form, a long
-run block by block (``integrators``).  The
-energy series and the residuals are computed after the integration loop, as
-stacked calls over the samples (``integrators.map_rows``).
+The two-form's matrix is a ``SignedPermutation``, the type of the operators
+themselves: the dual operator's (index, sign) pair, each sign times the base
+one-form's sign at its index.  The pair also gives the Liouville one-form,
+and the integrated field is the signed, permuted gradient, evaluated by the
+Hamiltonian as one table.  For a quadratic H that field is affine with the
+constant Jacobian S Q (Q the Hessian), and the integrator steps it exactly in
+the increment form, a long run block by block (``integrators``).  The energy
+series and the residuals are computed after the integration loop, as stacked
+calls over the samples (``integrators.map_rows``).
 
 Base one-forms (coefficients on x_a dx_a, halved):
   F*: all four blocks +;  G* and H*: first two blocks +, last two -.
@@ -36,7 +36,6 @@ from .structures import SignedPermutation, StructureKind, build_structure
 
 __all__ = [
     "HAMILTONIAN_METHODS",
-    "CanonicalSymplecticForm",
     "HamiltonianSystem",
     "liouville_one_form",
     "canonical_two_form",
@@ -60,10 +59,6 @@ _BASE_FORM_BLOCK_SIGNS = {
 def _require_dual(kind: StructureKind) -> None:
     if not kind.dual:
         raise ValueError(f"{kind.name} is not a dual structure kind")
-
-
-class CanonicalSymplecticForm(SignedPermutation):
-    """Constant symplectic matrix of a dual kind, as a signed permutation."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +90,7 @@ def liouville_one_form(kind: StructureKind, n: int) -> KForm:
     return KForm(form.dim, 1, terms)
 
 
-def canonical_two_form(kind: StructureKind, n: int) -> CanonicalSymplecticForm:
+def canonical_two_form(kind: StructureKind, n: int) -> SignedPermutation:
     """The constant symplectic matrix; equals -d(liouville one-form) exactly.
 
     It is A*'s pair, each sign times the base one-form's sign at its index.
@@ -105,7 +100,7 @@ def canonical_two_form(kind: StructureKind, n: int) -> CanonicalSymplecticForm:
     base = np.repeat(_BASE_FORM_BLOCK_SIGNS[kind.tag], n)
     sign = op.sign * base[op.index]
     sign.setflags(write=False)
-    return CanonicalSymplecticForm(kind, n, op.index, sign)
+    return SignedPermutation(kind, n, op.index, sign)
 
 
 def hamiltonian_vector_field(kind: StructureKind, H: ScalarField, x) -> np.ndarray:
@@ -138,7 +133,7 @@ def generic_field_from_form(kind: StructureKind, H: ScalarField, x) -> np.ndarra
     return solve_linear(form.matrix.T, grad.T, error="two-form system").T
 
 
-def position_mask(form: CanonicalSymplecticForm) -> np.ndarray:
+def position_mask(form: SignedPermutation) -> np.ndarray:
     """Coordinates acting as positions: the columns carrying the +1 entries."""
     return np.isin(np.arange(form.dim), form.index[form.sign == 1])
 
@@ -162,10 +157,10 @@ def integrate_hamiltonian(
     exact (``StepperConfig.jacobian``).  The field maps a stack of points row
     by row (``StepperConfig.rowwise``), so a long affine run maps block after
     block and records each block's derivatives by one stacked call.  The
-    energy is evaluated after the loop, stacked over the samples.
+    energy is evaluated after the loop, stacked over the samples.  Every
+    stepper method applies (``HAMILTONIAN_METHODS``), so ``StepperConfig``
+    alone checks ``method``.
     """
-    if method not in HAMILTONIAN_METHODS:
-        raise ValueError(f"method must be one of {HAMILTONIAN_METHODS}")
     H = system.hamiltonian
     form = canonical_two_form(system.kind, system.n)
     index, sign = form.index, form.sign

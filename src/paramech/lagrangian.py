@@ -9,7 +9,11 @@ which holds for all three structure kinds (canonical route).  The intrinsic
 route rebuilds that system from the two-form matrix and the frozen-velocity
 energy differential and must agree; it additionally demands the two-form be
 nondegenerate, matching the regularity hypothesis, under the one guard of
-``integrators.solve_linear``.
+``integrators.solve_linear``.  Every solve against the Hessian (the canonical
+route, a constant Hessian's flow and the intrinsic route's collected system)
+goes through ``_solve_hessian``, the one place where a failed guard becomes a
+SingularHessianError.  An error of the field itself keeps its type, e.g. the
+SingularPointError of a potential evaluated at its singular point.
 
 Two residual conventions are supported when auditing trajectories:
 
@@ -39,7 +43,7 @@ import numpy as np
 from .errors import SingularFormError, SingularHessianError, SingularSystemError
 from .fields import ScalarField, _matvec
 from .integrators import StepperConfig, Trajectory, integrate_field, map_rows, solve_linear
-from .structures import StructureOperator
+from .structures import SignedPermutation
 
 __all__ = [
     "CONVENTIONS",
@@ -62,7 +66,7 @@ LAGRANGIAN_METHODS = ("rk4", "implicit_midpoint")
 
 @dataclass(frozen=True, eq=False)
 class LagrangianSystem:
-    operator: StructureOperator
+    operator: SignedPermutation
     lagrangian: ScalarField
 
     def __post_init__(self):
@@ -72,14 +76,14 @@ class LagrangianSystem:
             raise ValueError("Lagrangian dimension does not match the operator")
 
 
-def liouville_field(op: StructureOperator, semispray) -> np.ndarray:
+def liouville_field(op: SignedPermutation, semispray) -> np.ndarray:
     """V_A = A(X): the structure operator applied to the semispray components."""
     if op.kind.dual:
         raise ValueError("Liouville field uses a tangent-side operator")
     return op.apply(np.asarray(semispray, dtype=float))
 
 
-def lagrangian_energy(op: StructureOperator, L: ScalarField, x, semispray) -> float:
+def lagrangian_energy(op: SignedPermutation, L: ScalarField, x, semispray) -> float:
     """E_L^A = V_A(L) - L, with the semispray treated as given data.
 
     x and the semispray are one point (a float results) or stacked rows.
@@ -88,15 +92,20 @@ def lagrangian_energy(op: StructureOperator, L: ScalarField, x, semispray) -> fl
     return float(energy) if energy.ndim == 0 else energy
 
 
-def canonical_rhs(op: StructureOperator, L: ScalarField, x) -> np.ndarray:
-    """Semispray solving Hess(L) . xdot = A . grad L at x, or at each row of x."""
+def _solve_hessian(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``solve_linear`` against a Hessian; a failed guard is a SingularHessianError."""
     try:
-        return solve_linear(L.hessian(x), op.apply(L.gradient(x)), error="Hessian")
+        return solve_linear(matrix, rhs, error="Hessian")
     except SingularSystemError as exc:
         raise SingularHessianError(str(exc)) from exc
 
 
-def two_form_matrix(op: StructureOperator, hess: np.ndarray) -> np.ndarray:
+def canonical_rhs(op: SignedPermutation, L: ScalarField, x) -> np.ndarray:
+    """Semispray solving Hess(L) . xdot = A . grad L at x, or at each row of x."""
+    return _solve_hessian(L.hessian(x), op.apply(L.gradient(x)))
+
+
+def two_form_matrix(op: SignedPermutation, hess: np.ndarray) -> np.ndarray:
     """W = A^T Hess - Hess A for a symmetric Hess, so that A^T Hess = (Hess A)^T.
 
     Hess A is a column gather, so the entries stay in Hess's dtype (exact
@@ -110,14 +119,18 @@ def two_form_matrix(op: StructureOperator, hess: np.ndarray) -> np.ndarray:
     return hess_a.T - hess_a
 
 
-def intrinsic_solve(op: StructureOperator, L: ScalarField, x) -> np.ndarray:
+def intrinsic_solve(op: SignedPermutation, L: ScalarField, x) -> np.ndarray:
     """Semispray recovered from the contraction identity itself.
 
     Builds the two-form matrix W = A^T Hess - Hess A and the frozen-velocity
     energy differential dE = Hess A X - grad L, then collects the X terms of
     (i_X W)_b = dE_b into one linear system.  Nondegeneracy of W is required,
     under ``solve_linear``'s guard: an ill-conditioned W is a
-    SingularFormError, a non-finite one the overflow ConvergenceError.
+    SingularFormError, a non-finite one the overflow ConvergenceError.  The
+    guard inverts W for its condition estimate and drops that solution.  The
+    collected system W + Hess A equals A^T Hess, singular exactly when Hess
+    is, so it is a Hessian solve: its failure is a SingularHessianError whose
+    message starts with ``Hessian:``.
     """
     hess = L.hessian(x)
     two_form = two_form_matrix(op, hess)
@@ -128,14 +141,10 @@ def intrinsic_solve(op: StructureOperator, L: ScalarField, x) -> np.ndarray:
         raise SingularFormError(f"the Lagrangian two-form is degenerate at this point ({exc})") from exc
     # (i_X W)_b = sum_a X_a W[a, b] and dE_b = (Hess A X)_b - grad_b; moving
     # every X term left gives (W + Hess A) X = grad L.
-    system = two_form + hess @ op.matrix
-    try:
-        return solve_linear(system, gradient, error="collected intrinsic system")
-    except SingularSystemError as exc:
-        raise SingularHessianError(str(exc)) from exc
+    return _solve_hessian(two_form + hess @ op.matrix, gradient)
 
 
-def printed_sign(op: StructureOperator) -> np.ndarray:
+def printed_sign(op: SignedPermutation) -> np.ndarray:
     """Gradient signs of the displayed first-order systems, per row of A.
 
     Coincides with A's signs for G and H; for F the displayed system flips
@@ -178,28 +187,26 @@ def integrate_lagrangian(
     ``lagrangian_energy`` of the samples and their recorded semisprays,
     evaluated after the loop.
     """
+    # A strict subset of the stepper's methods, so checked here.
     if method not in LAGRANGIAN_METHODS:
         raise ValueError(f"method must be one of {LAGRANGIAN_METHODS}")
     op, L = system.operator, system.lagrangian
     hessian = L.constant_hessian()
-    try:
-        if hessian is None:
-            jacobian = None
+    if hessian is None:
+        jacobian = None
 
-            def field(x):
-                return canonical_rhs(op, L, x)
+        def field(x):
+            return canonical_rhs(op, L, x)
 
-        else:
-            flow = solve_linear(hessian, op.matrix, error="Hessian")
-            jacobian = flow @ hessian
+    else:
+        flow = _solve_hessian(hessian, op.matrix)
+        jacobian = flow @ hessian
 
-            def field(x):
-                return _matvec(flow, L.gradient(x))
+        def field(x):
+            return _matvec(flow, L.gradient(x))
 
-        cfg = StepperConfig(method=method, dt=dt, jacobian=jacobian, rowwise=True)
-        traj = integrate_field(field, x0, t_end, cfg)
-    except SingularSystemError as exc:
-        raise SingularHessianError(str(exc)) from exc
+    cfg = StepperConfig(method=method, dt=dt, jacobian=jacobian, rowwise=True)
+    traj = integrate_field(field, x0, t_end, cfg)
 
     def energy(x, xdot):
         return lagrangian_energy(op, L, x, xdot)

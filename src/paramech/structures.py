@@ -5,10 +5,12 @@ role of x_i, then x_{n+i}, x_{2n+i}, x_{3n+i}, so (x_k, x_{n+k}, x_{2n+k},
 x_{3n+k}) are the coefficients on 1, i, s, t of the k-th quaternion of B^n.
 F, G, H are left multiplication by i, s and t on each quaternion, read off
 the one product table (``split_quaternions``) at import.  Each operator is a
-signed permutation, stored as the pair (index, sign) with (A v)[a] = sign[a]
-* v[index[a]]; the exact integer ``.matrix`` is a read-only view derived from
-the pair.  The tangent and cotangent tables have identical entries, so dual
-operators carry the same pair and differ only in their kind tag.
+``SignedPermutation``, stored as the pair (index, sign) with (A v)[a] =
+sign[a] * v[index[a]]; the exact integer ``.matrix`` is a read-only array
+derived from the pair.  The tangent and cotangent tables have identical
+entries, so dual operators carry the same pair and differ only in their kind
+tag.  The same type holds the constant symplectic matrices of the dual kinds
+(``hamiltonian.canonical_two_form``).
 
 Composition convention throughout: (A o B)(x) = A(B(x)), i.e. plain matrix
 products.  Under this convention FG = H and GF = -H hold exactly.
@@ -26,7 +28,6 @@ from .split_quaternions import _MUL_TABLE
 __all__ = [
     "StructureKind",
     "SignedPermutation",
-    "StructureOperator",
     "NeutralMetric",
     "RelationCheck",
     "F",
@@ -126,13 +127,6 @@ class SignedPermutation:
         return matrix
 
 
-class StructureOperator(SignedPermutation):
-    """Signed permutation realising one canonical basis element."""
-
-    def __repr__(self) -> str:
-        return f"StructureOperator({self.kind.name}, n={self.n})"
-
-
 @dataclass(frozen=True, eq=False)
 class NeutralMetric:
     """Diagonal metric of signature (2n, 2n): +1 on the first two blocks."""
@@ -154,9 +148,9 @@ class RelationCheck:
     passed: bool
 
 
-def build_structure(kind: StructureKind, n: int) -> StructureOperator:
+def build_structure(kind: StructureKind, n: int) -> SignedPermutation:
     """The requested canonical basis element as a signed permutation."""
-    return StructureOperator.from_blocks(kind, n, _BLOCK_ACTION[kind.tag])
+    return SignedPermutation.from_blocks(kind, n, _BLOCK_ACTION[kind.tag])
 
 
 def neutral_metric(n: int) -> NeutralMetric:

@@ -6,7 +6,6 @@ import pytest
 from paramech.exterior import KForm, PolyScalar, ext_d, form_from_constant_matrix
 from paramech.fields import PolynomialField, harmonic_field
 from paramech.hamiltonian import (
-    CanonicalSymplecticForm,
     HamiltonianSystem,
     canonical_two_form,
     generic_field_from_form,
@@ -106,7 +105,7 @@ TWO_FORM_BLOCKS = {
 def test_canonical_two_form_matches_block_table(kind, n):
     form = canonical_two_form(kind, n)
     reference = SignedPermutation.from_blocks(kind, n, TWO_FORM_BLOCKS[kind.tag])
-    assert type(form) is CanonicalSymplecticForm
+    assert type(form) is SignedPermutation
     assert (form.kind, form.n) == (kind, n)
     assert np.array_equal(form.index, reference.index)
     assert np.array_equal(form.sign, reference.sign)

@@ -3,7 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from paramech.errors import ConvergenceError, SingularFormError, SingularHessianError
+from paramech.errors import (
+    ConvergenceError,
+    SingularFormError,
+    SingularHessianError,
+    SingularPointError,
+)
 from paramech.exterior import PolyScalar, form_to_matrix, lagrangian_two_form
 import paramech.integrators as integrators
 import paramech.lagrangian as lagrangian
@@ -13,6 +18,7 @@ from paramech.fields import (
     harmonic_field,
     kinetic_minus_potential_field,
 )
+from paramech.hamiltonian import HamiltonianSystem, integrate_hamiltonian
 from paramech.lagrangian import (
     LagrangianSystem,
     canonical_rhs,
@@ -330,3 +336,27 @@ def test_integrate_reports_constant_singular_hessian():
     system = LagrangianSystem(op(G), degenerate)
     with pytest.raises(SingularHessianError, match="Hessian"):
         integrate_lagrangian(system, [1.0, 0, 0, 0], 1.0, 0.1, "rk4")
+
+
+def test_singular_point_of_the_potential_keeps_its_type():
+    # The distance to the origin has no gradient at x = 0: a field error,
+    # not a singular Hessian.
+    L = kinetic_minus_potential_field([1.0], 0.5)
+    structure = build_structure(G, 1)
+    with pytest.raises(SingularPointError):
+        canonical_rhs(structure, L, np.zeros(4))
+    system = LagrangianSystem(structure, L)
+    with pytest.raises(SingularPointError, match="distance to the origin is not differentiable at 0"):
+        integrate_lagrangian(system, np.zeros(4), 1.0, 0.1, "rk4")
+
+
+def test_integrators_check_the_method():
+    hamiltonian = HamiltonianSystem(F_STAR, harmonic_field(1))
+    with pytest.raises(ValueError) as info:
+        integrate_hamiltonian(hamiltonian, [1.0, 0, 0, 0], 1.0, 0.1, "euler")
+    for method in ("rk4", "symplectic_euler", "implicit_midpoint"):
+        assert method in str(info.value)
+    system = LagrangianSystem(op(G), harmonic_field(1))
+    for method in ("symplectic_euler", "euler"):
+        with pytest.raises(ValueError):
+            integrate_lagrangian(system, [1.0, 0, 0, 0], 1.0, 0.1, method)
