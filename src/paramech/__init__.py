@@ -72,13 +72,10 @@ from .scenario import (
     serialize_scenario,
 )
 from .split_quaternions import (
-    BMatrix,
     BVector,
     SplitQuaternion,
     SquareClass,
     bn_inner,
-    group_action,
-    sp_nB_member,
     sq_conj,
     sq_mul,
     sq_norm_sq,

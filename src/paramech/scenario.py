@@ -390,18 +390,23 @@ def _atomic_write(path: Path, blocks: Iterable[str]) -> None:
     The one writer of every output file.  Missing directories are created.
     The temporary file is named from the pid and a random token and created
     exclusively with mode 0o666, so the kernel applies the umask as ``open``
-    would; on any failure it is removed and ``path`` is left as it was.
+    would; on any failure it is removed and ``path`` is left as it was.  An
+    ``OSError`` creating, writing or renaming the temporary file is raised
+    again naming ``path``, with its errno and strerror.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w", encoding="utf-8") as handle:
-            handle.writelines(blocks)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8") as handle:
+                handle.writelines(blocks)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
 
 
 def _trajectory_table(traj: Trajectory, residuals: np.ndarray) -> Iterator[str]:

@@ -8,7 +8,9 @@ are written out once, as the literal table ``_MUL_TABLE``, the one product
 table of the package.  The tests check it against the generator relations,
 and the tests and the ``verify`` audit check associativity and, through
 ``structures``, the relations of F, G and H: the table's i, s and t rows are
-that triple, left multiplication by i, s and t on each quaternion of B^n.
+that triple.  B^n is a right B-module, and F, G, H act on it from the left,
+as left multiplication by i, s and t on each quaternion, so they commute
+with the module's right multiplication.
 
 Coefficients may be any ordered-field scalar (``fractions.Fraction`` for exact
 verification, ``float`` for numerics); every operation is generic in the
@@ -20,12 +22,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 __all__ = [
     "SplitQuaternion",
     "BVector",
-    "BMatrix",
     "SquareClass",
     "ONE",
     "I",
@@ -36,8 +36,6 @@ __all__ = [
     "sq_norm_sq",
     "sq_square_class",
     "bn_inner",
-    "sp_nB_member",
-    "group_action",
 ]
 
 
@@ -171,7 +169,7 @@ def sq_square_class(p: SplitQuaternion) -> SquareClass:
 
 @dataclass(frozen=True)
 class BVector:
-    """Element of the right B-module B^n (column of split quaternions)."""
+    """Element of the right B-module B^n; F, G and H act on it from the left."""
 
     entries: tuple[SplitQuaternion, ...]
 
@@ -186,78 +184,6 @@ class BVector:
     def of(cls, *entries: SplitQuaternion) -> "BVector":
         return cls(tuple(entries))
 
-    def right_scale(self, p: SplitQuaternion) -> "BVector":
-        """Entrywise right multiplication xi * p (module action is on the right)."""
-        return BVector(tuple(sq_mul(e, p) for e in self.entries))
-
-
-@dataclass(frozen=True)
-class BMatrix:
-    """Square matrix over B acting on BVector by the usual row-times-column rule."""
-
-    rows: tuple[tuple[SplitQuaternion, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.rows)
-        if n < 1 or any(len(r) != n for r in self.rows):
-            raise ValueError("BMatrix must be square and nonempty")
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "BMatrix":
-        zero = SplitQuaternion()
-        return cls(
-            tuple(
-                tuple(ONE if r == c else zero for c in range(n)) for r in range(n)
-            )
-        )
-
-    @classmethod
-    def diagonal(cls, entries: Sequence[SplitQuaternion]) -> "BMatrix":
-        zero = SplitQuaternion()
-        n = len(entries)
-        return cls(
-            tuple(
-                tuple(entries[r] if r == c else zero for c in range(n))
-                for r in range(n)
-            )
-        )
-
-    def apply(self, xi: BVector) -> BVector:
-        if len(xi) != self.n:
-            raise ValueError(f"dimension mismatch: matrix is {self.n}, vector is {len(xi)}")
-        out = []
-        for row in self.rows:
-            acc = SplitQuaternion()
-            for a, e in zip(row, xi.entries):
-                acc = acc + sq_mul(a, e)
-            out.append(acc)
-        return BVector(tuple(out))
-
-    def conjugate_transpose(self) -> "BMatrix":
-        n = self.n
-        return BMatrix(
-            tuple(tuple(sq_conj(self.rows[c][r]) for c in range(n)) for r in range(n))
-        )
-
-    def matmul(self, other: "BMatrix") -> "BMatrix":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        n = self.n
-        rows = []
-        for r in range(n):
-            row = []
-            for c in range(n):
-                acc = SplitQuaternion()
-                for k in range(n):
-                    acc = acc + sq_mul(self.rows[r][k], other.rows[k][c])
-                row.append(acc)
-            rows.append(tuple(row))
-        return BMatrix(tuple(rows))
-
 
 def bn_inner(xi: BVector, eta: BVector):
     """Inner product Re(sum_k conj(xi_k) * eta_k); real signature (2n, 2n)."""
@@ -268,23 +194,6 @@ def bn_inner(xi: BVector, eta: BVector):
         term = sq_mul(sq_conj(a), b).x
         acc = term if acc is None else acc + term
     return acc
-
-
-def sp_nB_member(A: BMatrix, tol: float = 0.0) -> bool:
-    """Test conj(A)^T A = I entrywise with coefficient magnitudes within tol."""
-    product = A.conjugate_transpose().matmul(A)
-    identity = BMatrix.identity(A.n)
-    for r in range(A.n):
-        for c in range(A.n):
-            diff = product.rows[r][c] - identity.rows[r][c]
-            if any(abs(coeff) > tol for coeff in diff.coefficients):
-                return False
-    return True
-
-
-def group_action(A: BMatrix, p: SplitQuaternion, xi: BVector) -> BVector:
-    """Two-sided action (A, p) . xi = A xi conj(p), products in the written order."""
-    return A.apply(xi).right_scale(sq_conj(p))
 
 
 def random_rational_quaternion(rng, den: int = 8, span: int = 8) -> SplitQuaternion:

@@ -1,3 +1,4 @@
+import errno
 import os
 import re
 import stat
@@ -453,6 +454,43 @@ def test_verify_report(tmp_path, capsys):
     assert report_path.read_text().splitlines()[0].startswith("identity audit")
     assert report_path.read_text() == out
     assert list(report_path.parent.iterdir()) == [report_path]
+
+
+def assert_io_error_names(capsys, target):
+    """One error line naming the target, not the temp file, and no temp file left."""
+    line = assert_one_error_line(capsys)
+    assert f"'{target}'" in line and ".tmp" not in line
+    assert list(target.parent.glob("*.tmp")) == []
+
+
+def test_run_into_a_directory_names_the_target(tmp_path, capsys):
+    scenario = write(tmp_path, "d.scn", HARMONIC + "out_trajectory = dirout\n")
+    target = tmp_path / "od" / "dirout"
+    target.mkdir(parents=True)
+    assert main(["run", scenario, "--out", str(tmp_path / "od")]) == 5
+    assert_io_error_names(capsys, target)
+
+
+def test_verify_report_into_a_directory_names_the_target(tmp_path, capsys):
+    target = tmp_path / "reports"
+    target.mkdir()
+    assert main(["verify", "--n", "1", "--report", str(target)]) == 5
+    assert_io_error_names(capsys, target)
+
+
+def test_unwritable_temp_file_names_the_target(tmp_path, capsys, monkeypatch):
+    # Root ignores permission bits, so the refusal is patched in.
+    real_open = os.open
+
+    def refuse_temp_files(path, flags, *args, **kwargs):
+        if str(path).endswith(".tmp"):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", refuse_temp_files)
+    scenario = write(tmp_path, "circle.scn", HARMONIC)
+    assert main(["run", scenario, "--out", str(tmp_path / "out")]) == 5
+    assert_io_error_names(capsys, tmp_path / "out" / "circle_trajectory.csv")
 
 
 @pytest.mark.parametrize(

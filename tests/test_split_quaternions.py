@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from paramech.split_quaternions import (
-    BMatrix,
     BVector,
     ONE,
     I,
@@ -14,9 +13,7 @@ from paramech.split_quaternions import (
     SplitQuaternion,
     SquareClass,
     bn_inner,
-    group_action,
     random_rational_quaternion,
-    sp_nB_member,
     sq_conj,
     sq_mul,
     sq_norm_sq,
@@ -175,49 +172,6 @@ def test_bn_inner_signature(n):
     eigenvalues = np.linalg.eigvalsh(gram)
     assert int(np.sum(eigenvalues > 0)) == 2 * n
     assert int(np.sum(eigenvalues < 0)) == 2 * n
-
-
-def test_sp_membership():
-    assert sp_nB_member(BMatrix.identity(2))
-    assert sp_nB_member(BMatrix.diagonal([I]))
-    assert not sp_nB_member(BMatrix.diagonal([ONE + S]))
-
-
-def test_group_action_identity_pair():
-    rng = random.Random(7)
-    xi = BVector.of(*(random_rational_quaternion(rng) for _ in range(2)))
-    assert group_action(BMatrix.identity(2), ONE, xi) == xi
-
-
-def test_group_action_unit_example():
-    # (I, i, (1)) -> (1 * conj(i)) = (-i)
-    out = group_action(BMatrix.identity(1), I, BVector.of(ONE))
-    assert out == BVector.of(-I)
-
-
-def test_group_action_preserves_inner_product():
-    # Unit-norm entries: 3/5 + 4/5 i (elliptic) and 5/3 + 4/3 s (hyperbolic).
-    p1 = SplitQuaternion(Fraction(3, 5), Fraction(4, 5), 0, 0)
-    p2 = SplitQuaternion(Fraction(5, 3), 0, Fraction(4, 3), 0)
-    assert sq_norm_sq(p1) == 1 and sq_norm_sq(p2) == 1
-    zero = SplitQuaternion()
-    off_diagonal = BMatrix(((zero, p1), (p2, zero)))
-    assert sp_nB_member(off_diagonal)
-    rng = random.Random(8)
-    for matrix in (BMatrix.diagonal([p1, p2]), off_diagonal):
-        for p in (p1, p2, sq_mul(p1, p2)):
-            assert sq_norm_sq(p) == 1
-            for _ in range(5):
-                xi = BVector.of(*(random_rational_quaternion(rng) for _ in range(2)))
-                eta = BVector.of(*(random_rational_quaternion(rng) for _ in range(2)))
-                assert bn_inner(
-                    group_action(matrix, p, xi), group_action(matrix, p, eta)
-                ) == bn_inner(xi, eta)
-
-
-def test_group_action_dimension_mismatch():
-    with pytest.raises(ValueError):
-        group_action(BMatrix.identity(2), ONE, BVector.of(ONE))
 
 
 def test_bvector_requires_entries():

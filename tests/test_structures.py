@@ -5,7 +5,15 @@ import pytest
 
 from oracles import exact_determinant
 from paramech.hamiltonian import canonical_two_form
-from paramech.split_quaternions import I, S, T, random_rational_quaternion, sq_mul
+from paramech.split_quaternions import (
+    ONE,
+    I,
+    S,
+    T,
+    SplitQuaternion,
+    random_rational_quaternion,
+    sq_mul,
+)
 from paramech.structures import (
     DUAL_KINDS,
     F,
@@ -91,16 +99,58 @@ def test_pairs_match_the_reference_block_table(n):
         assert op.sign.tolist() == sign
 
 
+def coordinates(xi):
+    """Block b holds coefficient b (basis 1, i, s, t) of every quaternion."""
+    return np.array([q.coefficients[b] for b in range(4) for q in xi], dtype=object)
+
+
+def quaternions(v):
+    n = len(v) // 4
+    return [SplitQuaternion(*(v[b * n + k] for b in range(4))) for k in range(n)]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_structures_are_left_multiplication_by_i_s_t(n):
     rng = random.Random(n)
     for kind, unit in zip(PRIMAL_KINDS, (I, S, T)):
         for _ in range(5):
             xi = [random_rational_quaternion(rng) for _ in range(n)]
-            # Block b holds coefficient b (basis 1, i, s, t) of every quaternion.
-            v = np.array([q.coefficients[b] for b in range(4) for q in xi], dtype=object)
-            expected = [sq_mul(unit, q).coefficients[b] for b in range(4) for q in xi]
-            assert build_structure(kind, n).apply(v).tolist() == expected
+            expected = coordinates([sq_mul(unit, q) for q in xi]).tolist()
+            assert build_structure(kind, n).apply(coordinates(xi)).tolist() == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_structures_commute_with_right_multiplication(n):
+    # B^n is a right B-module and every operator acts from the left, so
+    # A(xi p) = A(xi) p for each quaternion p, computed exactly.
+    rng = random.Random(10 + n)
+    units = [ONE, I, S, T] + [random_rational_quaternion(rng) for _ in range(3)]
+    for kind in PRIMAL_KINDS + DUAL_KINDS:
+        op = build_structure(kind, n)
+        for p in units:
+            xi = [random_rational_quaternion(rng) for _ in range(n)]
+            scaled = coordinates([sq_mul(q, p) for q in xi])
+            moved = quaternions(op.apply(coordinates(xi)))
+            expected = coordinates([sq_mul(q, p) for q in moved]).tolist()
+            assert op.apply(scaled).tolist() == expected
+
+
+def test_left_multiplication_of_a_slot_does_not_commute_with_f():
+    # is = t = -si: left multiplication of one slot by s anticommutes with F
+    # there, so a left matrix action of Sp(n,B) moves F out of span(F, G, H).
+    rng = random.Random(3)
+    f = build_structure(F, 2)
+    xi = [random_rational_quaternion(rng) for _ in range(2)]
+
+    def left_s_on_slot_0(v):
+        q = quaternions(v)
+        return coordinates([sq_mul(S, q[0]), q[1]])
+
+    v = coordinates(xi)
+    f_after = f.apply(left_s_on_slot_0(v))
+    f_before = left_s_on_slot_0(f.apply(v))
+    assert f_after.tolist() != f_before.tolist()
+    assert quaternions(f_after)[0] == -quaternions(f_before)[0]
 
 
 def test_signed_permutation_property():
