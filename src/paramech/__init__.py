@@ -31,7 +31,6 @@ from .exterior import (
 )
 from .fields import (
     DistanceFromOrigin,
-    EvalResult,
     KineticField,
     PolynomialField,
     ScalarField,
@@ -72,7 +71,6 @@ from .scenario import (
     serialize_scenario,
 )
 from .split_quaternions import (
-    BVector,
     SplitQuaternion,
     SquareClass,
     bn_inner,
@@ -84,8 +82,6 @@ from .split_quaternions import (
 from .structures import (
     DUAL_KINDS,
     PRIMAL_KINDS,
-    NeutralMetric,
-    RelationCheck,
     SignedPermutation,
     StructureKind,
     build_structure,

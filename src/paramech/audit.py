@@ -197,7 +197,7 @@ def _signature_record(n_max: int) -> AuditRecord:
             for b in range(4):
                 entries = [sq.SplitQuaternion() for _ in range(n)]
                 entries[slot] = sq.SplitQuaternion.basis(b)
-                basis_vectors.append(sq.BVector(tuple(entries)))
+                basis_vectors.append(entries)
         for a, xi in enumerate(basis_vectors):
             for b, eta in enumerate(basis_vectors):
                 gram[a, b] = float(sq.bn_inner(xi, eta))
@@ -211,13 +211,13 @@ def _structure_records(n_max: int) -> list[AuditRecord]:
     records = []
     relation_status: dict[str, bool] = {}
     for n in range(1, n_max + 1):
-        for check in verify_relations(n):
-            relation_status[check.name] = relation_status.get(check.name, True) and check.passed
+        for name, passed in verify_relations(n).items():
+            relation_status[name] = relation_status.get(name, True) and passed
     for name, passed in relation_status.items():
         records.append(_exact(name, passed, "structure relations"))
 
     for kind in PRIMAL_KINDS:
-        ok = all(metric_compatibility(kind, n).passed for n in range(1, n_max + 1))
+        ok = all(metric_compatibility(kind, n) for n in range(1, n_max + 1))
         records.append(
             _exact(f"metric compatibility, {kind.name}", ok, "neutral metric pairing")
         )

@@ -2,10 +2,9 @@
 
 A field's numeric primitives are ``value``, ``gradient`` and ``hessian``,
 each implemented once per class and checking the point's dimension.
-``evaluate`` and ``signed_gradient`` combine them on ``ScalarField``; the one
-override of a composite is ``signed_gradient`` on a non-quadratic
-``PolynomialField`` (one signed term table), and it equals the combination
-of the primitives bit for bit.  Every primitive
+``signed_gradient`` is the one composite on ``ScalarField``; its one
+override, on a non-quadratic ``PolynomialField`` (one signed term table),
+equals the combination of the primitives bit for bit.  Every primitive
 takes one point ``(dim,)`` or a stack of points ``(m, dim)``, and each row of
 a stacked result is bitwise the result at that row alone: the one-point call
 is the ``m = 1`` case of the same numpy expression.  Matrix-vector products
@@ -16,20 +15,21 @@ differently.  A quadratic polynomial carries the constants of its closed
 form, read off its terms; any other polynomial keeps one analytically
 differentiated term table per order; the built-in fields carry closed forms.
 A scaled field is a ``SumField`` term: ``kinetic_minus_potential_field``
-builds T - P from ``KineticField`` and a scaled ``DistanceFromOrigin``.
+builds T - P from ``KineticField`` and a scaled ``DistanceFromOrigin``, and
+leaves the potential out when its scale is zero.
 A constant Hessian is declared once, by ``constant_hessian`` (quadratic
 polynomial, ``KineticField``), as one read-only matrix, and
 ``ScalarField.hessian`` serves it: one point gets the matrix itself, a stack
 a read-only broadcast view.
 ``evaluate_via_jets`` (second-order forward propagation, numbers carrying a
-gradient row and a Hessian block, exact to roundoff) is the fallback of a
-field that defines only ``_apply`` and the tests' reference.
+gradient row and a Hessian block, exact to roundoff) returns the plain tuple
+(value, gradient, hessian); it is the fallback of a field that defines only
+``_apply`` and the tests' reference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
 from typing import Sequence
@@ -40,7 +40,6 @@ from .errors import SingularPointError
 from .exterior import PolyScalar, poly_gradient, poly_hessian
 
 __all__ = [
-    "EvalResult",
     "Jet2",
     "jet_variables",
     "ScalarField",
@@ -51,15 +50,6 @@ __all__ = [
     "harmonic_field",
     "kinetic_minus_potential_field",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class EvalResult:
-    """Value with first and second derivatives at a point."""
-
-    value: float
-    gradient: np.ndarray
-    hessian: np.ndarray
 
 
 class Jet2:
@@ -191,32 +181,32 @@ class ScalarField:
     def _apply(self, xs: Sequence):
         raise NotImplementedError
 
-    def evaluate_via_jets(self, x) -> EvalResult:
-        """Uniform second-order forward-propagation fallback, point by point."""
+    def evaluate_via_jets(self, x) -> tuple:
+        """(value, gradient, hessian) by second-order forward propagation, point by point."""
         x = self._point(x)
         if x.ndim == 2:
             rows = [self.evaluate_via_jets(row) for row in x]
-            return EvalResult(
-                np.array([r.value for r in rows]),
-                np.array([r.gradient for r in rows]).reshape(x.shape),
-                np.array([r.hessian for r in rows]).reshape(x.shape + (self.dim,)),
+            return (
+                np.array([r[0] for r in rows]),
+                np.array([r[1] for r in rows]).reshape(x.shape),
+                np.array([r[2] for r in rows]).reshape(x.shape + (self.dim,)),
             )
         out = self._apply(jet_variables(x))
         if not isinstance(out, Jet2):
             out = Jet2.constant(self.dim, float(out))
-        return EvalResult(out.value, out.grad, 0.5 * (out.hess + out.hess.T))
+        return out.value, out.grad, 0.5 * (out.hess + out.hess.T)
 
     def value(self, x) -> float:
-        return self.evaluate_via_jets(x).value
+        return self.evaluate_via_jets(x)[0]
 
     def gradient(self, x) -> np.ndarray:
-        return self.evaluate_via_jets(x).gradient
+        return self.evaluate_via_jets(x)[1]
 
     def hessian(self, x) -> np.ndarray:
         """A declared constant Hessian, itself or a read-only view per row; else jets."""
         hessian = self.constant_hessian()
         if hessian is None:
-            return self.evaluate_via_jets(x).hessian
+            return self.evaluate_via_jets(x)[2]
         x = self._point(x)
         return hessian if x.ndim == 1 else np.broadcast_to(hessian, x.shape + (self.dim,))
 
@@ -227,9 +217,6 @@ class ScalarField:
             return sign * self.gradient(x)[..., index]
 
         return field
-
-    def evaluate(self, x) -> EvalResult:
-        return EvalResult(self.value(x), self.gradient(x), self.hessian(x))
 
     def constant_hessian(self) -> np.ndarray | None:
         """The Hessian where the field knows it to be constant, read-only, else None."""
@@ -471,7 +458,9 @@ def kinetic_minus_potential_field(masses: Sequence[float], g_const: float) -> Su
     """T - P with one mass per particle and P = (sum_i m_i) * g * |x|.
 
     The potential is the distance to the origin as a ``SumField`` term with
-    the coefficient -(sum_i m_i) * g, which must be finite.
+    the coefficient -(sum_i m_i) * g, which must be finite.  A zero
+    coefficient (either sign) leaves that term out, so the field is smooth
+    at the origin.
     """
     kinetic = KineticField(masses)
     scale = sum(kinetic.masses) * float(g_const)
@@ -480,4 +469,6 @@ def kinetic_minus_potential_field(masses: Sequence[float], g_const: float) -> Su
             f"potential scale sum(masses) * g_const = {scale} is not finite "
             f"(masses = {kinetic.masses}, g_const = {float(g_const)})"
         )
+    if scale == 0:
+        return SumField([(1.0, kinetic)])
     return SumField([(1.0, kinetic), (-scale, DistanceFromOrigin(kinetic.dim))])

@@ -10,7 +10,8 @@ and the tests and the ``verify`` audit check associativity and, through
 ``structures``, the relations of F, G and H: the table's i, s and t rows are
 that triple.  B^n is a right B-module, and F, G, H act on it from the left,
 as left multiplication by i, s and t on each quaternion, so they commute
-with the module's right multiplication.
+with the module's right multiplication.  A vector of B^n is a plain sequence
+of ``SplitQuaternion``; ``bn_inner`` is its inner product.
 
 Coefficients may be any ordered-field scalar (``fractions.Fraction`` for exact
 verification, ``float`` for numerics); every operation is generic in the
@@ -22,10 +23,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 __all__ = [
     "SplitQuaternion",
-    "BVector",
     "SquareClass",
     "ONE",
     "I",
@@ -167,30 +168,14 @@ def sq_square_class(p: SplitQuaternion) -> SquareClass:
     return SquareClass.OTHER
 
 
-@dataclass(frozen=True)
-class BVector:
-    """Element of the right B-module B^n; F, G and H act on it from the left."""
-
-    entries: tuple[SplitQuaternion, ...]
-
-    def __post_init__(self):
-        if len(self.entries) < 1:
-            raise ValueError("BVector needs at least one entry")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @classmethod
-    def of(cls, *entries: SplitQuaternion) -> "BVector":
-        return cls(tuple(entries))
-
-
-def bn_inner(xi: BVector, eta: BVector):
-    """Inner product Re(sum_k conj(xi_k) * eta_k); real signature (2n, 2n)."""
+def bn_inner(xi: Sequence[SplitQuaternion], eta: Sequence[SplitQuaternion]):
+    """Inner product Re(sum_k conj(xi_k) * eta_k) on B^n; real signature (2n, 2n)."""
     if len(xi) != len(eta):
         raise ValueError(f"length mismatch: {len(xi)} vs {len(eta)}")
+    if len(xi) == 0:
+        raise ValueError("vectors of B^n need at least one entry")
     acc = None
-    for a, b in zip(xi.entries, eta.entries):
+    for a, b in zip(xi, eta):
         term = sq_mul(sq_conj(a), b).x
         acc = term if acc is None else acc + term
     return acc

@@ -28,8 +28,6 @@ from .split_quaternions import _MUL_TABLE
 __all__ = [
     "StructureKind",
     "SignedPermutation",
-    "NeutralMetric",
-    "RelationCheck",
     "F",
     "G",
     "H",
@@ -127,76 +125,49 @@ class SignedPermutation:
         return matrix
 
 
-@dataclass(frozen=True, eq=False)
-class NeutralMetric:
-    """Diagonal metric of signature (2n, 2n): +1 on the first two blocks."""
-
-    n: int
-    diagonal: np.ndarray = field(repr=False)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.diagonal)
-
-    def pairing(self, x, y):
-        return float(np.dot(np.asarray(x) * self.diagonal, np.asarray(y)))
-
-
-@dataclass(frozen=True)
-class RelationCheck:
-    name: str
-    passed: bool
-
-
 def build_structure(kind: StructureKind, n: int) -> SignedPermutation:
     """The requested canonical basis element as a signed permutation."""
     return SignedPermutation.from_blocks(kind, n, _BLOCK_ACTION[kind.tag])
 
 
-def neutral_metric(n: int) -> NeutralMetric:
+def neutral_metric(n: int) -> np.ndarray:
+    """The read-only metric diag(+1 x 2n, -1 x 2n) of signature (2n, 2n)."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    diagonal = np.array([1] * (2 * n) + [-1] * (2 * n), dtype=np.int64)
-    diagonal.setflags(write=False)
-    return NeutralMetric(n, diagonal)
+    metric = np.diag(np.array([1] * (2 * n) + [-1] * (2 * n), dtype=np.int64))
+    metric.setflags(write=False)
+    return metric
 
 
-def relation_checks(
-    operators: dict[str, np.ndarray], dual: bool = False
-) -> tuple[RelationCheck, ...]:
-    """Exact integer checks of the defining relations for a {F, G, H} triple."""
+def relation_checks(operators: dict[str, np.ndarray], dual: bool = False) -> dict[str, bool]:
+    """Exact integer checks of the defining relations for a {F, G, H} triple, by name."""
     fm, gm, hm = operators["F"], operators["G"], operators["H"]
     identity = np.eye(fm.shape[0], dtype=np.int64)
     star = "*" if dual else ""
-    checks = (
-        (f"F{star}^2 = -I", np.array_equal(fm @ fm, -identity)),
-        (f"G{star}^2 = I", np.array_equal(gm @ gm, identity)),
-        (f"H{star}^2 = I", np.array_equal(hm @ hm, identity)),
-        (f"F{star}G{star} = H{star}", np.array_equal(fm @ gm, hm)),
-        (f"G{star}F{star} = -H{star}", np.array_equal(gm @ fm, -hm)),
-    )
-    return tuple(RelationCheck(name, bool(ok)) for name, ok in checks)
+    return {
+        f"F{star}^2 = -I": np.array_equal(fm @ fm, -identity),
+        f"G{star}^2 = I": np.array_equal(gm @ gm, identity),
+        f"H{star}^2 = I": np.array_equal(hm @ hm, identity),
+        f"F{star}G{star} = H{star}": np.array_equal(fm @ gm, hm),
+        f"G{star}F{star} = -H{star}": np.array_equal(gm @ fm, -hm),
+    }
 
 
-def verify_relations(n: int) -> tuple[RelationCheck, ...]:
-    """Check the square and anticommutation relations, primal and dual."""
+def verify_relations(n: int) -> dict[str, bool]:
+    """Check the square and anticommutation relations, primal and then dual."""
     primal = {k.tag: build_structure(k, n).matrix for k in PRIMAL_KINDS}
     dual = {k.tag: build_structure(k, n).matrix for k in DUAL_KINDS}
-    return relation_checks(primal) + relation_checks(dual, dual=True)
+    return relation_checks(primal) | relation_checks(dual, dual=True)
 
 
-def metric_compatibility(kind: StructureKind, n: int) -> RelationCheck:
+def metric_compatibility(kind: StructureKind, n: int) -> bool:
     """A^T g A = g for F and A^T g A = -g for G, H (exact integers)."""
     if kind.dual:
         raise ValueError("metric compatibility is a tangent-side statement")
     op = build_structure(kind, n)
-    g = neutral_metric(n).matrix
-    transformed = op.matrix.T @ g @ op.matrix
+    g = neutral_metric(n)
     expected = g if kind.tag == "F" else -g
-    sign = "" if kind.tag == "F" else "-"
-    return RelationCheck(
-        f"{kind.tag}^T g {kind.tag} = {sign}g", bool(np.array_equal(transformed, expected))
-    )
+    return np.array_equal(op.matrix.T @ g @ op.matrix, expected)
 
 
 def fundamental_form(kind: StructureKind, n: int) -> np.ndarray:
@@ -208,8 +179,7 @@ def fundamental_form(kind: StructureKind, n: int) -> np.ndarray:
     if kind.dual:
         raise ValueError("fundamental forms pair tangent vectors; use a non-dual kind")
     op = build_structure(kind, n)
-    g = neutral_metric(n).matrix
-    omega = op.matrix.T @ g
+    omega = op.matrix.T @ neutral_metric(n)
     if not np.array_equal(omega, -omega.T):
         raise AssertionError("fundamental form must be antisymmetric")
     omega.setflags(write=False)

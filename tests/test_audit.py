@@ -11,7 +11,7 @@ from paramech.audit import (
     verify_all,
 )
 from paramech.lagrangian import two_form_matrix
-from paramech.structures import PRIMAL_KINDS, build_structure
+from paramech.structures import PRIMAL_KINDS, build_structure, verify_relations
 
 
 def test_report_covers_the_identity_list():
@@ -23,6 +23,9 @@ def test_report_covers_the_identity_list():
     assert any("metric compatibility" in n for n in names)
     assert any("Liouville route" in n for n in names)
     assert any("Euler-Lagrange" in n for n in names)
+    # One row per structure relation, named and ordered as verify_relations.
+    relations = [r.name for r in report.records if r.subject == "structure relations"]
+    assert relations == list(verify_relations(2))
 
 
 def test_no_failures_and_one_documented_discrepancy():

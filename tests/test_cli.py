@@ -186,6 +186,22 @@ def test_run_rejects_overflowing_potential_scale(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["heavy.scn"]
 
 
+@pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
+@pytest.mark.parametrize("structure", ["F", "G", "H"])
+def test_run_from_the_origin_without_a_potential(tmp_path, capsys, structure, method):
+    # g_const = 0 leaves no potential, so nothing is singular at x = 0: the
+    # Lagrangian T alone keeps the particle at rest.
+    text = KINETIC_MINUS_POTENTIAL.replace("structure = G", f"structure = {structure}")
+    text = text.replace("g_const = 0.5", "g_const = 0")
+    text = text.replace("x0 = 3 4 0 0", "x0 = 0 0 0 0")
+    text = text.replace("method = rk4", f"method = {method}")
+    scenario = write(tmp_path, "rest.scn", text)
+    assert main(["run", scenario, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    summary = (tmp_path / "rest_summary.txt").read_text().splitlines()
+    assert "final_state = 0 0 0 0" in summary
+
+
 def test_run_singular_exit_code(tmp_path, capsys):
     scenario = write(tmp_path, "degenerate.scn", LINEAR_DEGENERATE)
     assert main(["run", scenario, "--out", str(tmp_path)]) == 3

@@ -37,18 +37,18 @@ def random_poly_field(rng, dim=DIM, max_degree=4, n_terms=8):
 
 def test_harmonic_eval():
     field = harmonic_field(1)
-    result = field.evaluate([1.0, 0.0, 0.0, 0.0])
-    assert result.value == 0.5
-    assert np.array_equal(result.gradient, [1.0, 0.0, 0.0, 0.0])
-    assert np.array_equal(result.hessian, np.eye(4))
+    x = [1.0, 0.0, 0.0, 0.0]
+    assert field.value(x) == 0.5
+    assert np.array_equal(field.gradient(x), [1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(field.hessian(x), np.eye(4))
 
 
 def test_product_eval():
     poly = PolyScalar.variable(DIM, 0) * PolyScalar.variable(DIM, 1)
     field = PolynomialField(poly)
-    result = field.evaluate([2.0, 3.0, 0.0, 0.0])
-    assert result.value == 6.0
-    assert np.array_equal(result.gradient, [3.0, 2.0, 0.0, 0.0])
+    x = [2.0, 3.0, 0.0, 0.0]
+    assert field.value(x) == 6.0
+    assert np.array_equal(field.gradient(x), [3.0, 2.0, 0.0, 0.0])
 
 
 def test_polynomial_matches_finite_differences():
@@ -58,13 +58,12 @@ def test_polynomial_matches_finite_differences():
         field = random_poly_field(rng)
         for _ in range(4):
             x = np_rng.uniform(-1.5, 1.5, size=DIM)
-            result = field.evaluate(x)
             grad_fd = fd_gradient(field.value, x)
             hess_fd = fd_hessian(field.value, x)
             scale_g = max(1.0, np.max(np.abs(grad_fd)))
             scale_h = max(1.0, np.max(np.abs(hess_fd)))
-            assert np.max(np.abs(result.gradient - grad_fd)) / scale_g < 1e-6
-            assert np.max(np.abs(result.hessian - hess_fd)) / scale_h < 1e-5
+            assert np.max(np.abs(field.gradient(x) - grad_fd)) / scale_g < 1e-6
+            assert np.max(np.abs(field.hessian(x) - hess_fd)) / scale_h < 1e-5
 
 
 def test_jet_fallback_matches_analytic_paths():
@@ -79,11 +78,10 @@ def test_jet_fallback_matches_analytic_paths():
     for field in fields:
         for _ in range(5):
             x = np_rng.uniform(0.2, 1.5, size=field.dim)
-            direct = field.evaluate(x)
-            jets = field.evaluate_via_jets(x)
-            assert abs(direct.value - jets.value) < 1e-12 * max(1.0, abs(direct.value))
-            assert np.max(np.abs(direct.gradient - jets.gradient)) < 1e-10
-            assert np.max(np.abs(direct.hessian - jets.hessian)) < 1e-10
+            value, gradient, hessian = field.evaluate_via_jets(x)
+            assert abs(field.value(x) - value) < 1e-12 * max(1.0, abs(field.value(x)))
+            assert np.max(np.abs(field.gradient(x) - gradient)) < 1e-10
+            assert np.max(np.abs(field.hessian(x) - hessian)) < 1e-10
 
 
 def test_hessian_symmetry():
@@ -92,7 +90,7 @@ def test_hessian_symmetry():
     field = random_poly_field(rng)
     for _ in range(10):
         x = np_rng.uniform(-2, 2, size=DIM)
-        hess = field.evaluate(x).hessian
+        hess = field.hessian(x)
         scale = max(1.0, np.max(np.abs(hess)))
         assert np.max(np.abs(hess - hess.T)) / scale <= 1e-12
 
@@ -103,11 +101,11 @@ def test_polynomial_exact_agreement_with_polyscalar():
     point = [Fraction(1, 2), Fraction(-1, 3), Fraction(2), Fraction(0)]
     value, gradient, hessian = field.exact_evaluate(point)
     assert value == field.poly.evaluate(point)
-    float_result = field.evaluate([float(v) for v in point])
-    assert abs(float(value) - float_result.value) < 1e-12 * max(1.0, abs(float(value)))
-    assert np.allclose([float(g) for g in gradient], float_result.gradient, atol=1e-12)
+    x = [float(v) for v in point]
+    assert abs(float(value) - field.value(x)) < 1e-12 * max(1.0, abs(float(value)))
+    assert np.allclose([float(g) for g in gradient], field.gradient(x), atol=1e-12)
     assert np.allclose(
-        [[float(h) for h in row] for row in hessian], float_result.hessian, atol=1e-12
+        [[float(h) for h in row] for row in hessian], field.hessian(x), atol=1e-12
     )
 
 
@@ -169,8 +167,9 @@ def test_potential_energy_values():
 
 def test_potential_singular_at_origin():
     field = kinetic_minus_potential_field([1.0], 9.81)
-    with pytest.raises(SingularPointError):
-        field.evaluate([0.0, 0.0, 0.0, 0.0])
+    for method in (field.gradient, field.hessian):
+        with pytest.raises(SingularPointError):
+            method([0.0, 0.0, 0.0, 0.0])
 
 
 def test_distance_closed_form_vs_finite_differences():
@@ -178,9 +177,8 @@ def test_distance_closed_form_vs_finite_differences():
     np_rng = np.random.default_rng(25)
     for _ in range(5):
         x = np_rng.uniform(0.5, 2.0, size=DIM)
-        result = field.evaluate(x)
-        assert np.max(np.abs(result.gradient - fd_gradient(field.value, x))) < 1e-6
-        assert np.max(np.abs(result.hessian - fd_hessian(field.value, x))) < 1e-5
+        assert np.max(np.abs(field.gradient(x) - fd_gradient(field.value, x))) < 1e-6
+        assert np.max(np.abs(field.hessian(x) - fd_hessian(field.value, x))) < 1e-5
 
 
 def test_lagrangian_from_energies():
@@ -199,8 +197,7 @@ def test_kinetic_minus_potential_composite():
     L = kinetic_minus_potential_field([1.0], 1.0)
     x = [3.0, 4.0, 0.0, 0.0]
     assert L.value(x) == pytest.approx(12.5 - 5.0)
-    result = L.evaluate(x)
-    assert np.max(np.abs(result.gradient - fd_gradient(L.value, x))) < 1e-6
+    assert np.max(np.abs(L.gradient(x) - fd_gradient(L.value, x))) < 1e-6
 
 
 def same_bits(got, want) -> bool:
@@ -230,9 +227,25 @@ def test_kinetic_minus_potential_keeps_the_bits_of_a_scaled_potential(n, g_const
             assert same_bits(getattr(L, method)(x), want), (method, x)
 
 
+@pytest.mark.parametrize("g_const", [0.0, -0.0], ids=["zero", "negative-zero"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_kinetic_minus_potential_without_potential_is_smooth_at_the_origin(n, g_const):
+    # A zero potential scale, of either sign, leaves T alone: its derivatives
+    # exist at x = 0, where those of the distance do not.
+    masses = [1.0 + 0.25 * i for i in range(n)]
+    T, L = KineticField(masses), kinetic_minus_potential_field(masses, g_const)
+    origin = np.zeros(4 * n)
+    assert L.value(origin) == 0.0
+    assert np.array_equal(L.gradient(origin), T.gradient(origin))
+    assert np.array_equal(L.hessian(origin), T.hessian(origin))
+    stack = np.zeros((3, 4 * n))
+    assert np.array_equal(L.gradient(stack), T.gradient(stack))
+    assert np.array_equal(L.hessian(stack), T.hessian(stack))
+
+
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
-        harmonic_field(1).evaluate([1.0, 2.0])
+        harmonic_field(1).value([1.0, 2.0])
 
 
 def test_quadratic_gradient_matches_exact_and_jets():
@@ -248,13 +261,12 @@ def test_quadratic_gradient_matches_exact_and_jets():
                 point = [Fraction(int(v), 8) for v in np_rng.integers(-16, 17, size=dim)]
                 x = [float(v) for v in point]
                 _, exact_gradient, exact_hessian = field.exact_evaluate(point)
-                result = field.evaluate(x)
-                jets = field.evaluate_via_jets(x)
-                assert np.allclose(result.gradient, [float(g) for g in exact_gradient], atol=1e-12)
-                assert np.allclose(result.gradient, jets.gradient, atol=1e-12)
-                assert np.array_equal(field.gradient(x), result.gradient)
+                gradient = field.gradient(x)
+                _, jets_gradient, _ = field.evaluate_via_jets(x)
+                assert np.allclose(gradient, [float(g) for g in exact_gradient], atol=1e-12)
+                assert np.allclose(gradient, jets_gradient, atol=1e-12)
                 assert np.array_equal(
-                    result.hessian, [[float(h) for h in row] for row in exact_hessian]
+                    field.hessian(x), [[float(h) for h in row] for row in exact_hessian]
                 )
 
 
@@ -407,32 +419,24 @@ PRIMITIVE_CASES = [
 
 @pytest.mark.parametrize("make_field", PRIMITIVE_CASES)
 def test_primitives_are_the_parts_of_every_combination(make_field):
-    # value, gradient and hessian are the one numeric path of each order;
-    # evaluate only combines them, bit for bit.
+    # value, gradient and hessian are the one numeric path of each order: one
+    # point gives a float value, and a stack of points (m, dim) gives rows that
+    # are bitwise that point alone, whatever the stack height, empty included.
     field = make_field()
     rng = np.random.default_rng(31)
     points = rng.uniform(-1.5, 1.5, size=(25, field.dim))
     for x in points:
-        result = field.evaluate(x)
         assert type(field.value(x)) is float
-        assert field.value(x) == result.value
-        assert np.array_equal(field.gradient(x), result.gradient)
-        assert np.array_equal(field.hessian(x), result.hessian)
-    # A stack of points (m, dim): every row is bitwise that point alone,
-    # whatever the stack height, empty stacks included.
     for stack in (points, points[:1], points[7:10], points[:0]):
         m, dim = stack.shape
-        result = field.evaluate(stack)
-        assert result.value.shape == field.value(stack).shape == (m,)
-        assert result.gradient.shape == field.gradient(stack).shape == (m, dim)
-        assert result.hessian.shape == (m, dim, dim)
-        assert np.array_equal(field.value(stack), result.value)
-        assert np.array_equal(field.gradient(stack), result.gradient)
-        assert np.array_equal(field.hessian(stack), result.hessian)
+        value, gradient, hessian = field.value(stack), field.gradient(stack), field.hessian(stack)
+        assert value.shape == (m,)
+        assert gradient.shape == (m, dim)
+        assert hessian.shape == (m, dim, dim)
         for row, x in enumerate(stack):
-            assert result.value[row] == field.value(x)
-            assert np.array_equal(result.gradient[row], field.gradient(x))
-            assert np.array_equal(result.hessian[row], field.hessian(x))
+            assert value[row] == field.value(x)
+            assert np.array_equal(gradient[row], field.gradient(x))
+            assert np.array_equal(hessian[row], field.hessian(x))
 
 
 @pytest.mark.parametrize("make_field", PRIMITIVE_CASES)
@@ -458,7 +462,7 @@ def test_a_declared_constant_hessian_is_the_hessian(make_field):
 def test_kinetic_field_declares_its_diagonal_hessian():
     field = KineticField([1.0, 2.5])
     assert np.array_equal(field.constant_hessian(), np.diag([1.0, 2.5] * 4))
-    assert np.array_equal(field.constant_hessian(), field.evaluate_via_jets(np.ones(8)).hessian)
+    assert np.array_equal(field.constant_hessian(), field.evaluate_via_jets(np.ones(8))[2])
 
 
 @pytest.mark.parametrize("make_field", PRIMITIVE_CASES)
@@ -521,7 +525,6 @@ NUMERIC_METHODS = (
     "value",
     "gradient",
     "hessian",
-    "evaluate",
     "evaluate_via_jets",
     "signed_gradient",
 )

@@ -207,7 +207,7 @@ def test_field_orthogonal_to_gradient():
         for _ in range(10):
             x = rng.uniform(-2, 2, size=4)
             field = hamiltonian_vector_field(kind, H, x)
-            gradient = H.evaluate(x).gradient
+            gradient = H.gradient(x)
             assert abs(float(np.dot(field, gradient))) <= 1e-12
 
 

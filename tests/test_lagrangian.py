@@ -164,7 +164,7 @@ def test_intrinsic_two_form_matches_symbolic_route():
         for _ in range(3):
             x = [Fraction(int(v), 8) for v in rng.integers(-8, 8, size=4)]
             matrix = np.array(form_to_matrix(symbolic, x).astype(float))
-            hess = L.evaluate([float(v) for v in x]).hessian
+            hess = L.hessian([float(v) for v in x])
             direct = operator.matrix.T @ hess - hess @ operator.matrix
             assert np.allclose(matrix, direct, atol=1e-9)
 
