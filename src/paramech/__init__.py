@@ -19,15 +19,12 @@ from .errors import (
 from .exterior import (
     KForm,
     PolyScalar,
-    SymVectorField,
     ext_d,
     form_from_constant_matrix,
     form_to_matrix,
-    interior,
     lagrangian_two_form,
     vertical_derivation,
     vertical_differential,
-    wedge,
 )
 from .fields import (
     DistanceFromOrigin,

@@ -49,8 +49,6 @@ EXIT_IO = 5
 
 
 def _exit_code(exc: BaseException) -> int:
-    if isinstance(exc, ScenarioError):
-        return EXIT_VALIDATION
     if isinstance(exc, SingularSystemError):
         return EXIT_SINGULAR
     if isinstance(exc, ConvergenceError):

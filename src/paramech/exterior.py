@@ -15,10 +15,10 @@ and keys whose sum is zero are dropped.  Exponents must be integral
 A polynomial derived from valid ones with distinct keys by construction
 (``partial``, ``scale``, negation and ``+``, which merges into a copy) is not
 validated again: it goes through ``PolyScalar._derived``, which only drops
-zero coefficients.  A form built from valid ones (``+``, negation, scaling,
-``wedge``, ``ext_d``, ``interior``, ``vertical_derivation`` and
-``vertical_differential``) goes through ``KForm._derived``, which sums like
-terms and drops zeros as the public constructor does, with no checks.
+zero coefficients.  A form built from valid ones (``+``, negation,
+``ext_d``, ``vertical_derivation`` and ``vertical_differential``) goes
+through ``KForm._derived``, which sums like terms and drops zeros as the
+public constructor does, with no checks.
 ``poly_hessian`` differentiates the upper triangle and mirrors it, and
 ``ext_d`` differentiates a coefficient only in the variables it contains and
 only towards a wedge that does not vanish.  A sign of +-1 is
@@ -30,15 +30,16 @@ Index conventions:
   * the structure-operator contraction on basis covectors reads
     i_A(dx_b) = sum_a A[b, a] dx_a, i.e. dx_b evaluated on A-images, which
     for the signed permutation A is the one term sign[b] dx_{index[b]};
-  * the contraction of a two-form with a vector slots the vector into the
-    first argument: (i_X w)(Y) = w(X, Y).
+  * ``form_to_matrix`` reads M[b, c] = w(e_b, e_c); the contraction of a
+    two-form with a vector, taken on that matrix by ``lagrangian`` and
+    ``hamiltonian``, slots the vector into the first argument:
+    (i_X w)_c = sum_b X_b M[b, c].
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
@@ -49,11 +50,8 @@ from .structures import SignedPermutation
 __all__ = [
     "PolyScalar",
     "KForm",
-    "SymVectorField",
     "MAX_DEGREE",
-    "wedge",
     "ext_d",
-    "interior",
     "vertical_derivation",
     "vertical_differential",
     "vertical_differential_via_commutator",
@@ -359,13 +357,6 @@ class KForm:
     def __neg__(self) -> "KForm":
         return KForm._derived(self.dim, self.degree, [(k, -v) for k, v in self.terms.items()])
 
-    def __mul__(self, scalar):
-        return KForm._derived(
-            self.dim, self.degree, [(k, v.scale(scalar)) for k, v in self.terms.items()]
-        )
-
-    __rmul__ = __mul__
-
     def __repr__(self) -> str:
         if self.is_zero:
             return f"KForm(degree={self.degree}, 0)"
@@ -378,49 +369,6 @@ class KForm:
     def _check(self, other: "KForm") -> None:
         if self.dim != other.dim or self.degree != other.degree:
             raise ValueError("form dimension/degree mismatch")
-
-
-@dataclass(frozen=True)
-class SymVectorField:
-    """Vector field with polynomial components, one PolyScalar per coordinate."""
-
-    components: tuple[PolyScalar, ...]
-
-    def __post_init__(self):
-        if not self.components:
-            raise ValueError("vector field needs at least one component")
-        dim = self.components[0].dim
-        if len(self.components) != dim or any(c.dim != dim for c in self.components):
-            raise ValueError("vector field must have one component per coordinate")
-
-    @property
-    def dim(self) -> int:
-        return len(self.components)
-
-    @classmethod
-    def basis(cls, dim: int, index: int) -> "SymVectorField":
-        return cls(
-            tuple(
-                PolyScalar.constant(dim, 1 if a == index else 0) for a in range(dim)
-            )
-        )
-
-
-def wedge(a: KForm, b: KForm) -> KForm:
-    """Graded-antisymmetric product; degrees must sum to at most 3."""
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    degree = a.degree + b.degree
-    if degree > MAX_DEGREE:
-        raise ValueError(f"wedge degree {degree} exceeds the supported cap {MAX_DEGREE}")
-    terms = []
-    for ia, ca in a.terms.items():
-        for ib, cb in b.terms.items():
-            merged = _merge_sign(ia + ib)
-            if merged is not None:
-                sign, key = merged
-                terms.append((key, _signed(ca * cb, sign)))
-    return KForm._derived(a.dim, degree, terms)
 
 
 def ext_d(a: KForm) -> KForm:
@@ -437,22 +385,6 @@ def ext_d(a: KForm) -> KForm:
                 sign, key = merged
                 terms.append((key, _signed(coeff.partial(direction), sign)))
     return KForm._derived(a.dim, a.degree + 1, terms)
-
-
-def interior(X: SymVectorField, a: KForm) -> KForm:
-    """Contraction (i_X a)(Y_1, ...) = a(X, Y_1, ...); drops the degree by one."""
-    if a.degree == 0:
-        raise ValueError("cannot contract a 0-form")
-    if X.dim != a.dim:
-        raise ValueError("dimension mismatch")
-    terms = []
-    for indices, coeff in a.terms.items():
-        for slot, index in enumerate(indices):
-            component = X.components[index]
-            if not component.is_zero:
-                key = indices[:slot] + indices[slot + 1 :]
-                terms.append((key, _signed(coeff * component, (-1) ** slot)))
-    return KForm._derived(a.dim, a.degree - 1, terms)
 
 
 def vertical_derivation(op: SignedPermutation, a: KForm) -> KForm:

@@ -18,9 +18,10 @@ A scaled field is a ``SumField`` term: ``kinetic_minus_potential_field``
 builds T - P from ``KineticField`` and a scaled ``DistanceFromOrigin``, and
 leaves the potential out when its scale is zero.
 A constant Hessian is declared once, by ``constant_hessian`` (quadratic
-polynomial, ``KineticField``), as one read-only matrix, and
-``ScalarField.hessian`` serves it: one point gets the matrix itself, a stack
-a read-only broadcast view.
+polynomial, ``KineticField``, a ``SumField`` whose parts all declare one,
+such as T alone), as one read-only matrix, and ``ScalarField.hessian``
+serves it: one point gets the matrix itself, a stack a read-only broadcast
+view.
 ``evaluate_via_jets`` (second-order forward propagation, numbers carrying a
 gradient row and a Hessian block, exact to roundoff) returns the plain tuple
 (value, gradient, hessian); it is the fallback of a field that defines only
@@ -140,10 +141,6 @@ class Jet2:
 def jet_variables(x) -> list[Jet2]:
     x = np.asarray(x, dtype=float)
     return [Jet2.variable(len(x), k, x[k]) for k in range(len(x))]
-
-
-def _sqrt(z):
-    return z.sqrt() if isinstance(z, Jet2) else math.sqrt(z)
 
 
 def _matvec(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -385,7 +382,7 @@ class DistanceFromOrigin(ScalarField):
         for v in xs:
             term = v * v
             total = term if total is None else total + term
-        return _sqrt(total)
+        return total.sqrt()
 
     @staticmethod
     def _distance(x: np.ndarray) -> np.ndarray:
@@ -412,7 +409,11 @@ class DistanceFromOrigin(ScalarField):
 
 
 class SumField(ScalarField):
-    """Linear combination of fields; derivatives combine termwise."""
+    """Linear combination of fields; derivatives combine termwise.
+
+    When every part declares a constant Hessian, their combination is
+    computed once and declared as the sum's own.
+    """
 
     def __init__(self, parts: Sequence[tuple[float, ScalarField]]):
         if not parts:
@@ -422,6 +423,11 @@ class SumField(ScalarField):
             raise ValueError("all summands must share one dimension")
         super().__init__(dim)
         self.parts = tuple((float(c), f) for c, f in parts)
+        hessians = [f.constant_hessian() for _, f in self.parts]
+        self._hess_const = None
+        if all(h is not None for h in hessians):
+            self._hess_const = self._combine(hessians)
+            self._hess_const.flags.writeable = False
 
     def _apply(self, xs):
         total = None
@@ -440,7 +446,12 @@ class SumField(ScalarField):
         return self._combine(f.gradient(x) for _, f in self.parts)
 
     def hessian(self, x) -> np.ndarray:
+        if self._hess_const is not None:
+            return super().hessian(x)
         return self._combine(f.hessian(x) for _, f in self.parts)
+
+    def constant_hessian(self) -> np.ndarray | None:
+        return self._hess_const
 
 
 def harmonic_field(n: int) -> PolynomialField:

@@ -90,15 +90,6 @@ class SplitQuaternion:
     def __neg__(self) -> "SplitQuaternion":
         return SplitQuaternion(-self.x, -self.y, -self.u, -self.v)
 
-    def __mul__(self, other):
-        if isinstance(other, SplitQuaternion):
-            return sq_mul(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        # Scalars commute with everything; quaternion*quaternion goes via __mul__.
-        return self.scale(other)
-
     def scale(self, c) -> "SplitQuaternion":
         return SplitQuaternion(c * self.x, c * self.y, c * self.u, c * self.v)
 

@@ -7,17 +7,14 @@ import pytest
 from paramech.exterior import (
     KForm,
     PolyScalar,
-    SymVectorField,
     ext_d,
     form_from_constant_matrix,
     form_to_matrix,
-    interior,
     lagrangian_two_form,
     poly_hessian,
     vertical_derivation,
     vertical_differential,
     vertical_differential_via_commutator,
-    wedge,
 )
 from paramech.structures import (
     F,
@@ -120,40 +117,6 @@ def test_polyscalar_arithmetic_and_partial():
     assert p.evaluate([Fraction(2), Fraction(3), 0, 0]) == Fraction(15, 2)
 
 
-def test_wedge_basis():
-    form = wedge(dx(0), dx(1))
-    assert form.degree == 2
-    assert form.coefficient((0, 1)) == PolyScalar.constant(DIM, 1)
-
-
-def test_wedge_self_vanishes():
-    assert wedge(dx(0), dx(0)).is_zero
-
-
-def test_wedge_bilinear():
-    a = KForm(DIM, 1, {(0,): x(0)})
-    b = KForm(DIM, 1, {(1,): x(1)})
-    product = wedge(a, b)
-    assert product == KForm(DIM, 2, {(0, 1): x(0) * x(1)})
-
-
-def test_wedge_graded_antisymmetry():
-    rng = random.Random(11)
-    for _ in range(10):
-        a = KForm(DIM, 1, {(rng.randrange(DIM),): random_poly(rng, DIM, 2, 3)})
-        b = KForm(DIM, 1, {(rng.randrange(DIM),): random_poly(rng, DIM, 2, 3)})
-        assert wedge(a, b) == -wedge(b, a)
-        two = wedge(a, b)
-        c = KForm(DIM, 1, {(rng.randrange(DIM),): random_poly(rng, DIM, 2, 3)})
-        assert wedge(two, c) == wedge(c, two)
-
-
-def test_wedge_degree_cap():
-    two = wedge(dx(0), dx(1))
-    with pytest.raises(ValueError):
-        wedge(two, two)
-
-
 def test_ext_d_of_function():
     form = ext_d(KForm.from_scalar(x(0) * x(1)))
     assert form == KForm(DIM, 1, {(0,): x(1), (1,): x(0)})
@@ -185,34 +148,9 @@ def test_ext_d_leibniz_on_functions():
 
 
 def test_ext_d_degree_three_rejected():
-    three = wedge(wedge(dx(0), dx(1)), dx(2))
+    three = KForm(DIM, 3, {(0, 1, 2): PolyScalar.constant(DIM, 1)})
     with pytest.raises(ValueError):
         ext_d(three)
-
-
-def test_interior_basic():
-    e1 = SymVectorField.basis(DIM, 0)
-    contraction = interior(e1, dx(0))
-    assert contraction == KForm.from_scalar(PolyScalar.constant(DIM, 1))
-    assert interior(e1, wedge(dx(0), dx(1))) == dx(1)
-    assert interior(e1, wedge(dx(1), dx(2))).is_zero
-
-
-def test_interior_twice_vanishes():
-    rng = random.Random(14)
-    for _ in range(10):
-        field = SymVectorField(tuple(random_poly(rng, DIM, 2, 2) for _ in range(DIM)))
-        form = KForm(
-            DIM,
-            2,
-            {(0, 1): random_poly(rng, DIM, 2, 3), (1, 3): random_poly(rng, DIM, 2, 3)},
-        )
-        assert interior(field, interior(field, form)).is_zero
-
-
-def test_interior_degree_zero_rejected():
-    with pytest.raises(ValueError):
-        interior(SymVectorField.basis(DIM, 0), KForm.from_scalar(x(0)))
 
 
 def test_vertical_derivation_on_basis_covector():
@@ -228,11 +166,13 @@ def test_vertical_derivation_on_zero_form():
 
 def test_vertical_derivation_is_a_derivation():
     op = build_structure(F, 1)
-    lhs = vertical_derivation(op, wedge(dx(0), dx(1)))
-    rhs = wedge(vertical_derivation(op, dx(0)), dx(1)) + wedge(
-        dx(0), vertical_derivation(op, dx(1))
+    one = PolyScalar.constant(DIM, 1)
+    # i_F dx_0 = -dx_1 and i_F dx_2 = -dx_3; the Leibniz rule gives the rest.
+    assert vertical_derivation(op, dx(2)) == -dx(3)
+    assert vertical_derivation(op, KForm(DIM, 2, {(0, 1): one})).is_zero
+    assert vertical_derivation(op, KForm(DIM, 2, {(0, 2): one})) == -KForm(
+        DIM, 2, {(0, 3): one, (1, 2): one}
     )
-    assert lhs == rhs
 
 
 def test_vertical_derivation_defining_property():
@@ -340,7 +280,7 @@ def test_lagrangian_two_form_matrix_identity():
 
 
 def test_form_to_matrix_examples():
-    m = form_to_matrix(wedge(dx(0), dx(1)), [0, 0, 0, 0])
+    m = form_to_matrix(KForm(DIM, 2, {(0, 1): PolyScalar.constant(DIM, 1)}), [0, 0, 0, 0])
     assert m[0, 1] == 1 and m[1, 0] == -1
     scaled = KForm(DIM, 2, {(0, 1): x(0)})
     m = form_to_matrix(scaled, [Fraction(3), 0, 0, 0])
@@ -348,6 +288,25 @@ def test_form_to_matrix_examples():
     op = build_structure(F, 1)
     m = form_to_matrix(lagrangian_two_form(op, harmonic_poly()), [0, 0, 0, 0])
     assert np.array_equal(m.astype(float), -2.0 * op.matrix)
+
+
+@pytest.mark.parametrize("degree", [4, -1])
+def test_kform_degree_outside_the_cap_rejected(degree):
+    with pytest.raises(ValueError, match="degree must be within 0..3"):
+        KForm(DIM, degree)
+
+
+def test_form_to_matrix_rejects_a_one_form_or_a_misplaced_point():
+    with pytest.raises(ValueError, match="two-form"):
+        form_to_matrix(dx(0), [0, 0, 0, 0])
+    two = KForm(DIM, 2, {(0, 1): PolyScalar.constant(DIM, 1)})
+    with pytest.raises(ValueError, match="point dimension"):
+        form_to_matrix(two, [0, 0, 0])
+
+
+def test_form_from_constant_matrix_rejects_a_wrong_shape():
+    with pytest.raises(ValueError, match="shape"):
+        form_from_constant_matrix(np.zeros((3, 3), dtype=int), DIM)
 
 
 def test_fundamental_forms_closed():

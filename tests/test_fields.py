@@ -243,6 +243,26 @@ def test_kinetic_minus_potential_without_potential_is_smooth_at_the_origin(n, g_
     assert np.array_equal(L.hessian(stack), T.hessian(stack))
 
 
+def test_kinetic_minus_potential_without_potential_declares_the_kinetic_hessian():
+    # T alone, as a one-term SumField, declares T's diagonal, read-only; with
+    # a potential there is no constant Hessian to declare.
+    masses = [1.0, 2.5]
+    constant = kinetic_minus_potential_field(masses, 0).constant_hessian()
+    assert not constant.flags.writeable
+    assert np.array_equal(constant, KineticField(masses).constant_hessian())
+    assert kinetic_minus_potential_field(masses, 9.81).constant_hessian() is None
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [[], [(1.0, KineticField([1.0])), (1.0, KineticField([1.0, 2.0]))]],
+    ids=["empty", "mixed-dimensions"],
+)
+def test_sum_field_rejects_an_empty_or_mixed_sum(parts):
+    with pytest.raises(ValueError):
+        SumField(parts)
+
+
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         harmonic_field(1).value([1.0, 2.0])
@@ -410,6 +430,7 @@ PRIMITIVE_CASES = [
         )
         for n in (1, 2, 3)
     ),
+    pytest.param(lambda: kinetic_minus_potential_field([1.0, 2.5], 0.0), id="kinetic_only-n2"),
     pytest.param(lambda: KineticField([1.0, 2.5]), id="kinetic-n2"),
     pytest.param(lambda: DistanceFromOrigin(8), id="distance-n2"),
     pytest.param(lambda: potential([1.0, 0.5], 9.81), id="potential-n2"),

@@ -74,6 +74,11 @@ def test_liouville_one_form_h_star():
     assert lam == expected
 
 
+def test_system_rejects_a_dimension_off_the_blocks():
+    with pytest.raises(ValueError, match="multiple of 4"):
+        HamiltonianSystem(F_STAR, PolynomialField(PolyScalar.variable(6, 0)))
+
+
 def test_liouville_one_form_rejects_primal():
     with pytest.raises(ValueError):
         liouville_one_form(F, 1)

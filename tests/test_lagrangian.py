@@ -330,6 +330,21 @@ def test_kinetic_lagrangian_solves_its_declared_hessian_once(monkeypatch):
     assert np.max(np.abs(traj.states - reference.states)) <= 1e-12
 
 
+@pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
+@pytest.mark.parametrize("kind", PRIMAL_KINDS, ids=lambda k: k.name)
+def test_lagrangian_without_potential_steps_like_its_kinetic_energy(kind, method):
+    # With g_const = 0, T - P is T alone as a SumField, which declares T's
+    # constant Hessian: the same one solve and exact affine steps, bit for bit.
+    x0 = [1.0, 0.5, -0.25, 2.0]
+    runs = [
+        integrate_lagrangian(LagrangianSystem(op(kind), L), x0, 1.0, 0.01, method)
+        for L in (kinetic_minus_potential_field([1.5], 0.0), KineticField([1.5]))
+    ]
+    for series in (lambda t: t.states, lambda t: t.invariants["energy"]):
+        got, want = (series(t) for t in runs)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_integrate_reports_constant_singular_hessian():
     # Degree two, but the Hessian diag(2, 0, 0, 0) is singular.
     degenerate = PolynomialField(PolyScalar.monomial(4, Fraction(1), (2, 0, 0, 0)))
