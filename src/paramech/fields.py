@@ -16,12 +16,11 @@ form, read off its terms; any other polynomial keeps one analytically
 differentiated term table per order; the built-in fields carry closed forms.
 A scaled field is a ``SumField`` term: ``kinetic_minus_potential_field``
 builds T - P from ``KineticField`` and a scaled ``DistanceFromOrigin``, and
-leaves the potential out when its scale is zero.
+returns the bare ``KineticField`` when that scale is zero.
 A constant Hessian is declared once, by ``constant_hessian`` (quadratic
-polynomial, ``KineticField``, a ``SumField`` whose parts all declare one,
-such as T alone), as one read-only matrix, and ``ScalarField.hessian``
-serves it: one point gets the matrix itself, a stack a read-only broadcast
-view.
+polynomial, ``KineticField``), as one read-only matrix, and
+``ScalarField.hessian`` serves it: one point gets the matrix itself, a stack
+a read-only broadcast view.
 ``evaluate_via_jets`` (second-order forward propagation, numbers carrying a
 gradient row and a Hessian block, exact to roundoff) returns the plain tuple
 (value, gradient, hessian); it is the fallback of a field that defines only
@@ -409,11 +408,7 @@ class DistanceFromOrigin(ScalarField):
 
 
 class SumField(ScalarField):
-    """Linear combination of fields; derivatives combine termwise.
-
-    When every part declares a constant Hessian, their combination is
-    computed once and declared as the sum's own.
-    """
+    """Linear combination of fields; derivatives combine termwise."""
 
     def __init__(self, parts: Sequence[tuple[float, ScalarField]]):
         if not parts:
@@ -423,11 +418,6 @@ class SumField(ScalarField):
             raise ValueError("all summands must share one dimension")
         super().__init__(dim)
         self.parts = tuple((float(c), f) for c, f in parts)
-        hessians = [f.constant_hessian() for _, f in self.parts]
-        self._hess_const = None
-        if all(h is not None for h in hessians):
-            self._hess_const = self._combine(hessians)
-            self._hess_const.flags.writeable = False
 
     def _apply(self, xs):
         total = None
@@ -446,12 +436,7 @@ class SumField(ScalarField):
         return self._combine(f.gradient(x) for _, f in self.parts)
 
     def hessian(self, x) -> np.ndarray:
-        if self._hess_const is not None:
-            return super().hessian(x)
         return self._combine(f.hessian(x) for _, f in self.parts)
-
-    def constant_hessian(self) -> np.ndarray | None:
-        return self._hess_const
 
 
 def harmonic_field(n: int) -> PolynomialField:
@@ -465,13 +450,13 @@ def harmonic_field(n: int) -> PolynomialField:
     return PolynomialField(PolyScalar(dim, terms))
 
 
-def kinetic_minus_potential_field(masses: Sequence[float], g_const: float) -> SumField:
+def kinetic_minus_potential_field(masses: Sequence[float], g_const: float) -> ScalarField:
     """T - P with one mass per particle and P = (sum_i m_i) * g * |x|.
 
     The potential is the distance to the origin as a ``SumField`` term with
     the coefficient -(sum_i m_i) * g, which must be finite.  A zero
-    coefficient (either sign) leaves that term out, so the field is smooth
-    at the origin.
+    coefficient (either sign) leaves that term out: the field is the bare
+    ``KineticField``, smooth at the origin, with its constant Hessian.
     """
     kinetic = KineticField(masses)
     scale = sum(kinetic.masses) * float(g_const)
@@ -481,5 +466,5 @@ def kinetic_minus_potential_field(masses: Sequence[float], g_const: float) -> Su
             f"(masses = {kinetic.masses}, g_const = {float(g_const)})"
         )
     if scale == 0:
-        return SumField([(1.0, kinetic)])
+        return kinetic
     return SumField([(1.0, kinetic), (-scale, DistanceFromOrigin(kinetic.dim))])

@@ -175,12 +175,11 @@ def integrate_lagrangian(
     """Integrate Hess . xdot = A . grad L; the energy series is E_L^A per sample.
 
     A constant Hessian Q that L declares (``constant_hessian``: a quadratic
-    polynomial, a ``KineticField``, or a ``SumField`` whose parts all declare
-    one, as T - P with g_const = 0) is solved against A once per trajectory,
-    under the same conditioning guard, so each field evaluation is one matvec
-    with Q^{-1} A.  That field is affine, with the Jacobian
-    Q^{-1} A Q, so every step is exact (``StepperConfig.jacobian``), and a
-    long run maps block after block.  Otherwise every evaluation is
+    polynomial, a bare ``KineticField``, which g_const = 0 builds) is solved
+    against A once per trajectory, under the same conditioning guard, so each
+    field evaluation is one matvec with Q^{-1} A.  That field is affine,
+    with the Jacobian Q^{-1} A Q, so every step is exact
+    (``StepperConfig.jacobian``), and a long run maps block after block.  Otherwise every evaluation is
     ``canonical_rhs``: one guarded solve with the Hessian at that point.
     Both fields map a stack of points row by row (a stack of matvecs or of
     guarded solves, ``StepperConfig.rowwise``), so the run records the

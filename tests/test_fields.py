@@ -209,7 +209,8 @@ def same_bits(got, want) -> bool:
 @pytest.mark.parametrize("n", [1, 2])
 def test_kinetic_minus_potential_keeps_the_bits_of_a_scaled_potential(n, g_const):
     # One SumField term -scale * D has the bits of the two-step T - (scale * D):
-    # rounding is symmetric in sign, signed zeros included.
+    # rounding is symmetric in sign, signed zeros included.  A zero scale
+    # leaves T itself, with T's bits.
     masses = [1.0 + 0.25 * i for i in range(n)]
     T, D = KineticField(masses), DistanceFromOrigin(4 * n)
     scale = sum(masses) * g_const
@@ -223,7 +224,7 @@ def test_kinetic_minus_potential_keeps_the_bits_of_a_scaled_potential(n, g_const
     for method in ("value", "gradient", "hessian"):
         t, d = getattr(T, method), getattr(D, method)
         for x in (*points, points):
-            want = 0 + 1.0 * t(x) + (-1.0) * (scale * d(x))
+            want = t(x) if scale == 0 else 0 + 1.0 * t(x) + (-1.0) * (scale * d(x))
             assert same_bits(getattr(L, method)(x), want), (method, x)
 
 
@@ -244,8 +245,8 @@ def test_kinetic_minus_potential_without_potential_is_smooth_at_the_origin(n, g_
 
 
 def test_kinetic_minus_potential_without_potential_declares_the_kinetic_hessian():
-    # T alone, as a one-term SumField, declares T's diagonal, read-only; with
-    # a potential there is no constant Hessian to declare.
+    # T alone declares its diagonal, read-only; with a potential there is no
+    # constant Hessian to declare.
     masses = [1.0, 2.5]
     constant = kinetic_minus_potential_field(masses, 0).constant_hessian()
     assert not constant.flags.writeable

@@ -30,7 +30,7 @@ from paramech.lagrangian import (
     printed_deviates,
     printed_sign,
 )
-from paramech.structures import F, F_STAR, G, H, PRIMAL_KINDS, build_structure
+from paramech.structures import DUAL_KINDS, F, F_STAR, G, H, PRIMAL_KINDS, build_structure
 
 
 def op(kind, n=1):
@@ -331,14 +331,23 @@ def test_kinetic_lagrangian_solves_its_declared_hessian_once(monkeypatch):
 
 
 @pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
-@pytest.mark.parametrize("kind", PRIMAL_KINDS, ids=lambda k: k.name)
-def test_lagrangian_without_potential_steps_like_its_kinetic_energy(kind, method):
-    # With g_const = 0, T - P is T alone as a SumField, which declares T's
-    # constant Hessian: the same one solve and exact affine steps, bit for bit.
+@pytest.mark.parametrize("k", range(3), ids=[kind.name for kind in PRIMAL_KINDS])
+@pytest.mark.parametrize("formalism", ["lagrangian", "hamiltonian"])
+def test_field_without_potential_steps_like_its_kinetic_energy(formalism, k, method):
+    # With g_const = 0, T - P is T itself, which declares its constant
+    # Hessian: both formalisms take T's exact affine steps, bit for bit.
     x0 = [1.0, 0.5, -0.25, 2.0]
+
+    def integrate(field):
+        if formalism == "lagrangian":
+            system = LagrangianSystem(op(PRIMAL_KINDS[k]), field)
+            return integrate_lagrangian(system, x0, 1.0, 0.01, method)
+        system = HamiltonianSystem(DUAL_KINDS[k], field)
+        return integrate_hamiltonian(system, x0, 1.0, 0.01, method)
+
     runs = [
-        integrate_lagrangian(LagrangianSystem(op(kind), L), x0, 1.0, 0.01, method)
-        for L in (kinetic_minus_potential_field([1.5], 0.0), KineticField([1.5]))
+        integrate(field)
+        for field in (kinetic_minus_potential_field([1.5], 0.0), KineticField([1.5]))
     ]
     for series in (lambda t: t.states, lambda t: t.invariants["energy"]):
         got, want = (series(t) for t in runs)
