@@ -36,7 +36,6 @@ from .fields import (
     kinetic_minus_potential_field,
 )
 from .hamiltonian import (
-    HamiltonianSystem,
     canonical_two_form,
     generic_field_from_form,
     hamilton_residuals,
@@ -46,7 +45,6 @@ from .hamiltonian import (
 )
 from .integrators import StepperConfig, Trajectory, integrate_field, step_explicit
 from .lagrangian import (
-    LagrangianSystem,
     canonical_rhs,
     el_residuals,
     integrate_lagrangian,

@@ -33,7 +33,6 @@ from .exterior import (
 )
 from .fields import PolynomialField, harmonic_field
 from .hamiltonian import (
-    HamiltonianSystem,
     canonical_two_form,
     generic_field_from_form,
     hamilton_residuals,
@@ -41,12 +40,7 @@ from .hamiltonian import (
     integrate_hamiltonian,
     liouville_one_form,
 )
-from .lagrangian import (
-    LagrangianSystem,
-    el_residuals,
-    integrate_lagrangian,
-    two_form_matrix,
-)
+from .lagrangian import el_residuals, integrate_lagrangian, two_form_matrix
 from .structures import (
     DUAL_KINDS,
     PRIMAL_KINDS,
@@ -395,10 +389,10 @@ def _hamiltonian_records(rng_np: np.random.Generator, n_max: int) -> list[AuditR
             )
         )
 
+    H = harmonic_field(1)
     for kind in DUAL_KINDS:
-        system = HamiltonianSystem(kind, harmonic_field(1))
-        traj = integrate_hamiltonian(system, [1.0, 0.0, 0.5, -0.5], 1.0, 1e-2)
-        residual = float(np.abs(hamilton_residuals(system, traj)).max(initial=0.0))
+        traj = integrate_hamiltonian(kind, H, [1.0, 0.0, 0.5, -0.5], 1.0, 1e-2)
+        residual = float(np.abs(hamilton_residuals(kind, H, traj)).max(initial=0.0))
         records.append(
             _measured(
                 f"boxed Hamilton equations hold along the flow, {kind.name}",
@@ -428,9 +422,8 @@ def _euler_lagrange_records() -> list[AuditRecord]:
     harmonic = harmonic_field(1)
     for kind in PRIMAL_KINDS:
         op = build_structure(kind, 1)
-        system = LagrangianSystem(op, harmonic)
-        traj = integrate_lagrangian(system, [1.0, 0.0, 0.0, 0.0], 2.0, 1e-2)
-        residuals = el_residuals(system, traj)
+        traj = integrate_lagrangian(op, harmonic, [1.0, 0.0, 0.0, 0.0], 2.0, 1e-2)
+        residuals = el_residuals(op, harmonic, traj)
         derived_residual = float(np.abs(residuals["derived"]).max(initial=0.0))
         printed_residual = float(np.abs(residuals["printed"]).max(initial=0.0))
         # Printed signs equal to A's make the two conventions one array.

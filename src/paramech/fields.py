@@ -207,10 +207,14 @@ class ScalarField:
         return hessian if x.ndim == 1 else np.broadcast_to(hessian, x.shape + (self.dim,))
 
     def signed_gradient(self, index: np.ndarray, sign: np.ndarray):
-        """The map x -> sign * gradient(x)[index], for a signed permutation."""
+        """The map x -> sign * gradient(x)[index], for a signed permutation.
+
+        A stacked result is C-contiguous, as ``SignedPermutation.apply``'s;
+        the gather alone would leave it Fortran-ordered.
+        """
 
         def field(x):
-            return sign * self.gradient(x)[..., index]
+            return np.multiply(sign, self.gradient(x)[..., index], order="C")
 
         return field
 

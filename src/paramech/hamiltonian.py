@@ -17,13 +17,16 @@ the increment form, a long run block by block (``integrators``).  The energy
 series and the residuals are computed after the integration loop, as stacked
 calls over the samples (``integrators.map_rows``).
 
+Every entry point takes the dual kind and H as two arguments; the integrator
+and the residuals check the pair (``_require_system``).
+
 Base one-forms (coefficients on x_a dx_a, halved):
   F*: all four blocks +;  G* and H*: first two blocks +, last two -.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +39,6 @@ from .structures import SignedPermutation, StructureKind, build_structure
 
 __all__ = [
     "HAMILTONIAN_METHODS",
-    "HamiltonianSystem",
     "liouville_one_form",
     "canonical_two_form",
     "hamiltonian_vector_field",
@@ -61,19 +63,11 @@ def _require_dual(kind: StructureKind) -> None:
         raise ValueError(f"{kind.name} is not a dual structure kind")
 
 
-@dataclass(frozen=True, eq=False)
-class HamiltonianSystem:
-    kind: StructureKind
-    hamiltonian: ScalarField
-
-    def __post_init__(self):
-        _require_dual(self.kind)
-        if self.hamiltonian.dim % 4 != 0:
-            raise ValueError("Hamiltonian dimension must be a multiple of 4")
-
-    @property
-    def n(self) -> int:
-        return self.hamiltonian.dim // 4
+def _require_system(kind: StructureKind, H: ScalarField) -> None:
+    """The checks of the entry points that take a kind and its Hamiltonian."""
+    _require_dual(kind)
+    if H.dim % 4 != 0:
+        raise ValueError("Hamiltonian dimension must be a multiple of 4")
 
 
 def liouville_one_form(kind: StructureKind, n: int) -> KForm:
@@ -139,7 +133,8 @@ def position_mask(form: SignedPermutation) -> np.ndarray:
 
 
 def integrate_hamiltonian(
-    system: HamiltonianSystem,
+    kind: StructureKind,
+    H: ScalarField,
     x0,
     t_end: float,
     dt: float,
@@ -161,8 +156,8 @@ def integrate_hamiltonian(
     stepper method applies (``HAMILTONIAN_METHODS``), so ``StepperConfig``
     alone checks ``method``.
     """
-    H = system.hamiltonian
-    form = canonical_two_form(system.kind, system.n)
+    _require_system(kind, H)
+    form = canonical_two_form(kind, H.dim // 4)
     index, sign = form.index, form.sign
     hessian = H.constant_hessian()
     jacobian = None if hessian is None else sign[:, None] * hessian[index]
@@ -175,15 +170,16 @@ def integrate_hamiltonian(
     return replace(traj, invariants={"energy": map_rows(H.value, traj.states)})
 
 
-def hamilton_residuals(system: HamiltonianSystem, traj: Trajectory) -> np.ndarray:
+def hamilton_residuals(kind: StructureKind, H: ScalarField, traj: Trajectory) -> np.ndarray:
     """Residuals of this kind's closed-form equations, one row per sample.
 
     The trajectory's recorded derivatives stand in for the curve's velocity,
     so checking a trajectory generated by a different kind yields the honest
     mismatch between the two fields.
     """
+    _require_system(kind, H)
 
     def rows(x, xdot):
-        return xdot - hamiltonian_vector_field(system.kind, system.hamiltonian, x)
+        return xdot - hamiltonian_vector_field(kind, H, x)
 
     return map_rows(rows, traj.states, traj.derivatives)

@@ -15,6 +15,9 @@ goes through ``_solve_hessian``, the one place where a failed guard becomes a
 SingularHessianError.  An error of the field itself keeps its type, e.g. the
 SingularPointError of a potential evaluated at its singular point.
 
+Every entry point takes the operator A and L as two arguments; the integrator
+and the residuals check the pair (``_require_system``).
+
 Two residual conventions are supported when auditing trajectories:
 
   * "derived": residuals of Hess . xdot - A . grad L, the system implied by
@@ -36,7 +39,7 @@ and is stepped exactly in the increment form, a long run block by block
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -48,7 +51,6 @@ from .structures import SignedPermutation
 __all__ = [
     "CONVENTIONS",
     "LAGRANGIAN_METHODS",
-    "LagrangianSystem",
     "liouville_field",
     "lagrangian_energy",
     "canonical_rhs",
@@ -64,16 +66,12 @@ CONVENTIONS = ("derived", "printed")
 LAGRANGIAN_METHODS = ("rk4", "implicit_midpoint")
 
 
-@dataclass(frozen=True, eq=False)
-class LagrangianSystem:
-    operator: SignedPermutation
-    lagrangian: ScalarField
-
-    def __post_init__(self):
-        if self.operator.kind.dual:
-            raise ValueError("Lagrangian dynamics use a tangent-side operator")
-        if self.lagrangian.dim != self.operator.dim:
-            raise ValueError("Lagrangian dimension does not match the operator")
+def _require_system(op: SignedPermutation, L: ScalarField) -> None:
+    """The checks of the entry points that take an operator and its Lagrangian."""
+    if op.kind.dual:
+        raise ValueError("Lagrangian dynamics use a tangent-side operator")
+    if L.dim != op.dim:
+        raise ValueError("Lagrangian dimension does not match the operator")
 
 
 def liouville_field(op: SignedPermutation, semispray) -> np.ndarray:
@@ -166,7 +164,8 @@ def printed_deviates(derived_max: float, printed_max: float) -> bool:
 
 
 def integrate_lagrangian(
-    system: LagrangianSystem,
+    op: SignedPermutation,
+    L: ScalarField,
     x0,
     t_end: float,
     dt: float,
@@ -187,10 +186,10 @@ def integrate_lagrangian(
     ``lagrangian_energy`` of the samples and their recorded semisprays,
     evaluated after the loop.
     """
+    _require_system(op, L)
     # A strict subset of the stepper's methods, so checked here.
     if method not in LAGRANGIAN_METHODS:
         raise ValueError(f"method must be one of {LAGRANGIAN_METHODS}")
-    op, L = system.operator, system.lagrangian
     hessian = L.constant_hessian()
     if hessian is None:
         jacobian = None
@@ -214,7 +213,7 @@ def integrate_lagrangian(
     return replace(traj, invariants={"energy": map_rows(energy, traj.states, traj.derivatives)})
 
 
-def el_residuals(system: LagrangianSystem, traj: Trajectory) -> dict[str, np.ndarray]:
+def el_residuals(op: SignedPermutation, L: ScalarField, traj: Trajectory) -> dict[str, np.ndarray]:
     """Residuals of both conventions, one row per sample, keyed by convention.
 
     The time derivative d/dt (dL/dx_a) is expanded by the chain rule as
@@ -222,7 +221,7 @@ def el_residuals(system: LagrangianSystem, traj: Trajectory) -> dict[str, np.nda
     error is not folded into the residual.  Each chunk takes Hess . xdot and
     the permuted gradient once; for G and H "printed" is the derived array.
     """
-    op, L = system.operator, system.lagrangian
+    _require_system(op, L)
     signs = [op.sign, printed_sign(op)]
     if np.array_equal(*signs):
         del signs[1]

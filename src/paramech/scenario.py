@@ -53,7 +53,6 @@ from .fields import (
 )
 from .hamiltonian import (
     HAMILTONIAN_METHODS,
-    HamiltonianSystem,
     hamilton_residuals,
     integrate_hamiltonian,
 )
@@ -61,7 +60,6 @@ from .integrators import Trajectory
 from .lagrangian import (
     CONVENTIONS,
     LAGRANGIAN_METHODS,
-    LagrangianSystem,
     el_residuals,
     integrate_lagrangian,
     printed_deviates,
@@ -328,7 +326,11 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def serialize_scenario(scenario: Scenario) -> str:
-    """Canonical text for a scenario; parse(serialize(s)) == s."""
+    """Canonical text for a scenario; parse(serialize(s)) == s.
+
+    An output path that would not parse back (a ``#``, a line break, or
+    whitespace at either end) is a ValueError naming its key.
+    """
     lines = [
         f"n = {scenario.n}",
         f"formalism = {scenario.formalism}",
@@ -346,10 +348,13 @@ def serialize_scenario(scenario: Scenario) -> str:
     lines.append(f"t_end = {format_float(scenario.t_end)}")
     lines.append(f"dt = {format_float(scenario.dt)}")
     lines.append(f"method = {scenario.method}")
-    if scenario.out_trajectory is not None:
-        lines.append(f"out_trajectory = {scenario.out_trajectory}")
-    if scenario.out_summary is not None:
-        lines.append(f"out_summary = {scenario.out_summary}")
+    for key in ("out_trajectory", "out_summary"):
+        path = getattr(scenario, key)
+        if path is None:
+            continue
+        if "#" in path or path != path.strip() or len(path.splitlines()) != 1:
+            raise ValueError(f"{key} {path!r} does not survive a scenario file")
+        lines.append(f"{key} = {path}")
     return "\n".join(lines) + "\n"
 
 
@@ -449,21 +454,19 @@ def execute_scenario(scenario: Scenario) -> tuple[Trajectory, np.ndarray, dict[s
     field = build_field(scenario.function, scenario.n)
     if scenario.formalism == "lagrangian":
         op = build_structure(scenario.kind, scenario.n)
-        system = LagrangianSystem(op, field)
         traj = integrate_lagrangian(
-            system, scenario.x0, scenario.t_end, scenario.dt, scenario.method
+            op, field, scenario.x0, scenario.t_end, scenario.dt, scenario.method
         )
-        residuals = el_residuals(system, traj)
+        residuals = el_residuals(op, field, traj)
         maxima = {
             f"{name}_residual_max": float(np.abs(r).max(initial=0.0))
             for name, r in residuals.items()
         }
         return traj, residuals[scenario.convention], maxima
-    system = HamiltonianSystem(scenario.kind, field)
     traj = integrate_hamiltonian(
-        system, scenario.x0, scenario.t_end, scenario.dt, scenario.method
+        scenario.kind, field, scenario.x0, scenario.t_end, scenario.dt, scenario.method
     )
-    residuals = hamilton_residuals(system, traj)
+    residuals = hamilton_residuals(scenario.kind, field, traj)
     return traj, residuals, {"residual_max": float(np.abs(residuals).max(initial=0.0))}
 
 

@@ -26,7 +26,6 @@ from paramech.fields import (
     kinetic_minus_potential_field,
 )
 from paramech.hamiltonian import (
-    HamiltonianSystem,
     canonical_two_form,
     generic_field_from_form,
     hamilton_residuals,
@@ -36,7 +35,6 @@ from paramech.hamiltonian import (
 )
 from paramech.integrators import StepperConfig, integrate_field
 from paramech.lagrangian import (
-    LagrangianSystem,
     canonical_rhs,
     el_residuals,
     integrate_lagrangian,
@@ -210,9 +208,9 @@ def test_criterion_5_hamiltonian_closed_forms():
 
     residual_worst = 0.0
     for kind in DUAL_KINDS:
-        system = HamiltonianSystem(kind, harmonic_field(1))
-        traj = integrate_hamiltonian(system, [1.0, 0.0, 0.3, -0.4], 2.0, 1e-3, "rk4")
-        residual_worst = max(residual_worst, np.abs(hamilton_residuals(system, traj)).max())
+        H = harmonic_field(1)
+        traj = integrate_hamiltonian(kind, H, [1.0, 0.0, 0.3, -0.4], 2.0, 1e-3, "rk4")
+        residual_worst = max(residual_worst, np.abs(hamilton_residuals(kind, H, traj)).max())
     ok = ok and residual_worst <= 1e-6
     _report(
         5,
@@ -226,16 +224,16 @@ def test_criterion_6_conservation():
     ok = True
     detail = []
     for kind in DUAL_KINDS:
-        system = HamiltonianSystem(kind, harmonic_field(1))
+        H = harmonic_field(1)
         drift_run = integrate_hamiltonian(
-            system, [1.0, 0.0, 0.0, 0.0], 10.0, 1e-3, "implicit_midpoint"
+            kind, H, [1.0, 0.0, 0.0, 0.0], 10.0, 1e-3, "implicit_midpoint"
         )
         energy = drift_run.invariants["energy"]
         drift = float(np.max(np.abs(energy - energy[0])))
         ok = ok and len(drift_run) == 10**4 + 1
         ok = ok and drift <= 1e-10
         period_run = integrate_hamiltonian(
-            system, [1.0, 0.0, 0.0, 0.0], 2 * np.pi, 1e-3, "implicit_midpoint"
+            kind, H, [1.0, 0.0, 0.0, 0.0], 2 * np.pi, 1e-3, "implicit_midpoint"
         )
         return_error = float(np.linalg.norm(period_run.states[-1] - period_run.states[0]))
         ok = ok and return_error <= 1e-6
@@ -260,9 +258,13 @@ def test_criterion_7_lagrangian_dynamics():
                     worst = max(worst, float(np.max(np.abs(got - expected))) / scale)
     ok = ok and worst <= 1e-10
 
-    system = LagrangianSystem(build_structure(F, 1), harmonic_field(1))
     traj = integrate_lagrangian(
-        system, [1.0, 0.0, 0.0, 0.0], 10.0, 1e-3, "implicit_midpoint"
+        build_structure(F, 1),
+        harmonic_field(1),
+        [1.0, 0.0, 0.0, 0.0],
+        10.0,
+        1e-3,
+        "implicit_midpoint",
     )
     energy = traj.invariants["energy"]
     drift = float(np.max(np.abs(energy - energy[0])))
@@ -270,9 +272,9 @@ def test_criterion_7_lagrangian_dynamics():
 
     residual_worst = 0.0
     for kind in PRIMAL_KINDS:
-        sys_kind = LagrangianSystem(build_structure(kind, 1), harmonic_field(1))
-        traj_kind = integrate_lagrangian(sys_kind, [1.0, 0.0, 0.0, 0.0], 2.0, 1e-3)
-        derived = el_residuals(sys_kind, traj_kind)["derived"]
+        op, L = build_structure(kind, 1), harmonic_field(1)
+        traj_kind = integrate_lagrangian(op, L, [1.0, 0.0, 0.0, 0.0], 2.0, 1e-3)
+        derived = el_residuals(op, L, traj_kind)["derived"]
         residual_worst = max(residual_worst, np.abs(derived).max())
     ok = ok and residual_worst <= 1e-6
     _report(
@@ -286,13 +288,13 @@ def test_criterion_7_lagrangian_dynamics():
 def test_criterion_8_equation_audit():
     ok = True
     for kind in (G, H):
-        system = LagrangianSystem(build_structure(kind, 1), harmonic_field(1))
-        traj = integrate_lagrangian(system, [1.0, 0.0, 0.0, 0.0], 2.0, 1e-2)
-        ok = ok and np.abs(el_residuals(system, traj)["printed"]).max() <= 1e-6
+        op, L = build_structure(kind, 1), harmonic_field(1)
+        traj = integrate_lagrangian(op, L, [1.0, 0.0, 0.0, 0.0], 2.0, 1e-2)
+        ok = ok and np.abs(el_residuals(op, L, traj)["printed"]).max() <= 1e-6
 
-    system_f = LagrangianSystem(build_structure(F, 1), harmonic_field(1))
-    circle = integrate_lagrangian(system_f, [1.0, 0.0, 0.0, 0.0], 2 * np.pi, 1e-3)
-    f_residual = np.abs(el_residuals(system_f, circle)["printed"]).max()
+    op_f, L = build_structure(F, 1), harmonic_field(1)
+    circle = integrate_lagrangian(op_f, L, [1.0, 0.0, 0.0, 0.0], 2 * np.pi, 1e-3)
+    f_residual = np.abs(el_residuals(op_f, L, circle)["printed"]).max()
     ok = ok and f_residual >= 0.1
 
     report = verify_all(1)

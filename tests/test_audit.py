@@ -10,6 +10,7 @@ from paramech.audit import (
     STATUS_PASS,
     verify_all,
 )
+from paramech import structures
 from paramech.lagrangian import two_form_matrix
 from paramech.structures import PRIMAL_KINDS, build_structure, verify_relations
 
@@ -48,6 +49,14 @@ def test_exact_records_render_exact():
     assert exact
     assert all(r.error_text == "exact" for r in exact)
     assert all(r.status in (STATUS_PASS, STATUS_FAIL, STATUS_DISCREPANCY) for r in report.records)
+
+
+def test_a_symmetric_fundamental_form_is_a_failing_row(monkeypatch):
+    # With the identity for a metric, G^T and H^T are symmetric: the audit
+    # reports the failed identity instead of raising.
+    monkeypatch.setattr(structures, "neutral_metric", lambda n: np.eye(4 * n, dtype=np.int64))
+    rows = {r.name: r.status for r in verify_all(1).records}
+    assert rows["fundamental two-forms antisymmetric and nondegenerate"] == STATUS_FAIL
 
 
 def test_n_max_validation():

@@ -500,10 +500,13 @@ def test_signed_gradient_is_the_signed_permuted_gradient(make_field):
         assert np.array_equal(signed(x), sign * field.gradient(x)[index])
     stacked = signed(points)
     assert stacked.shape == points.shape
+    # A Fortran-ordered stack would change the last bits of a following matmul.
+    assert stacked.flags.c_contiguous
     for row, x in enumerate(points):
         assert np.array_equal(stacked[row], signed(x))
     with pytest.raises(ValueError, match="point dimension mismatch"):
         signed(np.ones(field.dim + 1))
+
 
 
 @pytest.mark.parametrize("rows", [1, 7, 1025])

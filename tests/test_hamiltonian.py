@@ -6,7 +6,6 @@ import pytest
 from paramech.exterior import KForm, PolyScalar, ext_d, form_from_constant_matrix
 from paramech.fields import PolynomialField, harmonic_field
 from paramech.hamiltonian import (
-    HamiltonianSystem,
     canonical_two_form,
     generic_field_from_form,
     hamilton_residuals,
@@ -75,8 +74,12 @@ def test_liouville_one_form_h_star():
 
 
 def test_system_rejects_a_dimension_off_the_blocks():
-    with pytest.raises(ValueError, match="multiple of 4"):
-        HamiltonianSystem(F_STAR, PolynomialField(PolyScalar.variable(6, 0)))
+    H = PolynomialField(PolyScalar.variable(6, 0))
+    traj = integrate_hamiltonian(F_STAR, harmonic_field(1), [1.0, 0, 0, 0], 0.1, 0.1)
+    with pytest.raises(ValueError, match="Hamiltonian dimension must be a multiple of 4"):
+        integrate_hamiltonian(F_STAR, H, np.zeros(6), 1.0, 0.1)
+    with pytest.raises(ValueError, match="Hamiltonian dimension must be a multiple of 4"):
+        hamilton_residuals(F_STAR, H, traj)
 
 
 def test_liouville_one_form_rejects_primal():
@@ -247,36 +250,33 @@ def test_energy_derivative_vanishes_symbolically():
 def test_integrate_conservation_and_period():
     # Full-period return for one kind here; all three kinds run at full length
     # in the acceptance gate.
-    system = HamiltonianSystem(F_STAR, harmonic_field(1))
     traj = integrate_hamiltonian(
-        system, [1.0, 0.0, 0.0, 0.0], 2 * np.pi, 1e-3, "implicit_midpoint"
+        F_STAR, harmonic_field(1), [1.0, 0.0, 0.0, 0.0], 2 * np.pi, 1e-3, "implicit_midpoint"
     )
     assert np.linalg.norm(traj.states[-1] - traj.states[0]) <= 1e-6
     for kind in DUAL_KINDS:
-        system = HamiltonianSystem(kind, harmonic_field(1))
         short = integrate_hamiltonian(
-            system, [1.0, 0.0, 0.0, 0.0], 1.0, 1e-3, "implicit_midpoint"
+            kind, harmonic_field(1), [1.0, 0.0, 0.0, 0.0], 1.0, 1e-3, "implicit_midpoint"
         )
         energy = short.invariants["energy"]
         assert np.max(np.abs(energy - energy[0])) <= 1e-10
 
 
 def test_integrate_zero_time():
-    system = HamiltonianSystem(F_STAR, harmonic_field(1))
-    traj = integrate_hamiltonian(system, [1.0, 0, 0, 0], 0.0, 1e-3)
+    traj = integrate_hamiltonian(F_STAR, harmonic_field(1), [1.0, 0, 0, 0], 0.0, 1e-3)
     assert len(traj) == 1
 
 
 def test_rk4_energy_drift_bound():
-    system = HamiltonianSystem(F_STAR, harmonic_field(1))
-    traj = integrate_hamiltonian(system, [1.0, 0, 0, 0], 2 * np.pi, 1e-3, "rk4")
+    traj = integrate_hamiltonian(F_STAR, harmonic_field(1), [1.0, 0, 0, 0], 2 * np.pi, 1e-3, "rk4")
     energy = traj.invariants["energy"]
     assert np.max(np.abs(energy - energy[0])) <= 1e-7
 
 
 def test_symplectic_euler_bounded_oscillation():
-    system = HamiltonianSystem(F_STAR, harmonic_field(1))
-    traj = integrate_hamiltonian(system, [1.0, 0, 0, 0], 2 * np.pi, 1e-3, "symplectic_euler")
+    traj = integrate_hamiltonian(
+        F_STAR, harmonic_field(1), [1.0, 0, 0, 0], 2 * np.pi, 1e-3, "symplectic_euler"
+    )
     energy = traj.invariants["energy"]
     # First order method: energy oscillates at O(dt) but does not drift away.
     assert np.max(np.abs(energy - energy[0])) <= 5e-3
@@ -293,16 +293,15 @@ def test_position_mask_blocks():
 
 def test_residuals_same_kind_vanish():
     for kind in DUAL_KINDS:
-        system = HamiltonianSystem(kind, harmonic_field(1))
-        traj = integrate_hamiltonian(system, [1.0, 0, 0.5, -0.2], 2.0, 1e-2)
-        assert np.abs(hamilton_residuals(system, traj)).max() <= 1e-6
+        H = harmonic_field(1)
+        traj = integrate_hamiltonian(kind, H, [1.0, 0, 0.5, -0.2], 2.0, 1e-2)
+        assert np.abs(hamilton_residuals(kind, H, traj)).max() <= 1e-6
 
 
 def test_residuals_wrong_kind_large():
-    f_system = HamiltonianSystem(F_STAR, harmonic_field(1))
-    g_system = HamiltonianSystem(G_STAR, harmonic_field(1))
-    traj = integrate_hamiltonian(f_system, [1.0, 0.0, 0.0, 0.0], 2 * np.pi, 1e-3)
-    assert np.abs(hamilton_residuals(g_system, traj)).max() >= 0.1
+    H = harmonic_field(1)
+    traj = integrate_hamiltonian(F_STAR, H, [1.0, 0.0, 0.0, 0.0], 2 * np.pi, 1e-3)
+    assert np.abs(hamilton_residuals(G_STAR, H, traj)).max() >= 0.1
 
 
 def test_midpoint_step_preserves_phase_volume():
@@ -326,17 +325,19 @@ def test_midpoint_step_preserves_phase_volume():
 
 
 def test_system_validation():
+    H = harmonic_field(1)
+    traj = integrate_hamiltonian(F_STAR, H, [1.0, 0, 0, 0], 0.1, 0.1)
+    with pytest.raises(ValueError, match="F is not a dual structure kind"):
+        integrate_hamiltonian(F, H, [1, 0, 0, 0], 1.0, 0.1)
+    with pytest.raises(ValueError, match="F is not a dual structure kind"):
+        hamilton_residuals(F, H, traj)
     with pytest.raises(ValueError):
-        HamiltonianSystem(F, harmonic_field(1))
-    with pytest.raises(ValueError):
-        integrate_hamiltonian(
-            HamiltonianSystem(F_STAR, harmonic_field(1)), [1, 0, 0, 0], 1.0, 0.1, "verlet"
-        )
+        integrate_hamiltonian(F_STAR, H, [1, 0, 0, 0], 1.0, 0.1, "verlet")
     # The affine field of a quadratic H checks the point as the term table does.
     for H in (harmonic_field(1), sweep_quartic_field()):
         for x0 in ([1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0]):
             with pytest.raises(ValueError, match="point dimension mismatch"):
-                integrate_hamiltonian(HamiltonianSystem(F_STAR, H), x0, 1.0, 0.1)
+                integrate_hamiltonian(F_STAR, H, x0, 1.0, 0.1)
 
 
 @pytest.mark.parametrize("kind", DUAL_KINDS, ids=lambda k: k.name)
@@ -357,7 +358,7 @@ def test_signed_permutation_reproduces_closed_form(kind, n):
 def test_integrated_derivatives_are_the_closed_form_field():
     H = harmonic_field(2)
     for kind in DUAL_KINDS:
-        traj = integrate_hamiltonian(HamiltonianSystem(kind, H), np.arange(8.0) / 8, 0.05, 0.01)
+        traj = integrate_hamiltonian(kind, H, np.arange(8.0) / 8, 0.05, 0.01)
         for x, xdot in zip(traj.states, traj.derivatives):
             assert np.array_equal(xdot, hamiltonian_vector_field(kind, H, x))
 
@@ -384,7 +385,7 @@ def sweep_quartic_field():
 def test_residuals_of_integrated_quartic_are_zero(kind, method):
     # The integrator's field and the closed-form residual take one gradient,
     # so the residual of a trajectory against its own kind is exactly 0.
-    system = HamiltonianSystem(kind, sweep_quartic_field())
+    H = sweep_quartic_field()
     x0 = [-0.316823, -0.220332, 0.129555, -0.573725]
-    traj = integrate_hamiltonian(system, x0, 0.1875, 0.0078125, method)
-    assert np.abs(hamilton_residuals(system, traj)).max() == 0.0
+    traj = integrate_hamiltonian(kind, H, x0, 0.1875, 0.0078125, method)
+    assert np.abs(hamilton_residuals(kind, H, traj)).max() == 0.0

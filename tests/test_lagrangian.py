@@ -18,9 +18,8 @@ from paramech.fields import (
     harmonic_field,
     kinetic_minus_potential_field,
 )
-from paramech.hamiltonian import HamiltonianSystem, integrate_hamiltonian
+from paramech.hamiltonian import integrate_hamiltonian
 from paramech.lagrangian import (
-    LagrangianSystem,
     canonical_rhs,
     el_residuals,
     integrate_lagrangian,
@@ -170,8 +169,7 @@ def test_intrinsic_two_form_matches_symbolic_route():
 
 
 def test_integrate_circle_and_energy():
-    system = LagrangianSystem(op(F), harmonic_field(1))
-    traj = integrate_lagrangian(system, [1.0, 0, 0, 0], 2 * np.pi, 1e-3, "rk4")
+    traj = integrate_lagrangian(op(F), harmonic_field(1), [1.0, 0, 0, 0], 2 * np.pi, 1e-3, "rk4")
     assert np.linalg.norm(traj.states[-1] - traj.states[0]) <= 1e-6
     energy = traj.invariants["energy"]
     assert np.max(np.abs(energy - energy[0])) <= 1e-8
@@ -187,45 +185,43 @@ def test_integrate_circle_and_energy():
     ids=["quadratic", "kinetic_minus_potential"],
 )
 def test_integrated_energy_is_lagrangian_energy(L, kind, x0):
-    system = LagrangianSystem(op(kind), L)
-    traj = integrate_lagrangian(system, x0, 0.2, 1e-2)
+    operator = op(kind)
+    traj = integrate_lagrangian(operator, L, x0, 0.2, 1e-2)
     energy = traj.invariants["energy"]
     assert len(energy) == len(traj) == 21
     for k, (x, xdot) in enumerate(zip(traj.states, traj.derivatives)):
-        assert energy[k] == lagrangian_energy(system.operator, L, x, xdot)
+        assert energy[k] == lagrangian_energy(operator, L, x, xdot)
 
 
 def test_integrate_zero_time():
-    system = LagrangianSystem(op(F), harmonic_field(1))
-    traj = integrate_lagrangian(system, [1.0, 0, 0, 0], 0.0, 1e-3)
+    traj = integrate_lagrangian(op(F), harmonic_field(1), [1.0, 0, 0, 0], 0.0, 1e-3)
     assert len(traj) == 1
 
 
 def test_integrate_reports_singular_hessian():
     linear = PolynomialField(PolyScalar.variable(4, 0))
-    system = LagrangianSystem(op(F), linear)
     with pytest.raises(SingularHessianError):
-        integrate_lagrangian(system, [1.0, 0, 0, 0], 1.0, 0.1)
+        integrate_lagrangian(op(F), linear, [1.0, 0, 0, 0], 1.0, 0.1)
 
 
 def test_derived_residuals_vanish_all_kinds():
     for kind in PRIMAL_KINDS:
-        system = LagrangianSystem(op(kind), harmonic_field(1))
-        traj = integrate_lagrangian(system, [1.0, 0, 0, 0], 1.0, 1e-2)
-        assert np.abs(el_residuals(system, traj)["derived"]).max() <= 1e-6
+        operator, L = op(kind), harmonic_field(1)
+        traj = integrate_lagrangian(operator, L, [1.0, 0, 0, 0], 1.0, 1e-2)
+        assert np.abs(el_residuals(operator, L, traj)["derived"]).max() <= 1e-6
 
 
 def test_printed_residuals_vanish_for_g_and_h():
     for kind in (G, H):
-        system = LagrangianSystem(op(kind), harmonic_field(1))
-        traj = integrate_lagrangian(system, [1.0, 0, 0, 0], 1.0, 1e-2)
-        assert np.abs(el_residuals(system, traj)["printed"]).max() <= 1e-6
+        operator, L = op(kind), harmonic_field(1)
+        traj = integrate_lagrangian(operator, L, [1.0, 0, 0, 0], 1.0, 1e-2)
+        assert np.abs(el_residuals(operator, L, traj)["printed"]).max() <= 1e-6
 
 
 def test_printed_residuals_f_circle():
-    system = LagrangianSystem(op(F), harmonic_field(1))
-    traj = integrate_lagrangian(system, [1.0, 0, 0, 0], 2 * np.pi, 5e-3)
-    residuals = el_residuals(system, traj)["printed"]
+    operator, L = op(F), harmonic_field(1)
+    traj = integrate_lagrangian(operator, L, [1.0, 0, 0, 0], 2 * np.pi, 5e-3)
+    residuals = el_residuals(operator, L, traj)["printed"]
     # Residual vector along the derived flow is 2 F x, so the first component
     # has magnitude 2 |x_{n+i}|.
     assert np.abs(residuals).max() == pytest.approx(2.0, abs=1e-6)
@@ -240,11 +236,10 @@ def test_el_residuals_are_each_conventions_row_expression():
     # Each convention is Hess . xdot - sign * grad L[index] per sample, with
     # A's signs or the printed ones; G and H share one array.
     for kind in PRIMAL_KINDS:
-        system = LagrangianSystem(op(kind), harmonic_field(1))
-        traj = integrate_lagrangian(system, [1.0, 0, 0, 0], 1.0, 1e-2)
-        residuals = el_residuals(system, traj)
+        o, L = op(kind), harmonic_field(1)
+        traj = integrate_lagrangian(o, L, [1.0, 0, 0, 0], 1.0, 1e-2)
+        residuals = el_residuals(o, L, traj)
         assert set(residuals) == {"derived", "printed"}
-        o, L = system.operator, system.lagrangian
         for convention, sign in (("derived", o.sign), ("printed", printed_sign(o))):
             reference = [
                 L.hessian(x) @ xdot - sign * L.gradient(x)[o.index]
@@ -286,10 +281,16 @@ def test_reduced_flow_matrix_is_rotational_for_f():
 
 
 def test_system_validation():
-    with pytest.raises(ValueError):
-        LagrangianSystem(build_structure(F_STAR, 1), harmonic_field(1))
-    with pytest.raises(ValueError):
-        LagrangianSystem(op(F, 2), harmonic_field(1))
+    L = harmonic_field(1)
+    traj = integrate_lagrangian(op(F), L, [1.0, 0, 0, 0], 0.1, 0.1)
+    for operator, message in (
+        (build_structure(F_STAR, 1), "Lagrangian dynamics use a tangent-side operator"),
+        (op(F, 2), "Lagrangian dimension does not match the operator"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            integrate_lagrangian(operator, L, [1.0, 0, 0, 0], 1.0, 0.1)
+        with pytest.raises(ValueError, match=message):
+            el_residuals(operator, L, traj)
 
 
 @pytest.mark.parametrize("kind", PRIMAL_KINDS, ids=lambda k: k.name)
@@ -299,11 +300,11 @@ def test_factored_field_matches_canonical_rhs(kind):
     rng = np.random.default_rng(41)
     for n in (1, 2):
         L = random_regular_quadratic(rng, n)
-        system = LagrangianSystem(op(kind, n), L)
+        operator = op(kind, n)
         x0 = rng.normal(size=4 * n)
-        traj = integrate_lagrangian(system, x0, 0.05, 0.01, "rk4")
+        traj = integrate_lagrangian(operator, L, x0, 0.05, 0.01, "rk4")
         for x, xdot in zip(traj.states, traj.derivatives):
-            assert np.max(np.abs(xdot - canonical_rhs(system.operator, L, x))) <= 1e-12
+            assert np.max(np.abs(xdot - canonical_rhs(operator, L, x))) <= 1e-12
 
 
 def test_kinetic_lagrangian_solves_its_declared_hessian_once(monkeypatch):
@@ -317,15 +318,14 @@ def test_kinetic_lagrangian_solves_its_declared_hessian_once(monkeypatch):
 
     monkeypatch.setattr(integrators, "solve_linear", counted)
     monkeypatch.setattr(lagrangian, "solve_linear", counted)
-    system = LagrangianSystem(op(G), KineticField([1.5]))
     x0 = [0.3, -1.2, 0.7, 2.0]
-    traj = integrate_lagrangian(system, x0, 1.0, 0.01, "rk4")
+    traj = integrate_lagrangian(op(G), KineticField([1.5]), x0, 1.0, 0.01, "rk4")
     assert len(traj) == 101 and len(calls) == 1
 
     staged = KineticField([1.5])
     staged.constant_hessian = lambda: None
     calls.clear()
-    reference = integrate_lagrangian(LagrangianSystem(op(G), staged), x0, 1.0, 0.01, "rk4")
+    reference = integrate_lagrangian(op(G), staged, x0, 1.0, 0.01, "rk4")
     assert len(calls) == 401
     assert np.max(np.abs(traj.states - reference.states)) <= 1e-12
 
@@ -340,10 +340,8 @@ def test_field_without_potential_steps_like_its_kinetic_energy(formalism, k, met
 
     def integrate(field):
         if formalism == "lagrangian":
-            system = LagrangianSystem(op(PRIMAL_KINDS[k]), field)
-            return integrate_lagrangian(system, x0, 1.0, 0.01, method)
-        system = HamiltonianSystem(DUAL_KINDS[k], field)
-        return integrate_hamiltonian(system, x0, 1.0, 0.01, method)
+            return integrate_lagrangian(op(PRIMAL_KINDS[k]), field, x0, 1.0, 0.01, method)
+        return integrate_hamiltonian(DUAL_KINDS[k], field, x0, 1.0, 0.01, method)
 
     runs = [
         integrate(field)
@@ -357,9 +355,8 @@ def test_field_without_potential_steps_like_its_kinetic_energy(formalism, k, met
 def test_integrate_reports_constant_singular_hessian():
     # Degree two, but the Hessian diag(2, 0, 0, 0) is singular.
     degenerate = PolynomialField(PolyScalar.monomial(4, Fraction(1), (2, 0, 0, 0)))
-    system = LagrangianSystem(op(G), degenerate)
     with pytest.raises(SingularHessianError, match="Hessian"):
-        integrate_lagrangian(system, [1.0, 0, 0, 0], 1.0, 0.1, "rk4")
+        integrate_lagrangian(op(G), degenerate, [1.0, 0, 0, 0], 1.0, 0.1, "rk4")
 
 
 def test_singular_point_of_the_potential_keeps_its_type():
@@ -369,18 +366,15 @@ def test_singular_point_of_the_potential_keeps_its_type():
     structure = build_structure(G, 1)
     with pytest.raises(SingularPointError):
         canonical_rhs(structure, L, np.zeros(4))
-    system = LagrangianSystem(structure, L)
     with pytest.raises(SingularPointError, match="distance to the origin is not differentiable at 0"):
-        integrate_lagrangian(system, np.zeros(4), 1.0, 0.1, "rk4")
+        integrate_lagrangian(structure, L, np.zeros(4), 1.0, 0.1, "rk4")
 
 
 def test_integrators_check_the_method():
-    hamiltonian = HamiltonianSystem(F_STAR, harmonic_field(1))
     with pytest.raises(ValueError) as info:
-        integrate_hamiltonian(hamiltonian, [1.0, 0, 0, 0], 1.0, 0.1, "euler")
+        integrate_hamiltonian(F_STAR, harmonic_field(1), [1.0, 0, 0, 0], 1.0, 0.1, "euler")
     for method in ("rk4", "symplectic_euler", "implicit_midpoint"):
         assert method in str(info.value)
-    system = LagrangianSystem(op(G), harmonic_field(1))
     for method in ("symplectic_euler", "euler"):
         with pytest.raises(ValueError):
-            integrate_lagrangian(system, [1.0, 0, 0, 0], 1.0, 0.1, method)
+            integrate_lagrangian(op(G), harmonic_field(1), [1.0, 0, 0, 0], 1.0, 0.1, method)

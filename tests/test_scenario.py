@@ -169,6 +169,15 @@ def test_round_trip_identity():
     assert parse_scenario(serialize_scenario(kmp)) == kmp
 
 
+@pytest.mark.parametrize("key", ["out_trajectory", "out_summary"])
+@pytest.mark.parametrize("path", ["out#1.csv", " out.csv ", "out\n.csv"])
+def test_serialize_refuses_a_path_that_does_not_parse_back(key, path):
+    # Parsing would cut the path at '#', strip its ends, or split its line.
+    scenario = replace(parse_scenario(HARMONIC_HAMILTONIAN), **{key: path})
+    with pytest.raises(ValueError, match=key):
+        serialize_scenario(scenario)
+
+
 def test_run_writes_deterministic_outputs(tmp_path):
     scenario = parse_scenario(HARMONIC_HAMILTONIAN.replace("t_end = 6.2832", "t_end = 0.5"))
     first = run_scenario(scenario, "demo", tmp_path)
