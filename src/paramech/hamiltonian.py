@@ -17,8 +17,8 @@ the increment form, a long run block by block (``integrators``).  The energy
 series and the residuals are computed after the integration loop, as stacked
 calls over the samples (``integrators.map_rows``).
 
-Every entry point takes the dual kind and H as two arguments; the integrator
-and the residuals check the pair (``_require_system``).
+Every entry point that takes the dual kind and H, as two arguments, checks
+the pair (``_require_system``).
 
 Base one-forms (coefficients on x_a dx_a, halved):
   F*: all four blocks +;  G* and H*: first two blocks +, last two -.
@@ -102,7 +102,7 @@ def hamiltonian_vector_field(kind: StructureKind, H: ScalarField, x) -> np.ndarr
 
     x is one point (dim,) or a stack of points (m, dim).
     """
-    _require_dual(kind)
+    _require_system(kind, H)
     grad = H.gradient(x)
     n = grad.shape[-1] // 4
     g1, g2, g3, g4 = (grad[..., k * n : (k + 1) * n] for k in range(4))
@@ -121,7 +121,7 @@ def generic_field_from_form(kind: StructureKind, H: ScalarField, x) -> np.ndarra
     x is one point (dim,) or a stack of points (m, dim); a stack is one
     guarded solve with the gradients as columns.
     """
-    _require_dual(kind)
+    _require_system(kind, H)
     grad = H.gradient(x)
     form = canonical_two_form(kind, grad.shape[-1] // 4)
     return solve_linear(form.matrix.T, grad.T, error="two-form system").T

@@ -50,14 +50,14 @@ derivative of a sample is recorded at once if the next step of the block
 reads it.  With ``StepperConfig.rowwise``, a caller's promise that f maps a
 stack (m, dim) row by row, each row bitwise its one-point value, the other
 derivatives of the block are recorded by one stacked call of f at its end;
-both formalisms set it for all their fields, affine ones included, while the
-mass-matrix field above handles one point only and keeps the default False.
-Failures keep their order: a step's error is re-raised, with the time of the
-step appended to a SingularSystemError or ConvergenceError, only after the
-block's pending derivatives are recorded, and a stacked call that raises is
-redone one sample at a time, so the first failing sample raises what it
-raises without the flag.  The samples of a stepped block are bitwise those of
-the per-step map.
+both formalisms set it for all their fields, affine ones included, and it
+defaults to False.  Failures keep their order: a step's error is re-raised
+only after the block's pending derivatives are recorded, and a stacked call
+that raises is redone one sample at a time, so the first failing sample
+raises what it raises without the flag.  A SingularSystemError or
+ConvergenceError is re-raised as the same object, its type and attributes
+intact, with the time of the step appended to its message.  The samples of a
+stepped block are bitwise those of the per-step map.
 
 The implicit midpoint stage of a full step k >= 5 starts from the quartic
 extrapolation of the last five samples, x_k ~ x_{k-1} + D with
@@ -72,20 +72,20 @@ An extrapolated step reads no derivative, so a row-wise midpoint run records
 all but those of samples 0 to 3 stacked.
 
 A block is mapped in a long affine run: one with ``StepperConfig.rowwise``
-and more than B full steps.  The exact 2^i-step maps x -> x + (D x + e),
-2^i = 1, 2, 4, ..., B, are derived once per run by squaring the one-step map
-x + (D_1 x + e_1), with D_1 = M J and e_1 = M f(0), in this deviation form,
-which never rounds the small D_1 into I + D_1: D_2m = 2 D_m + D_m D_m and
-e_2m = 2 e_m + D_m e_m.  The first block doubles a prefix from sample 0: for
-m = 1, 2, 4, ..., B/2, samples m..2m-1 are samples 0..m-1 mapped by the
-m-step map.  Each later block of up to B samples, up to the last full step,
-is the B samples before it mapped by the B-step map.  The prefix takes one
-stacked product per level and a later block one, and each block takes one
-stacked call of f for its derivatives.  If the maps are not finite, no block
-is mapped; a mapped block with a non-finite state or derivative is stepped
-instead, so a divergence is raised by the step that produces it, with its
-usual type, message and time.  Only sample 0 of a mapped run is bitwise the
-stepped run's.
+and more than B full steps.  The first block doubles a prefix from sample 0
+while it squares the one-step map x + (D_1 x + e_1), with D_1 = M J and
+e_1 = M f(0), in this deviation form, which never rounds the small D_1 into
+I + D_1: for m = 1, 2, 4, ..., B/2, samples m..2m-1 are samples 0..m-1
+mapped by the m-step map x + (D_m x + e_m), which is then squared,
+D_2m = 2 D_m + D_m D_m and e_2m = 2 e_m + D_m e_m, and dropped.  Only the
+B-step map is kept: each later block of up to B samples, up to the last full
+step, is the B samples before it mapped by it.  The prefix takes one stacked
+product per doubling and a later block one, and each block takes one stacked
+call of f for its derivatives.  If the B-step map is not finite, the first
+block is stepped over its prefix and no later block is mapped; a mapped block
+with a non-finite state or derivative is stepped instead, so a divergence is
+raised by the step that produces it, with its usual type, message and time.
+Only sample 0 of a mapped run is bitwise the stepped run's.
 
 The optional ``invariant_fns`` of ``integrate_field``, unused by the package,
 are read after the loop, fn(x, xdot) at every sample, and change no sample.
@@ -392,49 +392,28 @@ def _record_rows(f, states, derivatives, start: int, stop: int) -> None:
             derivatives[k] = f(states[k])
 
 
-def _block_map(f, dim: int, cfg: StepperConfig):
-    """The exact 2^i-step maps x -> x + (D x + e) as (D, e) at index i, for
-    2^i = 1, 2, 4, ..., _BLOCK, or None if they are not finite.
+def _map_first_block(f, states, cfg: StepperConfig):
+    """Samples 1.._BLOCK-1 doubled from sample 0, and the exact _BLOCK-step
+    map x -> x + (D x + e) as (D, e), or None if it is not finite.
 
     One step is x + M f(x) = x + (D_1 x + e_1) with D_1 = M J and
-    e_1 = M f(0); two steps of a map in this deviation form are
-    D_2m = 2 D_m + D_m D_m and e_2m = 2 e_m + D_m e_m.  A non-finite entry of
-    one level stays non-finite in the next, so the last level is checked.
+    e_1 = M f(0).  For m = 1, 2, 4, ..., _BLOCK/2, samples m..2m-1 are
+    samples 0..m-1 mapped by the m-step map, which is then squared in this
+    deviation form: D_2m = 2 D_m + D_m D_m and e_2m = 2 e_m + D_m e_m.  A
+    non-finite entry of one map stays non-finite in the next, so only the
+    last is checked; if it fails, the caller steps over the mapped samples.
     """
     increment = cfg.increment
     deviation = increment.dot(np.asarray(cfg.jacobian, dtype=float))
-    offset = increment.dot(np.asarray(f(np.zeros(dim)), dtype=float))
-    levels = [(deviation, offset)]
-    for _ in range(_BLOCK_SQUARINGS):
+    offset = increment.dot(np.asarray(f(np.zeros(states.shape[1])), dtype=float))
+    for i in range(_BLOCK_SQUARINGS):
+        rows = states[: 1 << i]
+        states[1 << i : 2 << i] = rows + (_matvec(deviation, rows) + offset)
         offset = 2.0 * offset + deviation.dot(offset)
         deviation = 2.0 * deviation + deviation.dot(deviation)
-        levels.append((deviation, offset))
     if not (np.isfinite(deviation).all() and np.isfinite(offset).all()):
         return None
-    return levels
-
-
-def _map_block(levels, f, states, derivatives, start: int, stop: int) -> bool:
-    """Map samples start..stop-1 from earlier samples, and record their
-    derivatives by one stacked call.
-
-    The first block (start 1, stop _BLOCK) doubles the prefix: for
-    m = 1, 2, 4, ..., _BLOCK/2, samples m..2m-1 are samples 0..m-1 mapped by
-    the m-step map.  A later block is the _BLOCK samples before it mapped by
-    the _BLOCK-step map.  False if a mapped state or derivative is not
-    finite: the caller then steps those samples one at a time, which
-    overwrites them.
-    """
-    if start == 1:
-        moves = [(levels[i], 0, 1 << i, 2 << i) for i in range(_BLOCK_SQUARINGS)]
-    else:
-        moves = [(levels[-1], start - _BLOCK, start, stop)]
-    for (deviation, offset), source, lo, hi in moves:
-        rows = states[source : source + hi - lo]
-        states[lo:hi] = rows + (_matvec(deviation, rows) + offset)
-    _record_rows(f, states, derivatives, start, stop)
-    mapped = np.isfinite(states[start:stop]).all() and np.isfinite(derivatives[start:stop]).all()
-    return bool(mapped)
+    return deviation, offset
 
 
 def integrate_field(
@@ -504,10 +483,9 @@ def integrate_field(
                 _record_rows(f, states, derivatives, lo, k)
                 if not isinstance(exc, (SingularSystemError, ConvergenceError)):
                     raise
-                message = f"{exc} (while stepping from t = {times[k - 1]:.9g})"
-                if isinstance(exc, ConvergenceError):
-                    raise ConvergenceError(message, exc.iterations) from exc
-                raise type(exc)(message) from exc
+                # The same error goes on, its type and attributes intact.
+                exc.args = (f"{exc} (while stepping from t = {times[k - 1]:.9g})",)
+                raise
             states[k] = x
             if not cfg.rowwise or k + 1 < read_until:
                 fx = derivatives[k] = f(x)
@@ -515,15 +493,23 @@ def integrate_field(
         _record_rows(f, states, derivatives, lo, stop)
 
     with _overflow_policy():
-        levels = None
-        if cfg.jacobian is not None and cfg.rowwise and full > _BLOCK:
-            levels = _block_map(f, dim, cfg)
         states[0] = x
         derivatives[0] = f(x)
+        block_map = None
+        if cfg.jacobian is not None and cfg.rowwise and full > _BLOCK:
+            block_map = _map_first_block(f, states, cfg)
         for block in range(0, full + 1, _BLOCK):
             start, stop = max(block, 1), min(block + _BLOCK, full + 1)
-            if levels is None or not _map_block(levels, f, states, derivatives, start, stop):
-                step_block(start, stop, cfg)
+            if block_map is not None:
+                if block:
+                    deviation, offset = block_map
+                    rows = states[block - _BLOCK : stop - _BLOCK]
+                    states[start:stop] = rows + (_matvec(deviation, rows) + offset)
+                _record_rows(f, states, derivatives, start, stop)
+                finite = np.isfinite(states[start:stop]).all()
+                if finite and np.isfinite(derivatives[start:stop]).all():
+                    continue
+            step_block(start, stop, cfg)
         if remainder:
             step_block(count - 1, count, replace(cfg, dt=remainder))
         for name, fn in invariant_fns.items():

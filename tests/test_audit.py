@@ -10,7 +10,7 @@ from paramech.audit import (
     STATUS_PASS,
     verify_all,
 )
-from paramech import structures
+from paramech import audit, structures
 from paramech.lagrangian import two_form_matrix
 from paramech.structures import PRIMAL_KINDS, build_structure, verify_relations
 
@@ -57,6 +57,24 @@ def test_a_symmetric_fundamental_form_is_a_failing_row(monkeypatch):
     monkeypatch.setattr(structures, "neutral_metric", lambda n: np.eye(4 * n, dtype=np.int64))
     rows = {r.name: r.status for r in verify_all(1).records}
     assert rows["fundamental two-forms antisymmetric and nondegenerate"] == STATUS_FAIL
+
+
+def test_an_f_discrepancy_that_does_not_show_is_a_failing_row(monkeypatch):
+    # Printed residuals as small as the derived ones: the documented F
+    # discrepancy is missing, so its row fails.
+    plain = audit.el_residuals
+
+    def el_residuals(op, L, traj):
+        residuals = plain(op, L, traj)
+        if residuals["printed"] is residuals["derived"]:
+            return residuals
+        return {**residuals, "printed": residuals["derived"].copy()}
+
+    monkeypatch.setattr(audit, "el_residuals", el_residuals)
+    report = verify_all(1)
+    rows = {r.name: r.status for r in report.records}
+    assert rows["boxed Euler-Lagrange system vs derived flow, F"] == STATUS_FAIL
+    assert report.n_discrepancy == 0 and report.n_fail == 1
 
 
 def test_n_max_validation():

@@ -631,3 +631,20 @@ def test_plotdata_short_row(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "line 2: [trajectory]" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "text, cols, message",
+    [
+        ("t,x_1\n0,1\n", " , ", "[cols] no columns requested"),
+        ("", "t", "[trajectory] trajectory file is empty"),
+    ],
+    ids=["no-columns", "empty-file"],
+)
+def test_plotdata_rejections(tmp_path, capsys, text, cols, message):
+    table = tmp_path / "table.csv"
+    table.write_text(text)
+    assert main(["plotdata", str(table), "--cols", cols]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""

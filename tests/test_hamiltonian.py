@@ -80,6 +80,11 @@ def test_system_rejects_a_dimension_off_the_blocks():
         integrate_hamiltonian(F_STAR, H, np.zeros(6), 1.0, 0.1)
     with pytest.raises(ValueError, match="Hamiltonian dimension must be a multiple of 4"):
         hamilton_residuals(F_STAR, H, traj)
+    for dim in (5, 6):
+        H = PolynomialField(PolyScalar.variable(dim, 0))
+        for field in (hamiltonian_vector_field, generic_field_from_form):
+            with pytest.raises(ValueError, match="Hamiltonian dimension must be a multiple of 4"):
+                field(F_STAR, H, np.ones(dim))
 
 
 def test_liouville_one_form_rejects_primal():

@@ -100,6 +100,43 @@ def test_mass_singularity_mid_run_reports_time():
         integrate_field(field, np.zeros(4), 2.0, cfg)
 
 
+class Pole(SingularSystemError):
+    """An error whose constructor takes the point, not a message."""
+
+    def __init__(self, where):
+        self.where = where
+        super().__init__(f"pole at {where}")
+
+
+def test_caught_error_keeps_its_type_and_attributes():
+    # x_1 grows linearly and the field has a pole once it reaches 1/2: the
+    # run raises that same error, with the time of its step appended.
+    def field(x):
+        if x[0] >= 0.5:
+            raise Pole(float(x[0]))
+        return np.array([1.0, 0.0, 0.0, 0.0])
+
+    cfg = StepperConfig(method="rk4", dt=0.1)
+    with pytest.raises(Pole) as excinfo:
+        integrate_field(field, np.zeros(4), 2.0, cfg)
+    assert str(excinfo.value) == "pole at 0.5 (while stepping from t = 0.4)"
+    assert excinfo.value.where == 0.5
+
+
+def test_plain_value_error_mid_run_propagates_unchanged():
+    error = ValueError("outside the chart")
+
+    def field(x):
+        if x[0] >= 0.5:
+            raise error
+        return np.array([1.0, 0.0, 0.0, 0.0])
+
+    cfg = StepperConfig(method="rk4", dt=0.1)
+    with pytest.raises(ValueError) as excinfo:
+        integrate_field(field, np.zeros(4), 2.0, cfg)
+    assert excinfo.value is error and str(error) == "outside the chart"
+
+
 def test_rk4_non_finite_state_reports_time():
     # x_1 grows linearly and the field overflows once it reaches 1/2, which
     # the last rk4 stage of the step from t = 0.4 evaluates.
@@ -229,35 +266,54 @@ def rowwise_rotation_field(x):
     return integrators._matvec(ROTATION_4, x)
 
 
+def spy_on_blocks(monkeypatch):
+    """What each call of ``_map_first_block`` returned (True: a block map,
+    False: None, so no block is mapped), and the state each step starts from:
+    the samples that no step produces are mapped."""
+    plain_map, plain_step = integrators._map_first_block, integrators.step_explicit
+    derived, starts = [], []
+
+    def map_first_block(f, states, cfg):
+        block_map = plain_map(f, states, cfg)
+        derived.append(block_map is not None)
+        return block_map
+
+    def step(f, x, cfg):
+        starts.append(np.array(x))
+        return plain_step(f, x, cfg)
+
+    monkeypatch.setattr(integrators, "_map_first_block", map_first_block)
+    monkeypatch.setattr(integrators, "step_explicit", step)
+    return derived, starts
+
+
 @pytest.mark.parametrize(
-    "field, t_end, cfg, blocks",
+    "field, t_end, cfg, derived, steps",
     [
-        (rotation_field, 1.0, StepperConfig(method="rk4", dt=0.01), []),
-        # 1234 full steps of an affine rowwise run: two mapped blocks.
+        (rotation_field, 1.0, StepperConfig(method="rk4", dt=0.01), [], 100),
+        # 1234 full steps of an affine rowwise run: both blocks are mapped,
+        # and only the shortened last step is stepped.
         (
             rowwise_rotation_field,
             12.345,
             StepperConfig(dt=0.01, jacobian=ROTATION_4, rowwise=True),
-            [(1, True), (integrators._BLOCK, True)],
+            [True],
+            1,
         ),
     ],
     ids=["rk4", "affine-block-map"],
 )
-def test_invariant_series_recorded(monkeypatch, field, t_end, cfg, blocks):
-    plain, mapped, seen = integrators._map_block, [], []
-
-    def map_block(levels, f, states, derivatives, start, stop):
-        mapped.append((start, plain(levels, f, states, derivatives, start, stop)))
-        return mapped[-1][1]
+def test_invariant_series_recorded(monkeypatch, field, t_end, cfg, derived, steps):
+    seen = []
+    maps, starts = spy_on_blocks(monkeypatch)
 
     def radius(x, xdot):
         seen.append((x.copy(), xdot.copy()))
         return float(np.hypot(x[0], x[1]))
 
-    monkeypatch.setattr(integrators, "_map_block", map_block)
     x0 = [1.0, 0.0, 0.0, 0.0]
     traj = integrate_field(field, x0, t_end, cfg, {"radius": radius})
-    assert mapped == blocks
+    assert maps == derived and len(starts) == steps
     assert len(traj.invariants["radius"]) == len(traj)
     assert np.allclose(traj.invariants["radius"], 1.0, atol=1e-9)
     # The hook receives each sample and its recorded derivative.
@@ -389,7 +445,8 @@ def test_stage_failure_at_an_extrapolated_step_reports_time():
     cfg = StepperConfig(method="implicit_midpoint", dt=1e-3)
     with pytest.raises(ConvergenceError, match="stepping from t = 0.006\\)") as excinfo:
         integrate_field(field, np.zeros(4), 0.02, cfg)
-    assert "converge" in str(excinfo.value)
+    assert "did not converge" in str(excinfo.value)
+    assert excinfo.value.iterations == integrators._STAGE_MAX_ITERS
 
 
 @pytest.mark.parametrize("affine", [False, True])
@@ -729,7 +786,7 @@ def test_long_affine_run_steps_only_its_shortened_step(monkeypatch):
 ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
-def test_unstable_affine_run_diverges_at_its_own_step():
+def test_unstable_affine_run_diverges_at_its_own_step(monkeypatch):
     # rk4 at dt = 3 amplifies a rotation by |R(3i)| ~ 1.505 per step: the
     # 1024-step map is finite (~1e181), and the states overflow in the second
     # block, near step 1736.  The mapped block is stepped again, so the run
@@ -739,15 +796,21 @@ def test_unstable_affine_run_diverges_at_its_own_step():
     def field(x):
         return integrators._matvec(ROTATION, x)
 
-    assert integrators._block_map(field, 2, cfg) is not None
+    derived, starts = spy_on_blocks(monkeypatch)
     errors = []
     for run in (integrate_field, stepped_run):
         with pytest.raises(ConvergenceError, match="rk4 step diverged") as excinfo:
             run(field, np.array([1.0, 0.0]), 6000.0, cfg)
         errors.append((str(excinfo.value), excinfo.value.iterations))
+        if run is integrate_field:
+            run_steps = len(starts)
+    assert derived == [True]
     assert errors[0] == errors[1]
     t = float(errors[0][0].rsplit("t = ", 1)[1].rstrip(")"))
     assert BLOCK * cfg.dt < t < 2 * BLOCK * cfg.dt
+    # The first block is mapped and kept; the second is stepped from its
+    # start up to the failing step from t.
+    assert run_steps == round(t / cfg.dt) + 1 - (BLOCK - 1)
 
 
 def test_affine_run_whose_prefix_overflows_steps_from_sample_one(monkeypatch):
@@ -759,22 +822,22 @@ def test_affine_run_whose_prefix_overflows_steps_from_sample_one(monkeypatch):
     def field(x):
         return integrators._matvec(ROTATION, x)
 
-    plain, mapped = integrators._map_block, []
-
-    def map_block(levels, f, states, derivatives, start, stop):
-        mapped.append((start, plain(levels, f, states, derivatives, start, stop)))
-        return mapped[-1][1]
-
-    monkeypatch.setattr(integrators, "_map_block", map_block)
+    derived, starts = spy_on_blocks(monkeypatch)
     errors = []
     for run in (integrate_field, stepped_run):
         with pytest.raises(ConvergenceError, match="rk4 step diverged") as excinfo:
             run(field, np.array([1e300, 0.0]), 6000.0, cfg)
         errors.append((str(excinfo.value), excinfo.value.iterations))
-    assert mapped == [(1, False)]
+        if run is integrate_field:
+            run_starts = list(starts)
+    assert derived == [True]
     assert errors[0] == errors[1]
     t = float(errors[0][0].rsplit("t = ", 1)[1].rstrip(")"))
     assert 0 < t < BLOCK * cfg.dt
+    # The mapped first block is stepped from sample 0 up to the failing step
+    # from t, and no later block is reached.
+    assert np.array_equal(run_starts[0], [1e300, 0.0])
+    assert len(run_starts) == round(t / cfg.dt) + 1
 
 
 def test_run_whose_block_map_is_not_finite_steps_every_sample(monkeypatch):
@@ -786,16 +849,9 @@ def test_run_whose_block_map_is_not_finite_steps_every_sample(monkeypatch):
     def field(x):
         return integrators._matvec(jacobian, x)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert integrators._block_map(field, 2, cfg) is None
-    plain, seen = integrators.step_explicit, []
-
-    def step_explicit(f, x, cfg):
-        seen.append(1)
-        return plain(f, x, cfg)
-
-    monkeypatch.setattr(integrators, "step_explicit", step_explicit)
+    derived, seen = spy_on_blocks(monkeypatch)
     traj = integrate_field(field, np.array([0.0, 1.0]), 2000.5, cfg)
+    assert derived == [False]
     assert len(seen) == len(traj) - 1 == 2001
     stepped = stepped_run(field, np.array([0.0, 1.0]), 2000.5, cfg)
     assert np.array_equal(traj.states, stepped.states)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from paramech import integrators
+from paramech.cli import main
 from paramech.errors import ScenarioError
 from paramech.exterior import PolyScalar
 from paramech.fields import PolynomialField
@@ -156,6 +157,53 @@ def test_method_must_match_formalism():
     text = POLY_LAGRANGIAN.replace("method = implicit_midpoint", "method = symplectic_euler")
     with pytest.raises(ScenarioError, match="method"):
         parse_scenario(text)
+
+
+KINETIC = HARMONIC_HAMILTONIAN.replace(
+    "function = harmonic", "function = kinetic_minus_potential\nmasses = 1.0\ng_const = 0.5"
+)
+
+
+H, L, K = HARMONIC_HAMILTONIAN, POLY_LAGRANGIAN, KINETIC
+HARMONIC_LINE, TERM = "function = harmonic", "term = 1/2 : 2 0 0 0"
+
+# (scenario, old line, new lines, field, message): the last new line is
+# rejected, naming its line and its field (none for a line without one).
+REJECTIONS = {
+    "no-equals": (H, "n = 1", "n 1", None, "expected 'key = value'"),
+    "empty-value": (H, "n = 1", "n =", None, "empty key or value"),
+    "not-an-integer": (H, "n = 1", "n = 1.5", "n", "expected an integer"),
+    "not-a-number": (H, "dt = 0.001", "dt = fast", "dt", "expected a number"),
+    "term-without-colon": (L, TERM, "term = 1/2 2 0 0 0", "term", "term needs"),
+    "term-exponents": (L, TERM, "term = 1/2 : 2 0 0 0.5", "term", "must be integers"),
+    "duplicate-key": (H, "n = 1", "n = 1\nn = 1", "n", "duplicate key"),
+    "n": (H, "n = 1", "n = 0", "n", "at least 1"),
+    "formalism": (H, "formalism = hamiltonian", "formalism = x", "formalism", "one of"),
+    "structure": (H, "structure = F", "structure = K", "structure", "F, G, or H"),
+    "term-elsewhere": (H, HARMONIC_LINE, f"{HARMONIC_LINE}\n{TERM}", "term", "only valid"),
+    "masses-count": (K, "masses = 1.0", "masses = 1.0 2.0", "masses", "needs 1 values"),
+    "masses-sign": (K, "masses = 1.0", "masses = 0", "masses", "must be positive"),
+    "masses-elsewhere": (H, HARMONIC_LINE, f"{HARMONIC_LINE}\nmasses = 1", "masses", "only"),
+    "g_const-elsewhere": (H, HARMONIC_LINE, f"{HARMONIC_LINE}\ng_const = 1", "g_const", "only"),
+    "convention": (L, "convention = derived", "convention = x", "convention", "derived or"),
+    "t_end": (H, "t_end = 6.2832", "t_end = -1", "t_end", "must be nonnegative"),
+    "dt": (H, "dt = 0.001", "dt = 0", "dt", "must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTIONS.values(), ids=REJECTIONS.keys())
+def test_parse_rejections_name_their_line_and_field(case, tmp_path, capsys):
+    text, old, new, field, message = case
+    bad = text.replace(old, new, 1)
+    assert bad != text
+    lineno = len(text[: text.index(old)].splitlines()) + len(new.splitlines())
+    with pytest.raises(ScenarioError, match=message) as excinfo:
+        parse_scenario(bad)
+    assert (excinfo.value.line, excinfo.value.field) == (lineno, field)
+    path = tmp_path / "bad.scn"
+    path.write_text(bad)
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {excinfo.value} (in {path})\n"
 
 
 def test_round_trip_identity():
