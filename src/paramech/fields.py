@@ -2,9 +2,9 @@
 
 A field's numeric primitives are ``value``, ``gradient`` and ``hessian``,
 each implemented once per class and checking the point's dimension.
-``signed_gradient`` is the one composite on ``ScalarField``; its one
-override, on a non-quadratic ``PolynomialField`` (one signed term table),
-equals the combination of the primitives bit for bit.  Every primitive
+``signed_gradient(op)``, x -> op.apply(gradient(x)), is the one composite on
+``ScalarField``; its one override, on a non-quadratic ``PolynomialField``
+(one signed term table), equals it bit for bit.  Every primitive
 takes one point ``(dim,)`` or a stack of points ``(m, dim)``, and each row of
 a stacked result is bitwise the result at that row alone: the one-point call
 is the ``m = 1`` case of the same numpy expression.  Matrix-vector products
@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import SingularPointError
 from .exterior import PolyScalar, poly_gradient, poly_hessian
+from .structures import SignedPermutation
 
 __all__ = [
     "Jet2",
@@ -206,15 +207,13 @@ class ScalarField:
         x = self._point(x)
         return hessian if x.ndim == 1 else np.broadcast_to(hessian, x.shape + (self.dim,))
 
-    def signed_gradient(self, index: np.ndarray, sign: np.ndarray):
-        """The map x -> sign * gradient(x)[index], for a signed permutation.
-
-        A stacked result is C-contiguous, as ``SignedPermutation.apply``'s;
-        the gather alone would leave it Fortran-ordered.
-        """
+    def signed_gradient(self, op: SignedPermutation):
+        """The map x -> op.apply(gradient(x)), for an operator of this dimension."""
+        if op.dim != self.dim:
+            raise ValueError(f"operator of dimension {op.dim} for a field of dimension {self.dim}")
 
         def field(x):
-            return np.multiply(sign, self.gradient(x)[..., index], order="C")
+            return op.apply(self.gradient(x))
 
         return field
 
@@ -253,9 +252,9 @@ class _StackedPolys:
         incidence[owner, np.arange(len(coeffs))] = 1.0
         return cls(exponents, incidence * np.asarray(coeffs))
 
-    def signed_rows(self, index: np.ndarray, sign: np.ndarray) -> "_StackedPolys":
+    def signed_rows(self, op: SignedPermutation) -> "_StackedPolys":
         """The same table with polynomial c replaced by sign[c] * polynomial index[c]."""
-        return _StackedPolys(self.exponents, sign[:, None] * self.weights[index])
+        return _StackedPolys(self.exponents, op.sign[:, None] * self.weights[op.index])
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         monomials = np.multiply.reduce(np.power(x[..., None, :], self.exponents), axis=-1)
@@ -270,9 +269,10 @@ class PolynomialField(ScalarField):
     read off its terms in one pass, each exact coefficient converted once.
     Any other polynomial runs over flattened float term tables, one per
     order, built from its exact derivative polynomials; the Hessian table
-    holds the upper triangle.  Those polynomials exist only there and, for
-    any degree, on demand in ``exact_evaluate``.  A coefficient of a table
-    outside float range raises ValueError.
+    holds the upper triangle, which one (dim, dim) index gathers into the
+    matrix.  Those polynomials exist only there and, for any degree, on
+    demand in ``exact_evaluate``.  A coefficient of a table outside float
+    range raises ValueError.
     """
 
     def __init__(self, poly: PolyScalar):
@@ -293,8 +293,10 @@ class PolynomialField(ScalarField):
             else:
                 grad, hess = poly_gradient(poly), poly_hessian(poly)
                 self._grad_rep = _StackedPolys.from_polys(grad)
-                self._upper = np.triu_indices(poly.dim)
-                self._hess_rep = _StackedPolys.from_polys([hess[a][b] for a, b in zip(*self._upper)])
+                rows, cols = np.triu_indices(poly.dim)
+                self._hess_rep = _StackedPolys.from_polys([hess[a][b] for a, b in zip(rows, cols)])
+                self._hess_entries = np.empty((poly.dim,) * 2, dtype=np.intp)
+                self._hess_entries[rows, cols] = self._hess_entries[cols, rows] = np.arange(len(rows))
         except OverflowError as exc:
             raise ValueError(f"{poly!r} does not fit the float term tables: {exc}") from None
 
@@ -316,17 +318,13 @@ class PolynomialField(ScalarField):
     def hessian(self, x) -> np.ndarray:
         if self._hess_const is not None:
             return super().hessian(x)
-        x = self._point(x)
-        rows, cols = self._upper
-        hessian = np.empty(x.shape + (self.dim,))
-        hessian[..., rows, cols] = hessian[..., cols, rows] = self._hess_rep.evaluate(x)
-        return hessian
+        return np.take(self._hess_rep.evaluate(self._point(x)), self._hess_entries, axis=-1)
 
-    def signed_gradient(self, index: np.ndarray, sign: np.ndarray):
-        """One term table with the rows signed and permuted, unless quadratic."""
-        if self._hess_const is not None:
-            return super().signed_gradient(index, sign)
-        rows = self._grad_rep.signed_rows(index, sign)
+    def signed_gradient(self, op: SignedPermutation):
+        """One signed term table, unless quadratic; the base class checks op."""
+        if self._hess_const is not None or op.dim != self.dim:
+            return super().signed_gradient(op)
+        rows = self._grad_rep.signed_rows(op)
 
         def field(x):
             return rows.evaluate(self._point(x))

@@ -10,12 +10,12 @@ the sign conventions.
 The two-form's matrix is a ``SignedPermutation``, the type of the operators
 themselves: the dual operator's (index, sign) pair, each sign times the base
 one-form's sign at its index.  The pair also gives the Liouville one-form,
-and the integrated field is the signed, permuted gradient, evaluated by the
-Hamiltonian as one table.  For a quadratic H that field is affine with the
-constant Jacobian S Q (Q the Hessian), and the integrator steps it exactly in
-the increment form, a long run block by block (``integrators``).  The energy
-series and the residuals are computed after the integration loop, as stacked
-calls over the samples (``integrators.map_rows``).
+and the integrated field S grad H is ``H.signed_gradient(form)``, as A grad L
+is ``L.signed_gradient(op)``.  For a quadratic H that field is affine with
+the constant Jacobian S Q (Q the Hessian), and the integrator steps it
+exactly in the increment form, a long run block by block (``integrators``).
+The energy series and the residuals are computed after the integration loop,
+as stacked calls over the samples (``integrators.map_rows``).
 
 Every entry point that takes the dual kind and H, as two arguments, checks
 the pair (``_require_system``).
@@ -145,12 +145,12 @@ def integrate_hamiltonian(
     S is the kind's two-form matrix M, antisymmetric and orthogonal, so the
     solution X = M^{-T} grad H of (i_X M)_b = dH_b is M grad H: one gather
     and sign flip, which reproduces ``hamiltonian_vector_field`` bit for bit.
-    The field is that signed gradient for every H
-    (``ScalarField.signed_gradient``; one term table for a non-quadratic
-    polynomial H).  A quadratic H, grad H = b + Q x, makes it affine with the
-    constant Jacobian J = S Q, which is passed along so that every step is
-    exact (``StepperConfig.jacobian``).  The field maps a stack of points row
-    by row (``StepperConfig.rowwise``), so a long affine run maps block after
+    The field is ``H.signed_gradient(form)``, S being the form, for every H
+    (one term table for a non-quadratic polynomial H).  A quadratic H,
+    grad H = b + Q x, makes it affine with the constant Jacobian J = S Q,
+    which is passed along so that every step is exact
+    (``StepperConfig.jacobian``).  The field maps a stack of points row by
+    row (``StepperConfig.rowwise``), so a long affine run maps block after
     block and records each block's derivatives by one stacked call.  The
     energy is evaluated after the loop, stacked over the samples.  Every
     stepper method applies (``HAMILTONIAN_METHODS``), so ``StepperConfig``
@@ -158,10 +158,9 @@ def integrate_hamiltonian(
     """
     _require_system(kind, H)
     form = canonical_two_form(kind, H.dim // 4)
-    index, sign = form.index, form.sign
     hessian = H.constant_hessian()
-    jacobian = None if hessian is None else sign[:, None] * hessian[index]
-    field = H.signed_gradient(index, sign)
+    jacobian = None if hessian is None else form.sign[:, None] * hessian[form.index]
+    field = H.signed_gradient(form)
     mask = position_mask(form) if method == "symplectic_euler" else None
     cfg = StepperConfig(
         method=method, dt=dt, position_mask=mask, jacobian=jacobian, rowwise=True

@@ -5,15 +5,18 @@ semispray components are collected, to the linear system
 
     Hess(L)(x) . xdot = A . grad L(x),
 
-which holds for all three structure kinds (canonical route).  The intrinsic
-route rebuilds that system from the two-form matrix and the frozen-velocity
-energy differential and must agree; it additionally demands the two-form be
-nondegenerate, matching the regularity hypothesis, under the one guard of
-``integrators.solve_linear``.  Every solve against the Hessian (the canonical
-route, a constant Hessian's flow and the intrinsic route's collected system)
-goes through ``_solve_hessian``, the one place where a failed guard becomes a
-SingularHessianError.  An error of the field itself keeps its type, e.g. the
-SingularPointError of a potential evaluated at its singular point.
+which holds for all three structure kinds (canonical route).  Its right side
+is ``L.signed_gradient(op)``, as S grad H is ``H.signed_gradient(form)``
+(``hamiltonian``); only a constant Hessian's flow Q^{-1} A folds A in.  The
+intrinsic route rebuilds that system from the two-form matrix and the
+frozen-velocity energy differential and must agree; it additionally demands
+the two-form be nondegenerate, matching the regularity hypothesis, under the
+one guard of ``integrators.solve_linear``.  Every solve against the Hessian
+(the canonical route, a constant Hessian's flow and the intrinsic route's
+collected system) goes through ``_solve_hessian``, the one place where a
+failed guard becomes a SingularHessianError.  An error of the field itself
+keeps its type, e.g. the SingularPointError of a potential evaluated at its
+singular point.
 
 Every entry point takes the operator A and L as two arguments; the integrator
 and the residuals check the pair (``_require_system``).
@@ -100,7 +103,7 @@ def _solve_hessian(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def canonical_rhs(op: SignedPermutation, L: ScalarField, x) -> np.ndarray:
     """Semispray solving Hess(L) . xdot = A . grad L at x, or at each row of x."""
-    return _solve_hessian(L.hessian(x), op.apply(L.gradient(x)))
+    return _solve_hessian(L.hessian(x), L.signed_gradient(op)(x))
 
 
 def two_form_matrix(op: SignedPermutation, hess: np.ndarray) -> np.ndarray:
@@ -192,10 +195,10 @@ def integrate_lagrangian(
         raise ValueError(f"method must be one of {LAGRANGIAN_METHODS}")
     hessian = L.constant_hessian()
     if hessian is None:
-        jacobian = None
+        jacobian, signed = None, L.signed_gradient(op)
 
         def field(x):
-            return canonical_rhs(op, L, x)
+            return _solve_hessian(L.hessian(x), signed(x))
 
     else:
         flow = _solve_hessian(hessian, op.matrix)
@@ -219,18 +222,17 @@ def el_residuals(op: SignedPermutation, L: ScalarField, traj: Trajectory) -> dic
     The time derivative d/dt (dL/dx_a) is expanded by the chain rule as
     Hess . xdot using the trajectory's recorded derivatives, so integrator
     error is not folded into the residual.  Each chunk takes Hess . xdot and
-    the permuted gradient once; for G and H "printed" is the derived array.
+    A grad L once; F's printed signs are minus A's, so its printed residual
+    is Hess . xdot + A grad L, and for G and H "printed" is the derived array.
     """
     _require_system(op, L)
-    signs = [op.sign, printed_sign(op)]
-    if np.array_equal(*signs):
-        del signs[1]
+    signed = L.signed_gradient(op)
+    flipped = np.array_equal(printed_sign(op), -op.sign)
 
     def rows(x, xdot):
-        hv = _matvec(L.hessian(x), xdot)
-        gradient = L.gradient(x)[..., op.index]
-        return np.stack([hv - sign * gradient for sign in signs], axis=1)
+        hv, a_grad = _matvec(L.hessian(x), xdot), signed(x)
+        return np.stack([hv - a_grad, hv + a_grad] if flipped else [hv - a_grad], axis=1)
 
     series = map_rows(rows, traj.states, traj.derivatives)
     derived = series[:, 0]
-    return {"derived": derived, "printed": series[:, 1] if len(signs) > 1 else derived}
+    return {"derived": derived, "printed": series[:, 1] if flipped else derived}

@@ -114,6 +114,8 @@ class SignedPermutation:
         # Along the last axis, so a stack of vectors maps row by row.  np.take
         # keeps such a result C-contiguous (fancy indexing would not), and a
         # dot product of a contiguous row rounds as that of a lone vector.
+        if np.shape(vector)[-1:] != (self.dim,):
+            raise ValueError(f"vector of shape {np.shape(vector)} for operator dimension {self.dim}")
         return self.sign * np.take(vector, self.index, axis=-1)
 
     @cached_property

@@ -18,6 +18,7 @@ from paramech.fields import (
     kinetic_minus_potential_field,
     _matvec,
 )
+from paramech.structures import F, SignedPermutation, build_structure
 
 DIM = 4
 
@@ -494,7 +495,7 @@ def test_signed_gradient_is_the_signed_permuted_gradient(make_field):
     rng = np.random.default_rng(33)
     index = rng.permutation(field.dim)
     sign = rng.choice(np.array([-1, 1]), size=field.dim)
-    signed = field.signed_gradient(index, sign)
+    signed = field.signed_gradient(SignedPermutation(F, field.dim // 4, index, sign))
     points = rng.uniform(-1.5, 1.5, size=(10, field.dim))
     for x in points:
         assert np.array_equal(signed(x), sign * field.gradient(x)[index])
@@ -506,7 +507,29 @@ def test_signed_gradient_is_the_signed_permuted_gradient(make_field):
         assert np.array_equal(stacked[row], signed(x))
     with pytest.raises(ValueError, match="point dimension mismatch"):
         signed(np.ones(field.dim + 1))
+    # An operator of another dimension is refused before any point is mapped.
+    for n in {field.dim // 4 - 1, field.dim // 4 + 1} - {0}:
+        with pytest.raises(
+            ValueError, match=f"^operator of dimension {4 * n} for a field of dimension {field.dim}$"
+        ):
+            field.signed_gradient(build_structure(F, n))
 
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_polynomial_hessian_is_its_upper_triangle_scattered_both_ways(n):
+    # A non-quadratic polynomial evaluates the upper triangle of its Hessian
+    # as one table; the Hessian is that table placed at [a, b] and [b, a],
+    # bit for bit, at one point and on stacks of every height.
+    field = mixed_quartic_field(n)
+    rows, cols = np.triu_indices(field.dim)
+    points = np.random.default_rng(34).uniform(-1.5, 1.5, size=(6, field.dim))
+    for stack in (points[0], points, points[:1], points[:0]):
+        expected = np.empty(stack.shape + (field.dim,))
+        expected[..., rows, cols] = expected[..., cols, rows] = field._hess_rep.evaluate(stack)
+        hessian = field.hessian(stack)
+        assert np.array_equal(hessian, expected)
+        assert np.array_equal(hessian, np.swapaxes(hessian, -1, -2))
+        assert hessian.flags.c_contiguous
 
 
 @pytest.mark.parametrize("rows", [1, 7, 1025])
@@ -558,7 +581,8 @@ NUMERIC_METHODS = (
 def call_numeric(field, method, point):
     if method == "signed_gradient":
         # The one overridable composite checks the point of the map it returns.
-        return field.signed_gradient(np.arange(field.dim), np.ones(field.dim))(point)
+        identity = SignedPermutation(F, field.dim // 4, np.arange(field.dim), np.ones(field.dim))
+        return field.signed_gradient(identity)(point)
     return getattr(field, method)(point)
 
 

@@ -583,7 +583,7 @@ def quartic_hstar_rowwise():
     scenario = load_scenario(SCENARIOS / "quartic_hstar.scn")
     form = canonical_two_form(scenario.kind, scenario.n)
     field = build_field(scenario.function, scenario.n)
-    return field.signed_gradient(form.index, form.sign), scenario.x0
+    return field.signed_gradient(form), scenario.x0
 
 
 def kinetic_minus_potential_g():

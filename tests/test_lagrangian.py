@@ -30,6 +30,7 @@ from paramech.lagrangian import (
     printed_sign,
 )
 from paramech.structures import DUAL_KINDS, F, F_STAR, G, H, PRIMAL_KINDS, build_structure
+from test_fields import JetsOnlyField, mixed_quartic_field
 
 
 def op(kind, n=1):
@@ -69,6 +70,14 @@ def test_liouville_field_patterns():
 def test_liouville_rejects_dual():
     with pytest.raises(ValueError):
         liouville_field(build_structure(F_STAR, 1), [1.0, 0, 0, 0])
+
+
+def test_liouville_field_and_energy_refuse_another_dimension():
+    # An 8-vector under a 4-dimensional operator is refused, not truncated.
+    with pytest.raises(ValueError, match=r"shape \(8,\) .* dimension 4$"):
+        liouville_field(op(F), np.arange(8.0))
+    with pytest.raises(ValueError, match=r"shape \(8,\) .* dimension 4$"):
+        lagrangian_energy(op(F), harmonic_field(1), np.ones(4), np.arange(8.0))
 
 
 def test_energy_examples():
@@ -232,21 +241,57 @@ def test_printed_residuals_f_circle():
     assert np.abs(residuals).max() >= 0.1
 
 
-def test_el_residuals_are_each_conventions_row_expression():
+NONCONSTANT_HESSIAN_FIELDS = {
+    **{f"quartic-n{n}": (lambda n=n: mixed_quartic_field(n)) for n in (1, 2, 3)},
+    "kinetic_minus_potential": lambda: kinetic_minus_potential_field([1.0], 0.5),
+    "jets_only": JetsOnlyField,
+}
+
+
+def test_el_residuals_are_each_conventions_row_expression(monkeypatch):
     # Each convention is Hess . xdot - sign * grad L[index] per sample, with
-    # A's signs or the printed ones; G and H share one array.
-    for kind in PRIMAL_KINDS:
-        o, L = op(kind), harmonic_field(1)
-        traj = integrate_lagrangian(o, L, [1.0, 0, 0, 0], 1.0, 1e-2)
-        residuals = el_residuals(o, L, traj)
-        assert set(residuals) == {"derived", "printed"}
-        for convention, sign in (("derived", o.sign), ("printed", printed_sign(o))):
-            reference = [
-                L.hessian(x) @ xdot - sign * L.gradient(x)[o.index]
-                for x, xdot in zip(traj.states, traj.derivatives)
-            ]
-            assert np.array_equal(residuals[convention], reference)
-        assert (residuals["printed"] is residuals["derived"]) == (kind != F)
+    # A's signs or the printed ones, at every chunk size of the residual
+    # pass; G and H share one array.
+    quartics = [mixed_quartic_field(n) for n in (1, 2, 3)]
+    for L in (harmonic_field(1), *quartics, kinetic_minus_potential_field([1.0], 0.5)):
+        for kind in PRIMAL_KINDS:
+            o = op(kind, L.dim // 4)
+            traj = integrate_lagrangian(o, L, np.eye(L.dim)[0], 1.0, 1e-2)
+            for rows in (1, 3, integrators.POSTPASS_ROWS):
+                monkeypatch.setattr(integrators, "POSTPASS_ROWS", rows)
+                residuals = el_residuals(o, L, traj)
+                assert set(residuals) == {"derived", "printed"}
+                for convention, sign in (("derived", o.sign), ("printed", printed_sign(o))):
+                    reference = [
+                        L.hessian(x) @ xdot - sign * L.gradient(x)[o.index]
+                        for x, xdot in zip(traj.states, traj.derivatives)
+                    ]
+                    assert np.array_equal(residuals[convention], reference)
+                assert (residuals["printed"] is residuals["derived"]) == (kind != F)
+
+
+@pytest.mark.parametrize("kind", PRIMAL_KINDS, ids=lambda k: k.name)
+@pytest.mark.parametrize("name", sorted(NONCONSTANT_HESSIAN_FIELDS))
+def test_integrated_field_is_canonical_rhs(name, kind, monkeypatch):
+    # Without a constant Hessian the integrator steps canonical_rhs, the
+    # guarded solve of Hess(L) against A grad L, bit for bit at one point
+    # and on a stack; both are the solve against op.apply(grad L).
+    L = NONCONSTANT_HESSIAN_FIELDS[name]()
+    operator = op(kind, L.dim // 4)
+    fields = []
+
+    def recording(field, *args):
+        fields.append(field)
+        return integrators.integrate_field(field, *args)
+
+    monkeypatch.setattr(lagrangian, "integrate_field", recording)
+    integrate_lagrangian(operator, L, np.ones(L.dim), 0.01, 0.01)
+    (field,) = fields
+    points = np.random.default_rng(35).uniform(0.5, 1.5, size=(7, L.dim))
+    for x in (points[0], points):
+        expected = integrators.solve_linear(L.hessian(x), operator.apply(L.gradient(x)), error="Hessian")
+        assert np.array_equal(field(x), expected)
+        assert np.array_equal(canonical_rhs(operator, L, x), expected)
 
 
 def test_printed_sign():

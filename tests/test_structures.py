@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -174,6 +175,16 @@ def test_matrix_is_the_dense_view_of_the_pair():
             assert np.array_equal(op.matrix[rows, op.index], op.sign)
             assert np.count_nonzero(op.matrix) == op.dim
             assert not op.matrix.flags.writeable
+
+
+@pytest.mark.parametrize("shape", [(8,), (3, 8), (2,), (3, 2), ()], ids=str)
+def test_apply_refuses_a_vector_of_another_dimension(shape):
+    # A longer vector or stack must not be truncated to the operator's index,
+    # nor a shorter one fail inside numpy; the message names both dimensions.
+    op = build_structure(F, 1)
+    with pytest.raises(ValueError, match=rf"shape {re.escape(str(shape))} .* dimension 4$"):
+        op.apply(np.ones(shape))
+    assert op.apply(np.ones((3, 4))).shape == (3, 4)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
