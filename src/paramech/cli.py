@@ -5,9 +5,6 @@ Subcommands:
             trajectory tables and summaries
   verify    run the exact identity audit and print the report; --report
             also writes it to a file, atomically like the run outputs
-  audit-el  compare derived- and printed-convention Euler-Lagrange residuals
-            along the derived flow of one Lagrangian scenario (the maxima
-            that ``run`` writes to its summary)
   plotdata  extract named columns from a trajectory table as plot-ready CSV
 
 Exit codes: 0 success, 2 parse/validation error or a run too large for
@@ -32,14 +29,7 @@ from .errors import (
     ScenarioError,
     SingularSystemError,
 )
-from .lagrangian import printed_deviates
-from .scenario import (
-    _atomic_write,
-    execute_scenario,
-    format_float,
-    load_scenario,
-    run_scenario_files,
-)
+from .scenario import _atomic_write, format_float, run_scenario_files
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -77,11 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n", type=int, default=2, help="largest block size n (default 2)")
     verify.add_argument("--report", default=None, help="also write the report to this file")
 
-    audit = sub.add_parser(
-        "audit-el", help="compare printed vs derived Euler-Lagrange residuals"
-    )
-    audit.add_argument("scenario", metavar="scenario-file")
-
     plotdata = sub.add_parser("plotdata", help="extract columns from a trajectory table")
     plotdata.add_argument("trajectory", metavar="trajectory-file")
     plotdata.add_argument(
@@ -111,32 +96,6 @@ def _cmd_verify(args) -> int:
     print(text)
     if args.report:
         _atomic_write(Path(args.report), [text, "\n"])
-    return EXIT_OK
-
-
-def _cmd_audit_el(args) -> int:
-    scenario = load_scenario(args.scenario)
-    if scenario.formalism != "lagrangian":
-        raise ScenarioError(
-            "audit-el needs a lagrangian scenario", field="formalism"
-        )
-    _, _, maxima = execute_scenario(scenario)
-    derived_max = maxima["derived_residual_max"]
-    printed_max = maxima["printed_residual_max"]
-    print(f"euler-lagrange residual audit: {args.scenario}")
-    print(
-        f"structure = {scenario.structure}, n = {scenario.n}, "
-        f"t_end = {format_float(scenario.t_end)}, dt = {format_float(scenario.dt)}"
-    )
-    print(f"derived convention: max |residual| = {format_float(derived_max)}")
-    print(f"printed convention: max |residual| = {format_float(printed_max)}")
-    if printed_deviates(derived_max, printed_max):
-        print(
-            "printed system deviates from the derived flow for structure "
-            f"{scenario.structure} (documented sign discrepancy)"
-        )
-    else:
-        print("printed system matches the derived flow")
     return EXIT_OK
 
 
@@ -175,7 +134,6 @@ def main(argv=None) -> int:
     handlers = {
         "run": _cmd_run,
         "verify": _cmd_verify,
-        "audit-el": _cmd_audit_el,
         "plotdata": _cmd_plotdata,
     }
     try:

@@ -78,7 +78,7 @@ def _as_fraction(value) -> Fraction:
 class PolyScalar:
     """Sparse multivariate polynomial: exponent tuple -> rational coefficient."""
 
-    __slots__ = ("dim", "terms", "_sorted")
+    __slots__ = ("dim", "terms")
 
     def __init__(self, dim: int, terms: Mapping | Iterable[tuple] | None = None):
         if dim < 1:
@@ -96,7 +96,6 @@ class PolyScalar:
             clean[key] = value if previous is None else previous + value
         self.dim = dim
         self.terms = {e: c for e, c in clean.items() if c != 0}
-        self._sorted = None
 
     @classmethod
     def _derived(cls, dim: int, pairs: Iterable[tuple]) -> "PolyScalar":
@@ -108,7 +107,6 @@ class PolyScalar:
         poly = object.__new__(cls)
         poly.dim = dim
         poly.terms = {e: c for e, c in pairs if c}
-        poly._sorted = None
         return poly
 
     @classmethod
@@ -137,9 +135,7 @@ class PolyScalar:
         return max((sum(e) for e in self.terms), default=0)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        if self._sorted is None:
-            self._sorted = sorted(self.terms.items())
-        return self._sorted
+        return sorted(self.terms.items())
 
     def __eq__(self, other) -> bool:
         return (

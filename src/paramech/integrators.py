@@ -202,7 +202,8 @@ def _max_column_sum(matrix: np.ndarray):
     return np.maximum.reduce(np.add.reduce(np.abs(matrix), axis=-2), axis=-1)
 
 
-@dataclass(frozen=True)
+# It holds arrays, so a config compares and hashes by identity (eq=False).
+@dataclass(frozen=True, eq=False)
 class StepperConfig:
     method: str = "implicit_midpoint"
     dt: float = 1e-3
@@ -243,7 +244,7 @@ class StepperConfig:
             return _stage_inverse("implicit midpoint", eye - (dt / 2.0) * jacobian, dt * eye)
         # The momenta d = z - x solve (I - dt Q J) d = dt Q f(x), Q the momentum
         # projector; the positions then move by dt P f(z) = dt P (f(x) + J d).
-        positions = np.diag(_position_mask(self.position_mask).astype(float))
+        positions = np.diag(_position_mask(self.position_mask, len(jacobian)).astype(float))
         momenta = eye - positions
         stage = _stage_inverse("symplectic Euler", eye - dt * momenta @ jacobian, dt * momenta)
         return dt * positions + (eye + dt * positions @ jacobian) @ stage
@@ -271,10 +272,13 @@ class Trajectory:
         return len(self.times)
 
 
-def _position_mask(mask) -> np.ndarray:
+def _position_mask(mask, dim: int) -> np.ndarray:
     if mask is None:
         raise ValueError("symplectic_euler requires a position mask")
-    return np.asarray(mask, dtype=bool)
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (dim,):
+        raise ValueError(f"position mask has shape {mask.shape}, the state dimension is {dim}")
+    return mask
 
 
 def _stage_inverse(stage: str, matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -330,7 +334,7 @@ def _step_implicit_midpoint(f, x, dt):
 
 
 def _step_symplectic_euler(f, x, dt, mask):
-    mask = _position_mask(mask)
+    mask = _position_mask(mask, len(x))
 
     # Momenta implicit, positions explicit in the updated momenta.  The stage
     # starts from x itself, so its first evaluation is f(x).

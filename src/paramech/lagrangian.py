@@ -30,7 +30,7 @@ Two residual conventions are supported when auditing trajectories:
     carries the opposite sign on the gradient terms (equivalent to A -> -A),
     so its residuals do not vanish along derived flows.  The audit machinery
     reports this as a documented discrepancy rather than hiding it;
-    ``printed_deviates`` is the verdict that ``run`` and ``audit-el`` print.
+    ``printed_deviates`` is the verdict that a ``run`` summary prints.
 
 ``el_residuals`` takes both along a trajectory in one pass, one array where
 the two systems coincide.  The energy and the residuals are stacked calls

@@ -503,8 +503,7 @@ def run_scenario(
     ):
         warnings.append(
             f"boxed first-order system for structure {scenario.structure} deviates "
-            "from the derived flow (opposite sign on the gradient terms); "
-            "see 'paramech audit-el'"
+            "from the derived flow (opposite sign on the gradient terms)"
         )
 
     trajectory_path, summary_path = _output_paths(scenario, name, out_dir)

@@ -78,6 +78,32 @@ def test_run_warns_for_printed_f(tmp_path, capsys):
     assert "warning" in capsys.readouterr().out
 
 
+F_WARNING = (
+    "boxed first-order system for structure F deviates from the derived flow "
+    "(opposite sign on the gradient terms)"
+)
+
+
+@pytest.mark.parametrize("structure", ["F", "G"])
+def test_run_summary_reports_both_residual_conventions(tmp_path, capsys, structure):
+    scenario = write(
+        tmp_path, "el.scn", PRINTED_F.replace("structure = F", f"structure = {structure}")
+    )
+    assert main(["run", scenario, "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    lines = (tmp_path / "el_summary.txt").read_text().splitlines()
+    summary = dict(line.split(" = ", 1) for line in lines if not line.startswith("warning"))
+    # The library route gives the same maxima without writing files.
+    _, _, maxima = scenario_module.execute_scenario(scenario_module.load_scenario(scenario))
+    for convention in ("derived", "printed"):
+        key = f"{convention}_residual_max"
+        assert summary[key] == scenario_module.format_float(maxima[key])
+    warned = structure == "F"
+    expected = [f"warning = {F_WARNING}"] if warned else []
+    assert [line for line in lines if line.startswith("warning")] == expected
+    assert (f"  warning: {F_WARNING}\n" in out) == warned
+
+
 # The first file of the benchmark sweep of seed 7: a quartic Hamiltonian under F*.
 SWEEP_QUARTIC = """n = 1
 formalism = hamiltonian
@@ -560,43 +586,6 @@ def test_verify_deterministic(capsys):
     assert main(["verify", "--n", "1"]) == 0
     second = capsys.readouterr().out
     assert first == second
-
-
-def test_audit_el(tmp_path, capsys):
-    scenario = write(tmp_path, "printed.scn", PRINTED_F)
-    assert main(["audit-el", scenario]) == 0
-    out = capsys.readouterr().out
-    assert "derived convention" in out
-    assert "printed convention" in out
-    assert "deviates" in out
-
-
-def test_audit_el_matching_structure(tmp_path, capsys):
-    scenario = write(tmp_path, "g.scn", PRINTED_F.replace("structure = F", "structure = G"))
-    assert main(["audit-el", scenario]) == 0
-    assert "matches" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("structure", ["F", "G"])
-def test_audit_el_reports_the_run_summary_maxima(tmp_path, capsys, structure):
-    scenario = write(
-        tmp_path, "el.scn", PRINTED_F.replace("structure = F", f"structure = {structure}")
-    )
-    assert main(["run", scenario, "--out", str(tmp_path)]) == 0
-    summary = dict(
-        line.split(" = ", 1) for line in (tmp_path / "el_summary.txt").read_text().splitlines()
-    )
-    capsys.readouterr()
-    assert main(["audit-el", scenario]) == 0
-    out = capsys.readouterr().out
-    for convention in ("derived", "printed"):
-        maximum = summary[f"{convention}_residual_max"]
-        assert f"{convention} convention: max |residual| = {maximum}\n" in out
-
-
-def test_audit_el_rejects_hamiltonian(tmp_path, capsys):
-    scenario = write(tmp_path, "h.scn", HARMONIC)
-    assert main(["audit-el", scenario]) == 2
 
 
 def test_plotdata_extracts_columns(tmp_path, capsys):

@@ -19,9 +19,9 @@ from paramech.cli import main
 SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.scn"))
 
 OUTPUT_DIGESTS = {
-    "audit_lagrangian_f_printed_summary.txt": "295c186ff6d582ca3367d4b0ee3b8f344b1b11e2c03429b5b352ddba8078a4f5",
+    "audit_lagrangian_f_printed_summary.txt": "b6e637d332db558f3b2235299e1f74190bd7ea9d44861355767f271e8689e634",
     "audit_lagrangian_f_printed_trajectory.csv": "12aef74cfb5287be494968e4a0900e7adf47ba252be2c9fdf24e26d0ff63a020",
-    "circle_lagrangian_f_summary.txt": "ce9af5ccc1a1504a685ede0d8cff5da12ab1af65374212c5f0c3a91ce6c8acf1",
+    "circle_lagrangian_f_summary.txt": "d6e787742e25bc8e6776f6373680d64a7a897589847710dda95c1d101d9930e6",
     "circle_lagrangian_f_trajectory.csv": "95a42339006ce5cce940f229d7bb5d7ee676687bab4dc980d3b430c688087e3b",
     "falling_particle_g_summary.txt": "59da89ea2462d41e1d0ff6c4f46354147c510c6b3773bf74b38dcdcefe34714c",
     "falling_particle_g_trajectory.csv": "fc11f1357ff027fd8cdddac042606ef8379953c579d2de7824bddc98960606f0",
@@ -34,7 +34,7 @@ OUTPUT_DIGESTS = {
     "quartic_hstar_summary.txt": "4b408364cec6b32af0952a9da47e9b89bf71ccc01e706843c22a20dd550c33cd",
     "quartic_hstar_trajectory.csv": "f26f1616d5732c7b9e198a2b0f4c08b19ebe2d5ab1e19e93b4f387852cd8e478",
 }
-RUN_STDOUT_DIGEST = "45aeef4f358e972b2856a6e28a203a35293c3d1e637218264ca23c0316af68b6"
+RUN_STDOUT_DIGEST = "269ae119aec70db47740bf16d045f3983300e0e82d21356d05e8e49ae76679d4"
 VERIFY_3_DIGEST = "c2a0f0af8406177a8e4c2e2c624dfb5f6616b72cc280f7dc481aee46e7302dac"
 VERIFY_5_DIGEST = "5a7b19da737974d63dc399448b318ee53dd1f1f1b805417cac274307c7ae7441"
 

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -330,6 +331,22 @@ def test_symplectic_euler_requires_mask():
     affine = replace(cfg, jacobian=np.eye(4))
     with pytest.raises(ValueError, match="position mask"):
         step_explicit(rotation_field, np.ones(4), affine)
+
+
+@pytest.mark.parametrize("mask", [[True], np.ones(8, dtype=bool), np.ones((2, 2), dtype=bool)])
+def test_symplectic_euler_rejects_a_mask_of_the_wrong_shape(mask):
+    cfg = StepperConfig(method="symplectic_euler", dt=0.1, position_mask=mask)
+    message = f"position mask has shape {re.escape(str(np.shape(mask)))}.* dimension is 4"
+    for config in (cfg, replace(cfg, jacobian=np.eye(4))):
+        with pytest.raises(ValueError, match=message):
+            step_explicit(rotation_field, np.ones(4), config)
+
+
+def test_configs_holding_arrays_compare_and_hash_by_identity():
+    cfg = StepperConfig(jacobian=np.eye(2), position_mask=np.array([True, False]))
+    assert cfg == cfg
+    assert cfg != replace(cfg)
+    assert len({cfg, replace(cfg)}) == 2
 
 
 def test_config_validation():
