@@ -170,10 +170,7 @@ class PolyScalar:
                 for e2, c2 in other.terms.items()
             ]
             return PolyScalar(self.dim, products)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+        return NotImplemented
 
     def scale(self, c) -> "PolyScalar":
         c = _as_fraction(c)
@@ -329,9 +326,6 @@ class KForm:
     def coefficient(self, indices: tuple[int, ...]) -> PolyScalar:
         return self.terms.get(tuple(indices), PolyScalar.zero(self.dim))
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], PolyScalar]]:
-        return sorted(self.terms.items())
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, KForm)
@@ -339,9 +333,6 @@ class KForm:
             and self.degree == other.degree
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.dim, self.degree, tuple(self.sorted_terms())))
 
     def __add__(self, other: "KForm") -> "KForm":
         self._check(other)
@@ -358,7 +349,7 @@ class KForm:
             return f"KForm(degree={self.degree}, 0)"
         keys = ", ".join(
             "dx" + "^dx".join(str(k) for k in idx) if idx else "1"
-            for idx, _ in self.sorted_terms()[:4]
+            for idx in sorted(self.terms)[:4]
         )
         return f"KForm(degree={self.degree}, terms on {keys}{'...' if len(self.terms) > 4 else ''})"
 

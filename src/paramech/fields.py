@@ -4,10 +4,11 @@ A field's numeric primitives are ``value``, ``gradient`` and ``hessian``,
 each implemented once per class and checking the point's dimension.
 ``signed_gradient(op)``, x -> op.apply(gradient(x)), is the one composite on
 ``ScalarField``; its one override, on a non-quadratic ``PolynomialField``
-(one signed term table), equals it bit for bit.  Every primitive
-takes one point ``(dim,)`` or a stack of points ``(m, dim)``, and each row of
-a stacked result is bitwise the result at that row alone: the one-point call
-is the ``m = 1`` case of the same numpy expression.  Matrix-vector products
+(one signed term table), equals it in value; a zero entry may carry the
+other sign.  Every primitive takes one point ``(dim,)`` or a stack of
+points ``(m, dim)``, and each row of a stacked result is bitwise the result
+at that row alone: the one-point call is the ``m = 1`` case of the same
+numpy expression.  Matrix-vector products
 go through ``_matvec``: a stack is one batched matmul, which runs BLAS gemv
 on each row, and one point is ``ndarray.dot``, the same gemv without the
 batching overhead; never a 2-D matmul of a whole stack, which would round
@@ -23,8 +24,9 @@ polynomial, ``KineticField``), as one read-only matrix, and
 a read-only broadcast view.
 ``evaluate_via_jets`` (second-order forward propagation, numbers carrying a
 gradient row and a Hessian block, exact to roundoff) returns the plain tuple
-(value, gradient, hessian); it is the fallback of a field that defines only
-``_apply`` and the tests' reference.
+(value, gradient, hessian) at one point; it is the tests' reference for the
+primitives, not a fallback: a field that defines only ``_apply`` raises
+NotImplementedError from them.
 """
 
 from __future__ import annotations
@@ -88,18 +90,6 @@ class Jet2:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Jet2(-self.value, -self.grad, -self.hess)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -112,19 +102,6 @@ class Jet2:
         )
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only nonnegative integer powers are supported")
-        result = Jet2.constant(len(self.grad), 1.0)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def sqrt(self) -> "Jet2":
         if self.value <= 0.0:
@@ -161,7 +138,7 @@ def _per_point(values: np.ndarray):
 
 
 class ScalarField:
-    """Base class; the primitives default to the jets of ``_apply``."""
+    """Base class; a subclass implements its primitives, and ``_apply`` for the jets."""
 
     def __init__(self, dim: int):
         if dim < 1:
@@ -179,31 +156,26 @@ class ScalarField:
         raise NotImplementedError
 
     def evaluate_via_jets(self, x) -> tuple:
-        """(value, gradient, hessian) by second-order forward propagation, point by point."""
+        """(value, gradient, hessian) at one point, by second-order forward propagation."""
         x = self._point(x)
-        if x.ndim == 2:
-            rows = [self.evaluate_via_jets(row) for row in x]
-            return (
-                np.array([r[0] for r in rows]),
-                np.array([r[1] for r in rows]).reshape(x.shape),
-                np.array([r[2] for r in rows]).reshape(x.shape + (self.dim,)),
-            )
+        if x.ndim != 1:
+            raise ValueError("evaluate_via_jets takes one point (dim,), not a stack")
         out = self._apply(jet_variables(x))
         if not isinstance(out, Jet2):
             out = Jet2.constant(self.dim, float(out))
         return out.value, out.grad, 0.5 * (out.hess + out.hess.T)
 
     def value(self, x) -> float:
-        return self.evaluate_via_jets(x)[0]
+        raise NotImplementedError
 
     def gradient(self, x) -> np.ndarray:
-        return self.evaluate_via_jets(x)[1]
+        raise NotImplementedError
 
     def hessian(self, x) -> np.ndarray:
-        """A declared constant Hessian, itself or a read-only view per row; else jets."""
+        """A declared constant Hessian, itself or a read-only view per row."""
         hessian = self.constant_hessian()
         if hessian is None:
-            return self.evaluate_via_jets(x)[2]
+            raise NotImplementedError
         x = self._point(x)
         return hessian if x.ndim == 1 else np.broadcast_to(hessian, x.shape + (self.dim,))
 

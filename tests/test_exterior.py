@@ -117,6 +117,15 @@ def test_polyscalar_arithmetic_and_partial():
     assert p.evaluate([Fraction(2), Fraction(3), 0, 0]) == Fraction(15, 2)
 
 
+def test_polyscalar_times_a_number_is_a_type_error():
+    # scale is the one spelling of a scalar multiple; * takes two polynomials.
+    p = x(0) * x(1) + PolyScalar.constant(DIM, Fraction(3, 2))
+    for product in (lambda: p * 2, lambda: 2 * p, lambda: p * Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            product()
+    assert p.scale(2) == PolyScalar(DIM, {(1, 1, 0, 0): Fraction(2), (0, 0, 0, 0): Fraction(3)})
+
+
 def test_ext_d_of_function():
     form = ext_d(KForm.from_scalar(x(0) * x(1)))
     assert form == KForm(DIM, 1, {(0,): x(1), (1,): x(0)})

@@ -412,16 +412,6 @@ def mixed_quartic_field(n):
     return PolynomialField(PolyScalar(dim, terms))
 
 
-class JetsOnlyField(ScalarField):
-    """A field that defines only ``_apply``: every primitive runs on jets."""
-
-    def __init__(self):
-        super().__init__(4)
-
-    def _apply(self, xs):
-        return xs[0] * xs[1] * xs[2] + xs[3] ** 3
-
-
 PRIMITIVE_CASES = [
     pytest.param(lambda: harmonic_field(1), id="harmonic"),
     *(pytest.param(lambda n=n: mixed_quartic_field(n), id=f"quartic-n{n}") for n in (1, 2, 3)),
@@ -436,7 +426,6 @@ PRIMITIVE_CASES = [
     pytest.param(lambda: KineticField([1.0, 2.5]), id="kinetic-n2"),
     pytest.param(lambda: DistanceFromOrigin(8), id="distance-n2"),
     pytest.param(lambda: potential([1.0, 0.5], 9.81), id="potential-n2"),
-    pytest.param(JetsOnlyField, id="jets_only"),
 ]
 
 
@@ -482,6 +471,37 @@ def test_a_declared_constant_hessian_is_the_hessian(make_field):
         assert len(stack) == 0 or np.shares_memory(hessian, constant)
 
 
+class ApplyOnlyField(ScalarField):
+    """A field that defines only ``_apply``: it has jets but no primitives."""
+
+    def __init__(self):
+        super().__init__(4)
+
+    def _apply(self, xs):
+        return xs[0] * xs[1] * xs[2] + xs[3] * xs[3] * xs[3]
+
+
+def test_jets_are_a_reference_not_a_fallback():
+    # Every field implements its own primitives; the jets of _apply serve
+    # none of them, and stay the tests' reference at one point.
+    field = ApplyOnlyField()
+    x = np.array([1.5, -2.0, 0.5, 3.0])
+    for method in ("value", "gradient", "hessian"):
+        with pytest.raises(NotImplementedError):
+            getattr(field, method)(x)
+    value, gradient, hessian = field.evaluate_via_jets(x)
+    assert value == 1.5 * -2.0 * 0.5 + 27.0
+    assert np.array_equal(gradient, [-1.0, 0.75, -3.0, 27.0])
+    assert np.array_equal(
+        hessian,
+        [[0.0, 0.5, -2.0, 0.0], [0.5, 0.0, 1.5, 0.0], [-2.0, 1.5, 0.0, 0.0], [0.0, 0.0, 0.0, 18.0]],
+    )
+    # A stack's rows would be read as coordinates: it is refused.
+    for jets_field in (field, harmonic_field(1)):
+        with pytest.raises(ValueError, match="one point"):
+            jets_field.evaluate_via_jets(np.ones((2, 4)))
+
+
 def test_kinetic_field_declares_its_diagonal_hessian():
     field = KineticField([1.0, 2.5])
     assert np.array_equal(field.constant_hessian(), np.diag([1.0, 2.5] * 4))
@@ -490,15 +510,21 @@ def test_kinetic_field_declares_its_diagonal_hessian():
 
 @pytest.mark.parametrize("make_field", PRIMITIVE_CASES)
 def test_signed_gradient_is_the_signed_permuted_gradient(make_field):
-    # The Hamiltonian field sign * grad H[index], bit for bit, per point and per row.
+    # The Hamiltonian field sign * grad H[index], per point and per row: equal
+    # in value, and bit for bit wherever nonzero.  A zero entry may carry the
+    # other sign: a signed term table sums to +0.0 where -1 * 0.0 is -0.0.
     field = make_field()
     rng = np.random.default_rng(33)
     index = rng.permutation(field.dim)
     sign = rng.choice(np.array([-1, 1]), size=field.dim)
     signed = field.signed_gradient(SignedPermutation(F, field.dim // 4, index, sign))
     points = rng.uniform(-1.5, 1.5, size=(10, field.dim))
+    points[::3, index[sign < 0][:2]] = 0.0
     for x in points:
-        assert np.array_equal(signed(x), sign * field.gradient(x)[index])
+        got, want = signed(x), sign * field.gradient(x)[index]
+        assert np.array_equal(got, want)
+        nonzero = want != 0
+        assert np.array_equal(got[nonzero].view(np.int64), want[nonzero].view(np.int64))
     stacked = signed(points)
     assert stacked.shape == points.shape
     # A Fortran-ordered stack would change the last bits of a following matmul.
@@ -567,7 +593,6 @@ DIMENSION_CASES = {
     "distance": lambda: DistanceFromOrigin(DIM),
     "potential": lambda: potential([1.0], 9.81),
     "kinetic_minus_potential": lambda: kinetic_minus_potential_field([1.0], 9.81),
-    "jets_only": JetsOnlyField,
 }
 NUMERIC_METHODS = (
     "value",

@@ -30,7 +30,7 @@ from paramech.lagrangian import (
     printed_sign,
 )
 from paramech.structures import DUAL_KINDS, F, F_STAR, G, H, PRIMAL_KINDS, build_structure
-from test_fields import JetsOnlyField, mixed_quartic_field
+from test_fields import mixed_quartic_field
 
 
 def op(kind, n=1):
@@ -244,7 +244,6 @@ def test_printed_residuals_f_circle():
 NONCONSTANT_HESSIAN_FIELDS = {
     **{f"quartic-n{n}": (lambda n=n: mixed_quartic_field(n)) for n in (1, 2, 3)},
     "kinetic_minus_potential": lambda: kinetic_minus_potential_field([1.0], 0.5),
-    "jets_only": JetsOnlyField,
 }
 
 
@@ -354,7 +353,8 @@ def test_factored_field_matches_canonical_rhs(kind):
 
 def test_kinetic_lagrangian_solves_its_declared_hessian_once(monkeypatch):
     # A bare KineticField declares diag(weights): one solve per trajectory and
-    # exact affine steps, where the staged run solves at every field evaluation.
+    # exact affine steps, where the staged run, which declares nothing and
+    # takes the same Hessian per point, solves at every field evaluation.
     calls, original = [], integrators.solve_linear
 
     def counted(*args, **kwargs):
@@ -369,6 +369,7 @@ def test_kinetic_lagrangian_solves_its_declared_hessian_once(monkeypatch):
 
     staged = KineticField([1.5])
     staged.constant_hessian = lambda: None
+    staged.hessian = KineticField([1.5]).hessian
     calls.clear()
     reference = integrate_lagrangian(op(G), staged, x0, 1.0, 0.01, "rk4")
     assert len(calls) == 401
