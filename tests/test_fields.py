@@ -412,6 +412,37 @@ def mixed_quartic_field(n):
     return PolynomialField(PolyScalar(dim, terms))
 
 
+class JetsOnlyField(ScalarField):
+    """A field with no closed form: each primitive is its jets, point by point.
+
+    The shape a user field without derivatives of its own can take.  It runs
+    the base class (point checks, the ``signed_gradient`` composite) and the
+    integrators on a non-polynomial field with a non-constant Hessian.
+    """
+
+    def __init__(self):
+        super().__init__(4)
+
+    def _apply(self, xs):
+        return xs[0] * xs[1] * xs[2] + xs[3] * xs[3] * xs[3]
+
+    def _part(self, x, part, shape):
+        x = self._point(x)
+        if x.ndim == 1:
+            return self.evaluate_via_jets(x)[part]
+        rows = [self.evaluate_via_jets(row)[part] for row in x]
+        return np.reshape(np.array(rows, dtype=float), (len(x),) + shape)
+
+    def value(self, x):
+        return self._part(x, 0, ())
+
+    def gradient(self, x):
+        return self._part(x, 1, (self.dim,))
+
+    def hessian(self, x):
+        return self._part(x, 2, (self.dim, self.dim))
+
+
 PRIMITIVE_CASES = [
     pytest.param(lambda: harmonic_field(1), id="harmonic"),
     *(pytest.param(lambda n=n: mixed_quartic_field(n), id=f"quartic-n{n}") for n in (1, 2, 3)),
@@ -426,6 +457,7 @@ PRIMITIVE_CASES = [
     pytest.param(lambda: KineticField([1.0, 2.5]), id="kinetic-n2"),
     pytest.param(lambda: DistanceFromOrigin(8), id="distance-n2"),
     pytest.param(lambda: potential([1.0, 0.5], 9.81), id="potential-n2"),
+    pytest.param(JetsOnlyField, id="jets_only"),
 ]
 
 
@@ -593,6 +625,7 @@ DIMENSION_CASES = {
     "distance": lambda: DistanceFromOrigin(DIM),
     "potential": lambda: potential([1.0], 9.81),
     "kinetic_minus_potential": lambda: kinetic_minus_potential_field([1.0], 9.81),
+    "jets_only": JetsOnlyField,
 }
 NUMERIC_METHODS = (
     "value",

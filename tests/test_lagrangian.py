@@ -30,7 +30,7 @@ from paramech.lagrangian import (
     printed_sign,
 )
 from paramech.structures import DUAL_KINDS, F, F_STAR, G, H, PRIMAL_KINDS, build_structure
-from test_fields import mixed_quartic_field
+from test_fields import JetsOnlyField, mixed_quartic_field
 
 
 def op(kind, n=1):
@@ -244,6 +244,7 @@ def test_printed_residuals_f_circle():
 NONCONSTANT_HESSIAN_FIELDS = {
     **{f"quartic-n{n}": (lambda n=n: mixed_quartic_field(n)) for n in (1, 2, 3)},
     "kinetic_minus_potential": lambda: kinetic_minus_potential_field([1.0], 0.5),
+    "jets_only": JetsOnlyField,
 }
 
 
