@@ -55,7 +55,6 @@ from .lagrangian import (
 )
 from .scenario import (
     FieldSpec,
-    RunResult,
     Scenario,
     build_field,
     execute_scenario,

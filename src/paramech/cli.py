@@ -29,7 +29,7 @@ from .errors import (
     ScenarioError,
     SingularSystemError,
 )
-from .scenario import _atomic_write, format_float, run_scenario_files
+from .scenario import _atomic_write, run_scenario_files
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -76,17 +76,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    results = run_scenario_files(args.scenarios, out_dir=args.out)
-    for result in results:
+    for summary, trajectory_path, summary_path in run_scenario_files(
+        args.scenarios, out_dir=args.out
+    ):
         print(
-            f"{result.name}: {result.samples} samples, "
-            f"energy drift {format_float(result.energy_drift_max)}, "
-            f"endpoint distance {format_float(result.endpoint_distance)}"
+            f"{summary['scenario']}: {summary['samples']} samples, "
+            f"energy drift {summary['energy_drift_max']}, "
+            f"endpoint distance {summary['endpoint_distance_from_start']}"
         )
-        print(f"  trajectory -> {result.trajectory_path}")
-        print(f"  summary    -> {result.summary_path}")
-        for warning in result.warnings:
-            print(f"  warning: {warning}")
+        print(f"  trajectory -> {trajectory_path}")
+        print(f"  summary    -> {summary_path}")
+        if "warning" in summary:
+            print(f"  warning: {summary['warning']}")
     return EXIT_OK
 
 

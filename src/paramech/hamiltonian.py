@@ -144,7 +144,8 @@ def integrate_hamiltonian(
 
     S is the kind's two-form matrix M, antisymmetric and orthogonal, so the
     solution X = M^{-T} grad H of (i_X M)_b = dH_b is M grad H: one gather
-    and sign flip, which reproduces ``hamiltonian_vector_field`` bit for bit.
+    and sign flip, which equals ``hamiltonian_vector_field`` in value (a zero
+    entry may carry the other sign).
     The field is ``H.signed_gradient(form)``, S being the form, for every H
     (one term table for a non-quadratic polynomial H).  A quadratic H,
     grad H = b + Q x, makes it affine with the constant Jacobian J = S Q,

@@ -22,7 +22,8 @@ file) goes through one writer, ``_atomic_write``: it creates missing
 directories, writes a new temp file beside the target, created with mode
 0o666 less the umask as ``open`` would create it, and renames it over the
 target; a failed write removes the temp file.  Outputs are deterministic:
-floats are printed with 17 significant digits.  The trajectory table is
+floats are printed with 17 significant digits.  A run returns its summary's
+entries as that text, key by key in file order.  The trajectory table is
 streamed into the temp file: the header, then blocks of
 ``integrators.POSTPASS_ROWS`` rows, so no whole-table string is built.  A
 column that holds one bit pattern throughout a block (a zero residual, a
@@ -69,7 +70,6 @@ from .structures import StructureKind, build_structure
 __all__ = [
     "FieldSpec",
     "Scenario",
-    "RunResult",
     "parse_scenario",
     "serialize_scenario",
     "load_scenario",
@@ -371,24 +371,6 @@ def build_field(spec: FieldSpec, n: int) -> ScalarField:
     return kinetic_minus_potential_field(spec.masses, spec.g_const)
 
 
-@dataclass(frozen=True, eq=False)
-class RunResult:
-    """The summary of one written run; the run's arrays are not kept."""
-
-    name: str
-    scenario: Scenario
-    samples: int
-    energy_initial: float
-    energy_final: float
-    final_state: tuple[float, ...]
-    energy_drift_max: float
-    endpoint_distance: float
-    residual_maxima: dict[str, float]
-    warnings: tuple[str, ...]
-    trajectory_path: Path | None = None
-    summary_path: Path | None = None
-
-
 def _atomic_write(path: Path, blocks: Iterable[str]) -> None:
     """Write the text blocks in order to a new file beside ``path``, then rename it.
 
@@ -488,70 +470,52 @@ def _output_paths(
 
 def run_scenario(
     scenario: Scenario, name: str, out_dir: str | Path | None = None
-) -> RunResult:
-    """Integrate one scenario and write its trajectory table and summary."""
+) -> tuple[dict[str, str], Path, Path]:
+    """Integrate one scenario and write its trajectory table and summary.
+
+    Returns the summary's entries (key to the text written after ``key = ``,
+    in file order) and the table and summary paths.  Only strings are kept,
+    so the run's arrays are freed once its files are written.
+    """
     traj, residuals, maxima = execute_scenario(scenario)
     energy = traj.invariants["energy"]
     # A finite run may still overflow here: inf energy or a far endpoint.
     with integrators._overflow_policy():
-        drift = float(np.max(np.abs(energy - energy[0])))
-        endpoint = float(np.linalg.norm(traj.states[-1] - np.asarray(scenario.x0)))
-
-    warnings: list[str] = []
+        drift = np.max(np.abs(energy - energy[0]))
+        endpoint = np.linalg.norm(traj.states[-1] - np.asarray(scenario.x0))
+    summary = {
+        "scenario": name,
+        "formalism": scenario.formalism,
+        "structure": scenario.structure,
+        "n": str(scenario.n),
+        "method": scenario.method,
+        "dt": format_float(scenario.dt),
+        "t_end": format_float(scenario.t_end),
+        "samples": str(len(traj)),
+        "energy_initial": format_float(energy[0]),
+        "energy_final": format_float(energy[-1]),
+        "energy_drift_max": format_float(drift),
+        "endpoint_distance_from_start": format_float(endpoint),
+        "final_state": " ".join(map(format_float, traj.states[-1].tolist())),
+    }
+    summary.update((key, format_float(value)) for key, value in maxima.items())
     if scenario.formalism == "lagrangian" and printed_deviates(
         maxima["derived_residual_max"], maxima["printed_residual_max"]
     ):
-        warnings.append(
+        summary["warning"] = (
             f"boxed first-order system for structure {scenario.structure} deviates "
             "from the derived flow (opposite sign on the gradient terms)"
         )
 
     trajectory_path, summary_path = _output_paths(scenario, name, out_dir)
-
-    result = RunResult(
-        name=name,
-        scenario=scenario,
-        samples=len(traj),
-        energy_initial=float(energy[0]),
-        energy_final=float(energy[-1]),
-        final_state=tuple(traj.states[-1].tolist()),
-        energy_drift_max=drift,
-        endpoint_distance=endpoint,
-        residual_maxima=maxima,
-        warnings=tuple(warnings),
-        trajectory_path=trajectory_path,
-        summary_path=summary_path,
-    )
     _atomic_write(trajectory_path, _trajectory_table(traj, residuals))
-    _atomic_write(summary_path, [render_summary(result)])
-    return result
+    _atomic_write(summary_path, ["".join(f"{key} = {value}\n" for key, value in summary.items())])
+    return summary, trajectory_path, summary_path
 
 
-def render_summary(result: RunResult) -> str:
-    s = result.scenario
-    lines = [
-        f"scenario = {result.name}",
-        f"formalism = {s.formalism}",
-        f"structure = {s.structure}",
-        f"n = {s.n}",
-        f"method = {s.method}",
-        f"dt = {format_float(s.dt)}",
-        f"t_end = {format_float(s.t_end)}",
-        f"samples = {result.samples}",
-        f"energy_initial = {format_float(result.energy_initial)}",
-        f"energy_final = {format_float(result.energy_final)}",
-        f"energy_drift_max = {format_float(result.energy_drift_max)}",
-        f"endpoint_distance_from_start = {format_float(result.endpoint_distance)}",
-        "final_state = " + " ".join(format_float(v) for v in result.final_state),
-    ]
-    for key, value in result.residual_maxima.items():
-        lines.append(f"{key} = {format_float(value)}")
-    for warning in result.warnings:
-        lines.append(f"warning = {warning}")
-    return "\n".join(lines) + "\n"
-
-
-def run_scenario_files(paths, out_dir: str | Path | None = None) -> list[RunResult]:
+def run_scenario_files(
+    paths, out_dir: str | Path | None = None
+) -> list[tuple[dict[str, str], Path, Path]]:
     """Parse every scenario file and plan every output first, then run them in order.
 
     An output path that two outputs share (two files with one stem, or one

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 from dataclasses import replace
@@ -228,12 +227,12 @@ def test_serialize_refuses_a_path_that_does_not_parse_back(key, path):
 
 def test_run_writes_deterministic_outputs(tmp_path):
     scenario = parse_scenario(HARMONIC_HAMILTONIAN.replace("t_end = 6.2832", "t_end = 0.5"))
-    first = run_scenario(scenario, "demo", tmp_path)
-    content_a = first.trajectory_path.read_bytes()
-    summary_a = first.summary_path.read_bytes()
-    second = run_scenario(scenario, "demo", tmp_path)
-    assert second.trajectory_path.read_bytes() == content_a
-    assert second.summary_path.read_bytes() == summary_a
+    _, trajectory_path, summary_path = run_scenario(scenario, "demo", tmp_path)
+    content_a = trajectory_path.read_bytes()
+    summary_a = summary_path.read_bytes()
+    _, trajectory_path, summary_path = run_scenario(scenario, "demo", tmp_path)
+    assert trajectory_path.read_bytes() == content_a
+    assert summary_path.read_bytes() == summary_a
     header = content_a.decode().splitlines()[0]
     assert header == "t,x_1,x_2,x_3,x_4,energy,res_1,res_2,res_3,res_4"
 
@@ -242,23 +241,23 @@ def test_run_harmonic_reports_conservation(tmp_path):
     scenario = parse_scenario(
         HARMONIC_HAMILTONIAN.replace("t_end = 6.2832", "t_end = 6.283185307179586")
     )
-    result = run_scenario(scenario, "circle", tmp_path)
-    assert result.energy_drift_max <= 1e-10
-    assert result.endpoint_distance <= 1e-6
-    summary = result.summary_path.read_text()
-    assert "energy_drift_max" in summary
-    assert "endpoint_distance_from_start" in summary
+    summary, _, summary_path = run_scenario(scenario, "circle", tmp_path)
+    assert float(summary["energy_drift_max"]) <= 1e-10
+    assert float(summary["endpoint_distance_from_start"]) <= 1e-6
+    text = summary_path.read_text()
+    assert "energy_drift_max" in text
+    assert "endpoint_distance_from_start" in text
 
 
 def test_run_printed_f_warns(tmp_path):
     text = POLY_LAGRANGIAN.replace("structure = G", "structure = F").replace(
         "convention = derived", "convention = printed"
     )
-    result = run_scenario(parse_scenario(text), "audit", tmp_path)
-    assert result.warnings
-    assert result.residual_maxima["printed_residual_max"] >= 0.1
-    assert result.residual_maxima["derived_residual_max"] <= 1e-6
-    assert "warning" in result.summary_path.read_text()
+    summary, _, summary_path = run_scenario(parse_scenario(text), "audit", tmp_path)
+    assert summary["warning"]
+    assert float(summary["printed_residual_max"]) >= 0.1
+    assert float(summary["derived_residual_max"]) <= 1e-6
+    assert "warning" in summary_path.read_text()
 
 
 @pytest.mark.parametrize("structure", "FGH")
@@ -292,8 +291,8 @@ def test_run_many(tmp_path):
         paths.append(path)
     results = run_scenario_files(paths, out_dir=tmp_path)
     assert len(results) == 3
-    for result in results:
-        assert result.trajectory_path.exists()
+    for _, trajectory_path, _ in results:
+        assert trajectory_path.exists()
 
 
 @pytest.mark.parametrize("path", SAMPLES, ids=lambda p: p.stem)
@@ -308,24 +307,56 @@ def test_run_result_is_the_summary_of_execute_scenario(path, tmp_path):
         assert maxima[f"{scenario.convention}_residual_max"] == np.abs(residuals).max()
         warns = scenario.structure == "F" and maxima["printed_residual_max"] > 1e-6
     expected = {
-        "name": path.stem,
-        "scenario": scenario,
-        "samples": len(traj),
-        "energy_initial": energy[0],
-        "energy_final": energy[-1],
-        "final_state": tuple(traj.states[-1]),
-        "energy_drift_max": np.max(np.abs(energy - energy[0])),
-        "endpoint_distance": np.linalg.norm(traj.states[-1] - np.asarray(scenario.x0)),
-        "residual_maxima": maxima,
-        "warnings": warns,
-        "trajectory_path": tmp_path / f"{path.stem}_trajectory.csv",
-        "summary_path": tmp_path / f"{path.stem}_summary.txt",
+        "scenario": path.stem,
+        "formalism": scenario.formalism,
+        "structure": scenario.structure,
+        "n": str(scenario.n),
+        "method": scenario.method,
+        "dt": format_float(scenario.dt),
+        "t_end": format_float(scenario.t_end),
+        "samples": str(len(traj)),
+        "energy_initial": format_float(energy[0]),
+        "energy_final": format_float(energy[-1]),
+        "energy_drift_max": format_float(np.max(np.abs(energy - energy[0]))),
+        "endpoint_distance_from_start": format_float(
+            np.linalg.norm(traj.states[-1] - np.asarray(scenario.x0))
+        ),
+        "final_state": " ".join(format_float(v) for v in traj.states[-1]),
+        **{key: format_float(value) for key, value in maxima.items()},
     }
-    [result] = run_scenario_files([path], out_dir=tmp_path)
-    got = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
-    got["warnings"] = bool(result.warnings)
-    assert got == expected
-    assert all(not isinstance(value, np.ndarray) for value in got.values())
+    [(summary, trajectory_path, summary_path)] = run_scenario_files([path], out_dir=tmp_path)
+    assert {key: value for key, value in summary.items() if key != "warning"} == expected
+    assert ("warning" in summary) == warns
+    assert trajectory_path == tmp_path / f"{path.stem}_trajectory.csv"
+    assert summary_path == tmp_path / f"{path.stem}_summary.txt"
+    assert all(isinstance(value, str) for value in summary.values())
+
+
+@pytest.mark.parametrize("path", SAMPLES, ids=lambda p: p.stem)
+def test_run_returns_the_summary_it_writes(path, tmp_path, capsys):
+    # The returned mapping is the summary file, entry by entry in file order,
+    # and the CLI prints the mapping's own text.
+    scenario = load_scenario(path)
+    summary, trajectory_path, summary_path = run_scenario(scenario, path.stem, tmp_path)
+    written = [line.split(" = ", 1) for line in summary_path.read_text().splitlines()]
+    assert [[key, value] for key, value in summary.items()] == written
+    assert all(isinstance(value, str) for value in summary.values())
+    f_lagrangian = scenario.formalism == "lagrangian" and scenario.structure == "F"
+    assert ("warning" in summary) == f_lagrangian
+
+    out = tmp_path / "cli"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    expected = [
+        f"{summary['scenario']}: {summary['samples']} samples, "
+        f"energy drift {summary['energy_drift_max']}, "
+        f"endpoint distance {summary['endpoint_distance_from_start']}",
+        f"  trajectory -> {out / trajectory_path.name}",
+        f"  summary    -> {out / summary_path.name}",
+    ]
+    if f_lagrangian:
+        expected.append(f"  warning: {summary['warning']}")
+    assert capsys.readouterr().out.splitlines() == expected
+    assert (out / summary_path.name).read_bytes() == summary_path.read_bytes()
 
 
 def test_run_results_hold_no_arrays(tmp_path):
@@ -342,10 +373,10 @@ def test_run_results_hold_no_arrays(tmp_path):
 
 def test_custom_output_paths(tmp_path):
     text = HARMONIC_HAMILTONIAN + "out_trajectory = a/b.csv\nout_summary = a/b.txt\n"
-    result = run_scenario(parse_scenario(text), "named", tmp_path)
-    assert result.trajectory_path == tmp_path / "a/b.csv"
-    assert result.trajectory_path.exists()
-    assert result.summary_path.exists()
+    _, trajectory_path, summary_path = run_scenario(parse_scenario(text), "named", tmp_path)
+    assert trajectory_path == tmp_path / "a/b.csv"
+    assert trajectory_path.exists()
+    assert summary_path.exists()
 
 
 def failing_blocks():
@@ -374,13 +405,13 @@ def test_sample_time_grid_lands_on_t_end(tmp_path):
     scenario = parse_scenario(
         HARMONIC_HAMILTONIAN.replace("t_end = 6.2832", "t_end = 6.283185307179586")
     )
-    result = run_scenario(scenario, "grid", tmp_path)
+    summary, trajectory_path, _ = run_scenario(scenario, "grid", tmp_path)
     times = execute_scenario(scenario)[0].times
-    assert result.samples == len(times)
+    assert int(summary["samples"]) == len(times)
     assert times[3000] == 3000 * scenario.dt
     assert all(times[k] == k * scenario.dt for k in range(len(times) - 1))
     assert times[-1] == scenario.t_end
-    last_row = result.trajectory_path.read_text().splitlines()[-1]
+    last_row = trajectory_path.read_text().splitlines()[-1]
     assert last_row.split(",")[0] == "6.2831853071795862"
 
 
@@ -447,7 +478,7 @@ def test_postpass_is_bitwise_independent_of_the_chunk_size(path, monkeypatch, tm
     scenario = replace(scenario, t_end=1100 * scenario.dt)
     traj, residuals, maxima = execute_scenario(scenario)
     assert len(traj) > integrators.POSTPASS_ROWS
-    table = run_scenario(scenario, "default", tmp_path).trajectory_path.read_bytes()
+    table = run_scenario(scenario, "default", tmp_path)[1].read_bytes()
     for rows in (1, 3):
         monkeypatch.setattr(integrators, "POSTPASS_ROWS", rows)
         again, again_residuals, again_maxima = execute_scenario(scenario)
@@ -457,7 +488,7 @@ def test_postpass_is_bitwise_independent_of_the_chunk_size(path, monkeypatch, tm
         assert again_maxima == maxima
         blocks = list(_trajectory_table(again, again_residuals))
         assert len(blocks) == 1 + math.ceil(len(traj) / rows)
-        written = run_scenario(scenario, f"rows_{rows}", tmp_path).trajectory_path
+        written = run_scenario(scenario, f"rows_{rows}", tmp_path)[1]
         assert written.read_bytes() == table
 
     field = build_field(scenario.function, scenario.n)
